@@ -426,14 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, bound: bool = False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--bound",
-            type=int,
-            default=None,
-            help="fine-degree search radius (default: TORRIGID_BOUND or automatic)",
-        )
+        if bound:
+            p.add_argument(
+                "--bound",
+                type=int,
+                default=None,
+                help="fine-degree search radius (default: TORRIGID_BOUND or automatic)",
+            )
 
     p_t1 = sub.add_parser("t1", help="tangent-space dimension of an affine cone")
     p_t1.add_argument("fanfile")
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the input as {'vertices': [[x,y],..]} and use the polygon formula",
     )
-    add_common(p_t1)
+    add_common(p_t1, bound=True)
     p_t1.set_defaults(func=cmd_t1)
 
     p_r = sub.add_parser("rigidity", help="rigidity certificates")
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all", "qgorenstein", "quotient", "fano", "gamma", "wps"),
         default="all",
     )
-    add_common(p_r)
+    add_common(p_r, bound=True)
     p_r.set_defaults(func=cmd_rigidity)
 
     p_l = sub.add_parser("localcoh", help="one graded piece of local cohomology")

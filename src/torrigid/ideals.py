@@ -76,10 +76,3 @@ class SquarefreeMonomialIdeal:
         for g in self.generators:
             names.append("1" if not g else "*".join(f"x{i + 1}" for i in sorted(g)))
         return "(" + ", ".join(names) + ")"
-
-
-def variable_ideal(num_vars: int, variables: Iterable[int]) -> SquarefreeMonomialIdeal:
-    """The prime ideal generated by the listed variables."""
-    return SquarefreeMonomialIdeal(
-        num_vars, tuple(frozenset([v]) for v in sorted(set(variables)))
-    )

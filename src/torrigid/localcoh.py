@@ -208,7 +208,7 @@ def _cohomology_basis(kompl: SimplicialComplex, q: int):
 
 
 class GradedPiece:
-    """A finite-dimensional piece of a graded module with a labeled basis."""
+    """A finite-dimensional piece of a graded module."""
 
     def __init__(
         self,
@@ -222,15 +222,6 @@ class GradedPiece:
         self.fine_degree = fine_degree
         self.index = index
         self.dimension = reduced_cohomology_dim(kompl, cochain_degree)
-
-    @property
-    def basis_labels(self) -> tuple[str, ...]:
-        return tuple(f"z{k}" for k in range(self.dimension))
-
-    def cocycle_basis(self):
-        """(q-faces, representative cocycle vectors over those faces)."""
-        faces, reps, _ = _cohomology_basis(self.complex, self.cochain_degree)
-        return faces, reps
 
     def __repr__(self) -> str:
         return f"GradedPiece(dim={self.dimension}, i={self.index}, p={self.fine_degree})"
@@ -272,11 +263,6 @@ class MultMap:
             return True
         _, pivots = rref(self.matrix)
         return len(pivots) == self.source_dimension
-
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        return [
-            sum((r * v for r, v in zip(row, vec)), Fraction(0)) for row in self.matrix
-        ]
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from .toric import (
     Fan,
     Graph,
     WeightSystem,
+    _is_vertex,
     graph_gamma,
     graph_gamma_f,
     is_complete,
@@ -302,17 +303,6 @@ class Connected:
 @dataclass(frozen=True)
 class Disconnected:
     components: tuple[tuple[Vec, ...], ...]
-
-
-def _is_vertex(points: list[Vec], i: int) -> bool:
-    v = points[i]
-    n = len(v)
-    rows = [
-        (tuple(v[k] - w[k] for k in range(n)), 1)
-        for j, w in enumerate(points)
-        if j != i
-    ]
-    return rational_feasible(rows, n)
 
 
 def polytope_edge_graph(points: list[Vec]) -> set[frozenset[int]]:

@@ -11,6 +11,7 @@ Gorenstein-over-a-smooth-polygon case is flagged as provably complete.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,10 +20,14 @@ from typing import Sequence
 from .lattice import (
     AffineSystem,
     Vec,
+    hilbert_basis,
     int_det,
+    int_rank,
     integer_kernel,
     lattice_points,
+    mat_mul,
     rref,
+    smith_normal_form,
 )
 from .localcoh import local_coh_piece, mult_map, negative
 from .rigidity import (
@@ -35,6 +40,8 @@ from .toric import (
     Cone,
     CoxData,
     Fan,
+    _is_vertex,
+    affine_cone,
     class_group,
     degree_zero_membership,
     faces,
@@ -200,12 +207,7 @@ def hom_q_h3(
                 for rr in range(mm.target_dimension)
             ]
             blocks.extend(rows)
-        if blocks:
-            _, pivots = rref(blocks)
-            rank = len(pivots)
-        else:
-            rank = 0
-        ker = r * h - rank
+        ker = r * h - len(rref(blocks)[1])
         if ker:
             assert degree_zero_membership(cox, p) is not None
             contributions.append(DegreeContribution(p, ker))
@@ -230,8 +232,6 @@ def dual_cone_generators(cone: Cone) -> list[Vec]:
     gens: list[Vec] = []
     for f in faces(cone):
         fr = [cone.fan.rays[i] for i in sorted(f)]
-        from .lattice import int_rank
-
         if int_rank(fr) != n - 1:
             continue
         kernel = integer_kernel(fr) if fr else [tuple(1 if k == 0 else 0 for k in range(n))]
@@ -248,27 +248,19 @@ def dual_cone_generators(cone: Cone) -> list[Vec]:
 
 def _monomial_mult_matrix(b, i: int, start: Vec, exponent: Vec):
     """Matrix of multiplication by the monomial with the given exponent,
-    composed one variable step at a time; returns (matrix rows, target dim)."""
-    piece = local_coh_piece(b, i, start)
-    cur_dim = piece.dimension
-    cur = [
-        [Fraction(1) if rr == cc else Fraction(0) for cc in range(cur_dim)]
-        for rr in range(cur_dim)
-    ]
+    composed one variable step at a time (target dimension x source dimension)."""
+    cur_dim = local_coh_piece(b, i, start).dimension
+    cur = [[Fraction(int(rr == cc)) for cc in range(cur_dim)] for rr in range(cur_dim)]
     p = list(start)
     for k in range(len(exponent)):
         for _ in range(exponent[k]):
             mm = mult_map(b, i, p, k)
-            cur = [
-                [
-                    sum(
-                        (mm.matrix[rr][t] * cur[t][cc] for t in range(len(cur))),
-                        Fraction(0),
-                    )
-                    for cc in range(cur_dim)
-                ]
-                for rr in range(mm.target_dimension)
-            ]
+            # through a zero piece the product is zero, but keeps its columns
+            cur = (
+                mat_mul(mm.matrix, cur)
+                if cur
+                else [[Fraction(0)] * cur_dim for _ in range(mm.target_dimension)]
+            )
             p[k] += 1
     return cur
 
@@ -279,14 +271,22 @@ def der_part_exact(
     """Degree-zero derivations into second local cohomology, computed as the
     kernel of the linearity conditions on the dual-monoid generators.
 
-    The unknowns are the components of the images of the variables, supported
-    on fine degrees inside the enumeration window; the conditions themselves
-    are evaluated exactly wherever they land, so the result is the dimension
-    of the space of solutions supported in the window (non-decreasing in the
-    bound).  The covector window is the box of radius bound scaled by the
-    largest ray coordinate: contributing degrees provably escape any window
-    of fixed radius as the rays grow (already for the two-dimensional index-n
-    cones), so the window has to track the ray height."""
+    The space splits by characters u in M, the graded pieces T^1(-R) of
+    Altmann (JPAA 119, 1997).  The unknowns of degree u are the components
+    of the images of the variables x_j in the fine degrees e_j + p(u), where
+    p(u) = (<u, v_j>)_j; a Hilbert-basis element w of the dual cone imposes
+    conditions that land in p(u + w).  Every condition of w landing in a
+    fine degree t involves only unknowns with p(u) = t - p(w), and p is
+    injective because the rays span, so the system is block-diagonal by u:
+    one small system per character, whose kernel dimensions add up.
+
+    The characters run over the box of radius bound scaled by the largest
+    ray coordinate; the conditions are evaluated exactly wherever they land,
+    so the result is the dimension of the space of solutions supported in
+    the window (non-decreasing in the bound).  Contributing degrees provably
+    escape any window of fixed radius as the rays grow (already for the
+    two-dimensional index-n cones), so the window has to track the ray
+    height."""
     _require_full_dim(cone)
     if not (is_simplicial(cone) or singular_codim(cone) >= 3):
         raise UnsupportedModeError(
@@ -301,70 +301,36 @@ def der_part_exact(
     )
     b = irrelevant_ideal(smooth_subfan(cone))
 
-    hilbert = _dual_hilbert_basis(cone)
+    hilbert = hilbert_basis(dual_cone_generators(cone))
     exponents = [_fine_degree(cone, w) for w in hilbert]
     for beta in exponents:
         assert all(x >= 0 for x in beta)
 
-    # unknown blocks: component of D(x_j) in fine degree d = e_j + <u, rays>
-    unknowns: list[tuple[int, Vec, int]] = []  # (j, degree, dimension)
-    seen: set[tuple[int, Vec]] = set()
-    for j in range(m):
-        for u in itertools.product(range(-radius, radius + 1), repeat=n):
-            base = _fine_degree(cone, u)
+    total = 0
+    for u in itertools.product(range(-radius, radius + 1), repeat=n):
+        base = _fine_degree(cone, u)
+        cols = []  # (j, fine degree e_j + p(u), dimension) of each unknown
+        for j in range(m):
             d = tuple(base[k] + (1 if k == j else 0) for k in range(m))
-            if (j, d) in seen:
-                continue
-            seen.add((j, d))
             dim = local_coh_piece(b, 2, d).dimension
             if dim:
-                unknowns.append((j, d, dim))
-    unknowns.sort(key=lambda t: (t[0], t[1]))
-    if not unknowns:
-        return 0, Completeness(guaranteed=False, bound=bound)
-
-    offsets = {}
-    col = 0
-    for j, d, dim in unknowns:
-        offsets[(j, d)] = (col, dim)
-        col += dim
-    total_cols = col
-
-    rows: list[list[Fraction]] = []
-    for beta in exponents:
-        by_target: dict[Vec, list[tuple[int, Vec, int, list[list[Fraction]]]]] = {}
-        for j, d, dim in unknowns:
-            if beta[j] == 0:
-                continue
-            gamma = tuple(beta[k] - (1 if k == j else 0) for k in range(m))
-            target = tuple(d[k] + gamma[k] for k in range(m))
+                cols.append((j, d, dim))
+        if not cols:
+            continue
+        rows: list[list[Fraction]] = []
+        for beta in exponents:
+            target = tuple(x + y for x, y in zip(base, beta))
             tdim = local_coh_piece(b, 2, target).dimension
             if tdim == 0:
                 continue
-            mat = _monomial_mult_matrix(b, 2, d, gamma)
-            by_target.setdefault(target, []).append((j, d, beta[j], mat))
-        for target, terms in sorted(by_target.items()):
-            tdim = local_coh_piece(b, 2, target).dimension
-            for rr in range(tdim):
-                row = [Fraction(0)] * total_cols
-                for j, d, coeff, mat in terms:
-                    start, dim = offsets[(j, d)]
-                    for cc in range(dim):
-                        row[start + cc] += coeff * mat[rr][cc]
-                rows.append(row)
-
-    if rows:
-        _, pivots = rref(rows)
-        rank = len(pivots)
-    else:
-        rank = 0
-    return total_cols - rank, Completeness(guaranteed=False, bound=bound)
-
-
-def _dual_hilbert_basis(cone: Cone) -> list[Vec]:
-    from .lattice import hilbert_basis
-
-    return hilbert_basis(dual_cone_generators(cone))
+            blocks = []  # per unknown, its tdim x dim matrix of coefficients
+            for j, d, dim in cols:
+                gamma = tuple(beta[k] - (1 if k == j else 0) for k in range(m))
+                mat = _monomial_mult_matrix(b, 2, d, gamma) if beta[j] else [[0] * dim] * tdim
+                blocks.append([[beta[j] * x for x in row] for row in mat])
+            rows.extend([x for blk in blocks for x in blk[rr]] for rr in range(tdim))
+        total += sum(dim for _, _, dim in cols) - len(rref(rows)[1])
+    return total, Completeness(guaranteed=False, bound=bound)
 
 
 def der_part_sufficient(cone: Cone, search_bound: int = 8) -> RigidityCertificate:
@@ -485,8 +451,6 @@ def _cyclic_hull_order(points: list[Vec]) -> list[Vec]:
     def cross(o, a, bb):
         return (a[0] - o[0]) * (bb[1] - o[1]) - (a[1] - o[1]) * (bb[0] - o[0])
 
-    import functools
-
     def compare(a, bb):
         c = cross(start, a, bb)
         if c > 0:
@@ -516,16 +480,12 @@ def t1_polygon(vertices: Sequence[Sequence[int]], bound: int | None = None) -> P
         raise ValueError("polygon vertices must be two-dimensional")
     if len(pts) < 3:
         raise ValueError("need at least three vertices")
-    from .rigidity import _is_vertex
-
     for i in range(len(pts)):
         if not _is_vertex(pts, i):
             raise ValueError(f"{pts[i]} is not a vertex of the hull")
     ordered = _cyclic_hull_order(pts)
     m = len(ordered)
     lifted = [(p[0], p[1], 1) for p in ordered]
-    from .lattice import smith_normal_form
-
     for k in range(m):
         pair = [lifted[k], lifted[(k + 1) % m]]
         snf = smith_normal_form(pair)
@@ -534,8 +494,6 @@ def t1_polygon(vertices: Sequence[Sequence[int]], bound: int | None = None) -> P
                 f"edge cone over {ordered[k]}, {ordered[(k + 1) % m]} is not smooth; "
                 "use the general affine computation"
             )
-    from .toric import affine_cone
-
     cone = affine_cone(lifted)
     cox = class_group(cone.fan)
     r = cox.free_rank
@@ -710,11 +668,7 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
                 hit = True
             if hit:
                 rows.append(row)
-    if rows:
-        _, pivots = rref(rows)
-        rank = len(pivots)
-    else:
-        rank = 0
+    rank = len(rref(rows)[1])
     return CyReport(
         dimension=len(monomials) - rank,
         hypotheses=tuple(hyps),

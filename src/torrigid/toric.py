@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf
+from typing import Sequence
 
 from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import (
@@ -26,6 +27,7 @@ from .lattice import (
     rational_feasible,
     rational_solve,
     smith_normal_form,
+    solve_diophantine,
 )
 
 
@@ -246,8 +248,6 @@ def class_group(fan: Fan) -> CoxData:
 def degree_zero_membership(cox: CoxData, p: Vec) -> Vec | None:
     """If p lies in the row lattice of the ray matrix, return the u with
     p = (<u, v_j>)_j, else None.  This is exactly class-group degree zero."""
-    from .lattice import solve_diophantine
-
     cols = [[cox.ray_matrix[i][j] for j in range(cox.ambient_rank)] for i in range(cox.num_rays)]
     sol = solve_diophantine(cols, list(p))
     if sol is None:
@@ -341,21 +341,26 @@ def is_complete(fan: Fan) -> bool:
     return True
 
 
+def _is_vertex(points: Sequence[Vec], i: int) -> bool:
+    """Whether points[i] is a vertex of the hull: some u has <u, v> > <u, w>
+    for every other point w."""
+    v = points[i]
+    n = len(v)
+    rows = [
+        (tuple(v[k] - w[k] for k in range(n)), 1)
+        for j, w in enumerate(points)
+        if j != i
+    ]
+    return rational_feasible(rows, n)
+
+
 def is_fano(fan: Fan) -> bool:
     """Complete fan equal to the face fan of the ray hull, all rays vertices."""
     if not is_complete(fan):
         return False
     rays = fan.rays
-    n = fan.ambient_rank
-    # every ray must be a vertex of conv(rays): some u has <u, v> > <u, w>
-    for i, v in enumerate(rays):
-        rows = [
-            (tuple(v[j] - w[j] for j in range(n)), 1)
-            for k, w in enumerate(rays)
-            if k != i
-        ]
-        if not rational_feasible(rows, n):
-            return False
+    if not all(_is_vertex(rays, i) for i in range(len(rays))):
+        return False
     # each maximal cone must be the cone over a facet of the hull
     for idx in fan.max_cones:
         cone_rays = [rays[i] for i in sorted(idx)]
@@ -387,18 +392,11 @@ class WeightSystem:
         return len(self.weights) - 1
 
 
-def _gcd_of(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
 def wps_well_formed(q: WeightSystem) -> bool:
     """No n of the n+1 weights share a common factor."""
     w = q.weights
     return all(
-        _gcd_of(w[:i] + w[i + 1 :]) == 1 for i in range(len(w))
+        content(w[:i] + w[i + 1 :]) == 1 for i in range(len(w))
     )
 
 
@@ -410,7 +408,7 @@ def wps_normalize(q: WeightSystem) -> WeightSystem:
     while changed:
         changed = False
         for i in range(len(w)):
-            d = _gcd_of(w[:i] + w[i + 1 :])
+            d = content(w[:i] + w[i + 1 :])
             if d > 1:
                 for j in range(len(w)):
                     if j != i:
@@ -451,7 +449,7 @@ def wps_rigidity_condition(q: WeightSystem) -> bool:
     if n < 2:
         return True
     return all(
-        _gcd_of(sub) == 1 for sub in itertools.combinations(w, n - 1)
+        content(sub) == 1 for sub in itertools.combinations(w, n - 1)
     )
 
 

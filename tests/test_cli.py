@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from torrigid.cli import main
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
@@ -53,6 +55,14 @@ class TestT1Command:
         code, _, err = run(capsys, "t1", FANS / "p2.json")
         assert code == 1
         assert "one maximal cone" in err
+
+    @pytest.mark.parametrize("name,total", [("a2_cone", 2), ("a3_cone", 3)])
+    def test_a_series_fans(self, capsys, name, total):
+        code, out, _ = run(capsys, "t1", FANS / f"{name}.json", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["total"] == total
+        assert report["der_completeness"] == f"bounded({report['bound']})"
 
     def test_env_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("TORRIGID_BOUND", "3")
@@ -181,6 +191,13 @@ class TestCheckFan:
         code, out, _ = run(capsys, "check-fan", f, "--format", "json")
         assert code == 0
         assert json.loads(out)["warnings"]
+
+
+    def test_bound_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-fan", str(FANS / "p2.json"), "--bound", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
 
 
 class TestReportContract:

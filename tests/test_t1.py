@@ -1,11 +1,15 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from torrigid.ideals import SquarefreeMonomialIdeal
+from torrigid.localcoh import local_coh_piece
 from torrigid.rigidity import Verdict
 from torrigid.t1 import (
     UnsupportedModeError,
+    _monomial_mult_matrix,
     cox_polynomial,
     cy_t1,
     default_bound,
@@ -95,6 +99,14 @@ class TestDerPart:
         assert dim == expected
         assert not completeness.guaranteed and completeness.bound == 3
 
+    def test_monomial_map_through_zero_piece(self):
+        # x1 * x4 from degree (-1,-1,-1,-1): the piece after x1 is zero, the
+        # source and target are not, so the composite is a zero 1 x 1 matrix
+        b = SquarefreeMonomialIdeal(4, (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2, 3})))
+        start = (-1, -1, -1, -1)
+        assert local_coh_piece(b, 2, (0, -1, -1, -1)).dimension == 0
+        assert _monomial_mult_matrix(b, 2, start, (1, 0, 0, 1)) == [[0]]
+
     def test_third_cone_exact_zero(self, third_cone):
         dim, _ = der_part_exact(third_cone, bound=2)
         assert dim == 0
@@ -108,6 +120,37 @@ class TestDerPart:
             if not is_simplicial(cone) and singular_codim(cone) < 3:
                 with pytest.raises(UnsupportedModeError):
                     der_part_exact(cone, bound=2)
+
+
+def riemenschneider_t1(n, q):
+    """dim T^1 of the cyclic quotient X(n, q) (Riemenschneider 1974): expand
+    n/(n-q) = [a_2, ..., a_{e-1}] as a Hirzebruch-Jung continued fraction;
+    then it is n - 1 when e = 3 and (e - 4) + sum(a_i - 1) when e >= 4."""
+    a, num, den = [], n, n - q
+    while den:
+        a.append(-(-num // den))
+        num, den = den, a[-1] * den - num
+    if len(a) == 1:
+        return n - 1
+    return len(a) - 2 + sum(x - 1 for x in a)
+
+
+CYCLIC_QUOTIENTS = [
+    (n, q) for n in range(2, 8) for q in range(1, n) if gcd(n, q) == 1
+]
+
+
+@pytest.mark.parametrize("n,q", CYCLIC_QUOTIENTS)
+def test_cyclic_quotient_closed_form(n, q):
+    cone = affine_cone([(0, 1), (n, -q)])
+    assert t1_affine(cone, bound=2).total == riemenschneider_t1(n, q)
+
+
+def test_cyclic_quotient_cases():
+    assert len(CYCLIC_QUOTIENTS) == 17
+    # rational normal cone of degree n (Pinkham: 2n - 4) and the A_{n-1} cone
+    assert [riemenschneider_t1(n, 1) for n in range(3, 8)] == [2, 4, 6, 8, 10]
+    assert [riemenschneider_t1(n, n - 1) for n in range(2, 8)] == [1, 2, 3, 4, 5, 6]
 
 
 class TestT1Affine:
