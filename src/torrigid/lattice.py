@@ -90,6 +90,29 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for f in self.invariant_factors if f != 0)
 
+    def solve(self, rhs: Sequence[int]) -> tuple[Vec, list[Vec]] | None:
+        """Integer solutions of M*x = rhs as (particular, kernel basis), or None.
+
+        With U*M*V = D the system becomes D*y = U*rhs and x = V*y, so one
+        decomposition answers any number of right-hand sides.
+        """
+        nr = len(self.u)
+        nc = len(self.v)
+        w = [sum(self.u[i][k] * rhs[k] for k in range(nr)) for i in range(nr)]
+        y = [0] * nc
+        for i in range(nr):
+            d = self.d[i][i] if i < min(nr, nc) else 0
+            if d == 0:
+                if w[i] != 0:
+                    return None
+            else:
+                if w[i] % d != 0:
+                    return None
+                y[i] = w[i] // d
+        particular = tuple(sum(self.v[i][j] * y[j] for j in range(nc)) for i in range(nc))
+        basis = [tuple(self.v[i][j] for i in range(nc)) for j in range(self.rank, nc)]
+        return particular, basis
+
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -224,9 +247,13 @@ def int_rank(m: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix, by fraction-free (Bareiss) elimination.
 
     Every row below the pivot is updated, including rows with a zero entry
-    in the pivot column; the rescaling keeps later divisions exact.
+    in the pivot column; the rescaling keeps later divisions exact.  Entries
+    must be ``int``: the exact divisions floor anything else, so a
+    ``Fraction`` entry raises TypeError instead of giving a wrong rank.
     """
     a = [list(row) for row in m]
+    if not all(isinstance(x, int) for row in a for x in row):
+        raise TypeError("int_rank needs integer entries")
     nr = len(a)
     nc = len(a[0]) if nr else 0
     rank = 0
@@ -267,26 +294,7 @@ def solve_diophantine(
     a: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[Vec, list[Vec]] | None:
     """Integer solutions of A*x = rhs as (particular, kernel basis), or None."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    if nr == 0:
-        return tuple([0] * nc), [tuple(row) for row in _identity(nc)]
-    snf = smith_normal_form(a)
-    w = [sum(snf.u[i][k] * rhs[k] for k in range(nr)) for i in range(nr)]
-    y = [0] * nc
-    for i in range(nr):
-        d = snf.d[i][i] if i < min(nr, nc) else 0
-        if d == 0:
-            if w[i] != 0:
-                return None
-        else:
-            if w[i] % d != 0:
-                return None
-            y[i] = w[i] // d
-    particular = tuple(sum(snf.v[i][j] * y[j] for j in range(nc)) for i in range(nc))
-    rank = snf.rank
-    basis = [tuple(snf.v[i][j] for i in range(nc)) for j in range(rank, nc)]
-    return particular, basis
+    return smith_normal_form(a).solve(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .lattice import (
@@ -50,6 +51,7 @@ from .toric import (
     is_complete,
     is_fano,
     is_simplicial,
+    is_smooth,
     q_gorenstein,
     singular_codim,
     smooth_subfan,
@@ -292,6 +294,10 @@ def der_part_exact(
         raise UnsupportedModeError(
             "no formula for non-simplicial cones singular in codimension 2"
         )
+    if is_smooth(cone):
+        # the smooth subfan is the whole cone: its irrelevant ideal is the
+        # unit ideal and there is no second local cohomology
+        return 0, Completeness(guaranteed=True, note="smooth cone")
     if bound is None:
         bound = default_bound(cone)
     n = cone.fan.ambient_rank
@@ -577,7 +583,9 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
     locus in codimension three); the polynomial must have anticanonical
     degree.  Hypothesis failures produce a report without a dimension.
     The monomial enumerations are finite because the fan is complete, so no
-    search window is involved.
+    search window is involved.  The rank of the Jacobian system is exact:
+    the coefficients are cleared of denominators and the integer rows are
+    ranked by fraction-free (Bareiss) elimination.
     """
     cox = class_group(fan)
     m, n = cox.num_rays, cox.ambient_rank
@@ -645,6 +653,9 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
     )
     index = {e: k for k, e in enumerate(monomials)}
 
+    # a nonzero multiple of f has the same Jacobian ideal
+    scale = lcm(*(c.denominator for c, _ in poly.terms))
+    terms = [(c.numerator * (scale // c.denominator), e) for c, e in poly.terms]
     rows = []
     for k in range(m):
         mult_system = AffineSystem(
@@ -658,9 +669,9 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
                 (1 if j == k else 0) + sum(a * bb for a, bb in zip(u, v))
                 for j, v in enumerate(rays)
             )
-            row = [Fraction(0)] * len(monomials)
+            row = [0] * len(monomials)
             hit = False
-            for c, e in poly.terms:
+            for c, e in terms:
                 if e[k] == 0:
                     continue
                 target = tuple(g + x - (1 if j == k else 0) for j, (g, x) in enumerate(zip(gamma, e)))
@@ -668,7 +679,7 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
                 hit = True
             if hit:
                 rows.append(row)
-    rank = len(rref(rows)[1])
+    rank = int_rank(rows)
     return CyReport(
         dimension=len(monomials) - rank,
         hypotheses=tuple(hyps),

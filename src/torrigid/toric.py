@@ -10,7 +10,7 @@ involved.  Intended for desk-scale inputs (up to roughly 16 rays in rank 6).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf
@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import (
+    SmithDecomposition,
     Vec,
     cone_contains,
     cone_is_pointed,
@@ -27,7 +28,6 @@ from .lattice import (
     rational_feasible,
     rational_solve,
     smith_normal_form,
-    solve_diophantine,
 )
 
 
@@ -200,7 +200,8 @@ class CoxData:
     ``grading_matrix`` is an r x m integer matrix whose rows project the
     ray-divisor lattice Z^m onto the free part of the class group; it
     annihilates the row lattice of ``ray_matrix``.  Torsion is reported
-    separately and never encoded in the grading matrix.
+    separately and never encoded in the grading matrix.  ``smith`` is the
+    Smith decomposition of ``ray_matrix``, kept for the degree tests.
     """
 
     num_rays: int
@@ -208,6 +209,7 @@ class CoxData:
     grading_matrix: tuple[Vec, ...]
     ray_matrix: tuple[Vec, ...]
     torsion: tuple[int, ...]
+    smith: SmithDecomposition = field(compare=False, repr=False)
 
     @property
     def free_rank(self) -> int:
@@ -242,14 +244,14 @@ def class_group(fan: Fan) -> CoxData:
         grading_matrix=a_rows,
         ray_matrix=b,
         torsion=torsion,
+        smith=snf,
     )
 
 
 def degree_zero_membership(cox: CoxData, p: Vec) -> Vec | None:
     """If p lies in the row lattice of the ray matrix, return the u with
     p = (<u, v_j>)_j, else None.  This is exactly class-group degree zero."""
-    cols = [[cox.ray_matrix[i][j] for j in range(cox.ambient_rank)] for i in range(cox.num_rays)]
-    sol = solve_diophantine(cols, list(p))
+    sol = cox.smith.solve(p)
     if sol is None:
         return None
     u, basis = sol

@@ -4,6 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torrigid.lattice import (
     AffineSystem,
@@ -306,3 +309,43 @@ def test_int_rank_matches_fraction_elimination():
         _, pivots = rref([[Fraction(x) for x in row] for row in m])
         assert int_rank(m) == len(pivots), m
     assert int_rank([(0, 0, 1, 0), (0, 0, 2, 1), (-2, -1, -3, -1)]) == 3
+
+
+def test_int_rank_rejects_non_integers():
+    # Bareiss divisions floor a Fraction: this matrix has rank 2, not 1
+    with pytest.raises(TypeError):
+        int_rank([[Fraction(1, 2), 1], [1, 3]])
+    with pytest.raises(TypeError):
+        int_rank([[1, 0], [0, Fraction(2)]])
+    with pytest.raises(TypeError):
+        int_rank([[1.0]])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Empty, wide, tall, sparse and rank-deficient integer matrices."""
+    nr = draw(st.integers(0, 8))
+    nc = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("dense", "sparse", "product")))
+    if kind != "product":
+        if kind == "dense":
+            entry = st.integers(-(10**4), 10**4)
+        else:  # mostly zeros: pivot columns with zero entries below the pivot
+            entry = st.sampled_from((0, 0, 0, 0, -3, -2, -1, 1, 2, 3))
+        return [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    # a product through an inner dimension k has rank at most k
+    k = draw(st.integers(0, 3))
+    b = [[draw(st.integers(-50, 50)) for _ in range(k)] for _ in range(nr)]
+    c = [[draw(st.integers(-50, 50)) for _ in range(nc)] for _ in range(k)]
+    return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(integer_matrices())
+# a row with a zero in the first pivot column must still be rescaled
+@example([[0, 0, 1, 0], [0, 0, 2, 1], [-2, -1, -3, -1]])
+def test_int_rank_matches_sympy(m):
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    expected = sympy.Matrix(nr, nc, [x for row in m for x in row]).rank()
+    assert int_rank(m) == expected

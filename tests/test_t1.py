@@ -1,10 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd, prod
+from pathlib import Path
 
 import pytest
 
+from torrigid.cli import load_fan
 from torrigid.ideals import SquarefreeMonomialIdeal
+from torrigid.lattice import int_det, solve_diophantine
 from torrigid.localcoh import local_coh_piece
 from torrigid.rigidity import Verdict
 from torrigid.t1 import (
@@ -21,12 +25,35 @@ from torrigid.t1 import (
     t1_affine,
     t1_polygon,
 )
-from torrigid.toric import affine_cone, class_group, validate_fan
+from torrigid.toric import affine_cone, class_group, degree_zero_membership, validate_fan
+
+
+FANS = Path(__file__).resolve().parent.parent / "fans"
 
 
 def fermat_quintic(p4_fan):
     terms = [(1, tuple(5 if j == i else 0 for j in range(5))) for i in range(5)]
     return cox_polynomial(p4_fan, terms)
+
+
+def fermat_under_change(a):
+    """Terms of sum_i (A x)_i^d, d = len(A), by the multinomial theorem."""
+    d = len(a)
+    assert int_det(a) != 0
+    terms = []
+    for e in itertools.product(range(d + 1), repeat=d):
+        if sum(e) != d:
+            continue
+        multinomial = factorial(d) // prod(factorial(x) for x in e)
+        coeff = sum(multinomial * prod(aij**x for aij, x in zip(row, e)) for row in a)
+        if coeff:
+            terms.append((coeff, e))
+    return terms
+
+
+def projective_fan(n):
+    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return validate_fan(rays, [tuple(j for j in range(n + 1) if j != i) for i in range(n + 1)])
 
 
 class TestQPresentation:
@@ -110,6 +137,15 @@ class TestDerPart:
     def test_third_cone_exact_zero(self, third_cone):
         dim, _ = der_part_exact(third_cone, bound=2)
         assert dim == 0
+
+    @pytest.mark.parametrize("rays", [[(1, 0), (2, 1)], [(1, 0, 0), (0, 1, 0), (1, 1, 1)]])
+    def test_smooth_cone(self, rays):
+        # the irrelevant ideal of the smooth subfan is the unit ideal here
+        cone = affine_cone(rays)
+        dim, completeness = der_part_exact(cone, bound=1)
+        assert dim == 0
+        assert completeness.guaranteed
+        assert t1_affine(cone).total == 0
 
     def test_unsupported(self):
         # non-simplicial with a two-dimensional singular face
@@ -247,6 +283,51 @@ class TestCyT1:
         report = cy_t1(fan2, cox_polynomial(fan2, terms))
         assert report.dimension == 101
 
+    def test_quintic_under_coordinate_change(self, p4_fan):
+        a = [
+            (1, 1, -1, 1, 1),
+            (-1, 1, 1, 1, -1),
+            (1, -1, 1, 1, 1),
+            (1, 1, 1, -1, -1),
+            (-1, 1, 1, 1, 1),
+        ]
+        terms = fermat_under_change(a)
+        assert max(abs(c) for c, _ in terms) > 100  # dense, large coefficients
+        report = cy_t1(p4_fan, cox_polynomial(p4_fan, terms))
+        assert (report.monomial_count, report.jacobian_rank, report.dimension) == (126, 25, 101)
+
+    def test_sextic_under_coordinate_change(self):
+        a = [
+            (-1, -1, 1, 1, -1, 1),
+            (1, 1, -1, 1, 1, -1),
+            (-1, 1, 1, -1, 1, 1),
+            (1, 1, 1, 1, -1, -1),
+            (1, -1, -1, 1, 1, 1),
+            (-1, -1, 1, 1, 1, -1),
+        ]
+        p5 = projective_fan(5)
+        report = cy_t1(p5, cox_polynomial(p5, fermat_under_change(a)))
+        assert (report.monomial_count, report.jacobian_rank, report.dimension) == (462, 36, 426)
+
+    def test_quintic_with_fractional_coefficients(self, p4_fan):
+        coeffs = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(-3), Fraction(4, 9)]
+        terms = [(c, tuple(5 if j == i else 0 for j in range(5))) for i, c in enumerate(coeffs)]
+        terms.append((Fraction(1, 6), (1, 1, 1, 1, 1)))
+        report = cy_t1(p4_fan, cox_polynomial(p4_fan, terms))
+        assert (report.jacobian_rank, report.dimension) == (25, 101)
+
+    def test_fractional_coefficients_keep_their_ratios(self, p4_fan):
+        # f = (x1/2 + x2/3)^5 + x3^5 + x4^5 + x5^5 satisfies 2 df/dx1 = 3 df/dx2,
+        # which takes 5 off the rank only if the ratios of the coefficients
+        # survive the clearing of denominators
+        terms = [
+            (comb(5, k) * Fraction(1, 2) ** k * Fraction(1, 3) ** (5 - k), (k, 5 - k, 0, 0, 0))
+            for k in range(6)
+        ]
+        terms += [(1, tuple(5 if j == i else 0 for j in range(5))) for i in (2, 3, 4)]
+        report = cy_t1(p4_fan, cox_polynomial(p4_fan, terms))
+        assert (report.jacobian_rank, report.dimension) == (20, 106)
+
     def test_k3_gate(self):
         rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
         cones = [tuple(j for j in range(4) if j != i) for i in range(4)]
@@ -334,3 +415,28 @@ class TestCyT1:
         expected = len(betas) - len(pivots)
         assert report.monomial_count == len(betas)
         assert report.dimension == expected
+
+
+@pytest.mark.parametrize(
+    "name", ["weighted_simplex_1113", "third_cone", "a2_cone", "a3_cone", "p4"]
+)
+def test_degree_zero_membership_matches_solve_diophantine(name):
+    # class groups Z, Z/3, Z/3, Z/4 and Z; where there is torsion, a vector
+    # of free degree zero can still lie outside the row lattice of the rays
+    fan, _ = load_fan(str(FANS / f"{name}.json"))
+    cox = class_group(fan)
+    rng = random.Random(name)
+    hits = 0
+    for _ in range(200):
+        if rng.random() < 0.5:
+            u = [rng.randint(-4, 4) for _ in range(cox.ambient_rank)]
+            p = tuple(sum(a * b for a, b in zip(u, v)) + rng.choice((0, 0, 1)) for v in fan.rays)
+        else:
+            p = tuple(rng.randint(-5, 5) for _ in range(cox.num_rays))
+        sol = solve_diophantine(fan.rays, p)
+        got = degree_zero_membership(cox, p)
+        assert got == (None if sol is None else sol[0]), p
+        if got is not None:
+            hits += 1
+            assert p == tuple(sum(a * b for a, b in zip(got, v)) for v in fan.rays)
+    assert 0 < hits < 200
