@@ -80,6 +80,11 @@ def _read_json(path: str) -> tuple[dict, str]:
     return data, digest
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false parse as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_fan(path: str) -> tuple[Fan, str]:
     """Parse the fan file format {"rays": [[int,..],..], "max_cones": [[idx,..],..]}."""
     data, digest = _read_json(path)
@@ -89,11 +94,11 @@ def load_fan(path: str) -> tuple[Fan, str]:
     rays = data["rays"]
     cones = data["max_cones"]
     if not isinstance(rays, list) or not all(
-        isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rays
+        isinstance(r, list) and all(_is_int(x) for x in r) for r in rays
     ):
         raise InputError(f"{path}: field 'rays' must be a list of integer vectors")
     if not isinstance(cones, list) or not all(
-        isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cones
+        isinstance(c, list) and all(_is_int(i) for i in c) for c in cones
     ):
         raise InputError(f"{path}: field 'max_cones' must be a list of index lists")
     try:
@@ -121,7 +126,7 @@ def load_polynomial(path: str, fan: Fan):
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{path}: term {k} has bad coefficient {term['coeff']!r}") from exc
         exp = term["exp"]
-        if not isinstance(exp, list) or not all(isinstance(x, int) and x >= 0 for x in exp):
+        if not isinstance(exp, list) or not all(_is_int(x) and x >= 0 for x in exp):
             raise InputError(f"{path}: term {k} has a bad exponent vector")
         terms.append((coeff, tuple(exp)))
     try:

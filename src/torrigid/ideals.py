@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -28,6 +28,7 @@ class SquarefreeMonomialIdeal:
 
     num_vars: int
     generators: tuple[frozenset[int], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for g in self.generators:
@@ -36,6 +37,11 @@ class SquarefreeMonomialIdeal:
         mini = minimalize(self.generators)
         if mini != self.generators:
             object.__setattr__(self, "generators", mini)
+        # ideals key every local cohomology cache: hash them once
+        object.__setattr__(self, "_hash", hash((self.num_vars, self.generators)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_unit(self) -> bool:

@@ -214,10 +214,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     )
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def int_det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)

@@ -35,9 +35,18 @@ def _check_proper(b: SquarefreeMonomialIdeal) -> None:
         raise DegenerateIdealError("unit ideal")
 
 
+def _check_degree(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> None:
+    if i < 0 or len(p) != b.num_vars:
+        _check_proper(b)  # a degenerate ideal takes precedence
+    if i < 0:
+        raise ValueError("cohomological index must be >= 0")
+    if len(p) != b.num_vars:
+        raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
+
+
 def negative(p: Sequence[int]) -> frozenset[int]:
     """Indices where the multidegree is negative."""
-    return frozenset(i for i, x in enumerate(p) if x <= -1)
+    return frozenset([i for i, x in enumerate(p) if x <= -1])
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +113,21 @@ def t_complex(b: SquarefreeMonomialIdeal, i_set) -> SimplicialComplex:
     Generators j_1..j_k span a face when some variable in the set divides
     none of them.  The empty variable set gives the void complex.
     """
-    return _t_complex_cached(b, frozenset(i_set))
+    return _pattern(b, frozenset(i_set))[0]
 
 
 @lru_cache(maxsize=None)
-def _t_complex_cached(b: SquarefreeMonomialIdeal, i_set: frozenset[int]) -> SimplicialComplex:
+def _pattern(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> tuple[SimplicialComplex, dict]:
+    """The complex of a sign pattern and its reduced cohomology dimensions:
+    everything a graded piece depends on.  A degenerate ideal raises here,
+    on every call, because exceptions are not cached."""
     _check_proper(b)
-    facets = []
-    for var in sorted(i_set):
-        facets.append(frozenset(j for j, g in enumerate(b.generators) if var not in g))
-    return SimplicialComplex(tuple(range(len(b.generators))), tuple(facets))
+    facets = [
+        frozenset(j for j, g in enumerate(b.generators) if var not in g)
+        for var in sorted(pattern)
+    ]
+    kompl = SimplicialComplex(tuple(range(len(b.generators))), tuple(facets))
+    return kompl, _cohomology_dims(kompl)
 
 
 def _coboundary(kompl: SimplicialComplex, q: int) -> tuple[list[frozenset[int]], list[frozenset[int]], list[list[int]]]:
@@ -214,14 +228,15 @@ class GradedPiece:
         self,
         kompl: SimplicialComplex,
         cochain_degree: int,
+        dimension: int,
         fine_degree: Vec | None = None,
         index: int | None = None,
     ) -> None:
         self.complex = kompl
         self.cochain_degree = cochain_degree
+        self.dimension = dimension
         self.fine_degree = fine_degree
         self.index = index
-        self.dimension = reduced_cohomology_dim(kompl, cochain_degree)
 
     def __repr__(self) -> str:
         return f"GradedPiece(dim={self.dimension}, i={self.index}, p={self.fine_degree})"
@@ -229,7 +244,7 @@ class GradedPiece:
 
 def reduced_cohomology(kompl: SimplicialComplex, degree: int) -> GradedPiece:
     """Reduced simplicial cohomology over Q at the given cochain degree."""
-    return GradedPiece(kompl, degree)
+    return GradedPiece(kompl, degree, reduced_cohomology_dim(kompl, degree))
 
 
 def local_coh_piece(
@@ -238,13 +253,9 @@ def local_coh_piece(
     """The degree-p piece of the i-th local cohomology of the polynomial ring
     supported at the ideal: reduced cohomology of the sign-pattern complex in
     degree i - 2."""
-    _check_proper(b)
-    if i < 0:
-        raise ValueError("cohomological index must be >= 0")
-    if len(p) != b.num_vars:
-        raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
-    kompl = t_complex(b, negative(p))
-    return GradedPiece(kompl, i - 2, fine_degree=tuple(p), index=i)
+    _check_degree(b, i, p)
+    kompl, dims = _pattern(b, negative(p))
+    return GradedPiece(kompl, i - 2, dims.get(i - 2, 0), tuple(p), i)
 
 
 @dataclass(frozen=True)
@@ -266,29 +277,32 @@ class MultMap:
 
 
 @lru_cache(maxsize=None)
-def _mult_matrix(
-    b: SquarefreeMonomialIdeal, q: int, src_pattern: frozenset[int], j: int, leaves: bool
-):
-    """Matrix of the restriction map H^q(T_src) -> H^q(T_tgt) where the
-    target pattern drops j when ``leaves`` is set."""
-    tgt_pattern = src_pattern - {j} if leaves else src_pattern
-    src = t_complex(b, src_pattern)
-    tgt = t_complex(b, tgt_pattern)
-    src_faces, src_reps, _ = _cohomology_basis(src, q)
-    tgt_faces, tgt_reps, tgt_bnd = _cohomology_basis(tgt, q)
-    sdim, tdim = len(src_reps), len(tgt_reps)
+def _restriction(
+    b: SquarefreeMonomialIdeal, q: int, src_pattern: frozenset[int], tgt_pattern: frozenset[int]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of the restriction map H^q(T_src) -> H^q(T_tgt), for a target
+    pattern inside the source pattern, in the canonical cocycle bases
+    (target dimension x source dimension).
+
+    Multiplying by a monomial from degree p to p + a is this map for the
+    patterns of p and p + a: restrictions compose, so the matrix depends on
+    the two patterns only, not on the path or the degrees."""
+    sdim = _pattern(b, src_pattern)[1].get(q, 0)
+    tdim = _pattern(b, tgt_pattern)[1].get(q, 0)
     if sdim == 0 or tdim == 0:
         return tuple(tuple(Fraction(0) for _ in range(sdim)) for _ in range(tdim))
+    src_faces, src_reps, _ = _cohomology_basis(t_complex(b, src_pattern), q)
+    tgt_faces, tgt_reps, tgt_bnd = _cohomology_basis(t_complex(b, tgt_pattern), q)
     src_index = {f: k for k, f in enumerate(src_faces)}
+    # solve restricted = sum c_k * rep_k + coboundary
+    mat = [
+        [tgt_reps[k][idx] for k in range(tdim)]
+        + [tgt_bnd[r][idx] for r in range(len(tgt_bnd))]
+        for idx in range(len(tgt_faces))
+    ]
     cols = []
     for z in src_reps:
         restricted = [z[src_index[f]] for f in tgt_faces]
-        # solve restricted = sum c_k * rep_k + coboundary
-        mat = [
-            [tgt_reps[k][idx] for k in range(tdim)]
-            + [tgt_bnd[r][idx] for r in range(len(tgt_bnd))]
-            for idx in range(len(tgt_faces))
-        ]
         sol = rational_solve(mat, restricted)
         assert sol is not None, "restriction of a cocycle must stay a cocycle class"
         cols.append(sol[:tdim])
@@ -299,19 +313,16 @@ def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> Mu
     """The map multiplication-by-x_j from the piece at p to the piece at
     p + e_j.  When p_j != -1 the sign pattern does not move and the map is a
     bijection."""
-    _check_proper(b)
     if not 0 <= j < b.num_vars:
+        _check_proper(b)  # a degenerate ideal takes precedence
         raise ValueError("variable index out of range")
-    pattern = negative(p)
-    leaves = p[j] == -1
-    matrix = _mult_matrix(b, i - 2, pattern, j, leaves)
-    src = local_coh_piece(b, i, p)
-    tgt_p = list(p)
-    tgt_p[j] += 1
-    tgt = local_coh_piece(b, i, tgt_p)
+    _check_degree(b, i, p)
+    src_pattern = negative(p)
+    tgt_pattern = src_pattern - {j} if p[j] == -1 else src_pattern
+    matrix = _restriction(b, i - 2, src_pattern, tgt_pattern)
     return MultMap(
-        source_dimension=src.dimension,
-        target_dimension=tgt.dimension,
+        source_dimension=_pattern(b, src_pattern)[1].get(i - 2, 0),
+        target_dimension=len(matrix),
         matrix=matrix,
     )
 
@@ -323,7 +334,9 @@ def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> Mu
 @lru_cache(maxsize=None)
 def _cech_dims(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> dict:
     """Cohomology dimensions of the fine strand of the Cech complex on the
-    generators, for the sign pattern of negative coordinates."""
+    generators, for the sign pattern of negative coordinates.  A degenerate
+    ideal raises here, on every call, because exceptions are not cached."""
+    _check_proper(b)
     supports = b.generators
     s = len(supports)
     union: dict[frozenset[int], frozenset[int]] = {}
@@ -368,11 +381,7 @@ def cech_piece(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> int:
     """Dimension of the degree-p strand of local cohomology computed from the
     Cech complex on the generators; independent of the simplicial route and
     must agree with it everywhere."""
-    _check_proper(b)
-    if i < 0:
-        raise ValueError("cohomological index must be >= 0")
-    if len(p) != b.num_vars:
-        raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
+    _check_degree(b, i, p)
     return _cech_dims(b, negative(p)).get(i, 0)
 
 

@@ -26,11 +26,10 @@ from .lattice import (
     int_rank,
     integer_kernel,
     lattice_points,
-    mat_mul,
     rref,
     smith_normal_form,
 )
-from .localcoh import local_coh_piece, mult_map, negative
+from .localcoh import _restriction, local_coh_piece, mult_map, negative
 from .rigidity import (
     Hypothesis,
     RigidityCertificate,
@@ -249,22 +248,12 @@ def dual_cone_generators(cone: Cone) -> list[Vec]:
 
 
 def _monomial_mult_matrix(b, i: int, start: Vec, exponent: Vec):
-    """Matrix of multiplication by the monomial with the given exponent,
-    composed one variable step at a time (target dimension x source dimension)."""
-    cur_dim = local_coh_piece(b, i, start).dimension
-    cur = [[Fraction(int(rr == cc)) for cc in range(cur_dim)] for rr in range(cur_dim)]
-    p = list(start)
-    for k in range(len(exponent)):
-        for _ in range(exponent[k]):
-            mm = mult_map(b, i, p, k)
-            # through a zero piece the product is zero, but keeps its columns
-            cur = (
-                mat_mul(mm.matrix, cur)
-                if cur
-                else [[Fraction(0)] * cur_dim for _ in range(mm.target_dimension)]
-            )
-            p[k] += 1
-    return cur
+    """Matrix of multiplication by the monomial with the given exponent
+    (target dimension x source dimension).  It depends only on the sign
+    patterns of the start and end degrees; through a zero piece it is zero
+    but keeps its shape."""
+    end = [s + e for s, e in zip(start, exponent)]
+    return [list(row) for row in _restriction(b, i - 2, negative(start), negative(end))]
 
 
 def der_part_exact(

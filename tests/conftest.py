@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from torrigid.toric import affine_cone, validate_fan
+
+# Property tests draw the same examples on every run and have no deadline:
+# a slow host must not turn a correct result into a failure.
+settings.register_profile("torrigid", derandomize=True, deadline=None)
+settings.load_profile("torrigid")
 
 SQUARE_RAYS = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
 HEXAGON_RAYS = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]

@@ -175,6 +175,16 @@ class TestCyCommand:
         assert bad[0]["status"] == "failed"
         assert "4, 0, 0, 0, 0" in bad[0]["detail"]
 
+    def test_boolean_exponent_rejected(self, tmp_path, capsys):
+        poly = json.loads((FANS / "fermat_quintic.json").read_text())
+        poly["terms"][0]["exp"] = [True, 0, 0, 0, 4]
+        f = tmp_path / "poly.json"
+        f.write_text(json.dumps(poly))
+        code, out, err = run(capsys, "cy", FANS / "p4.json", f, "--format", "json")
+        assert code == 1
+        assert not out
+        assert "term 0 has a bad exponent vector" in err
+
 
 class TestCheckFan:
     def test_p2(self, capsys):
@@ -192,6 +202,22 @@ class TestCheckFan:
         assert code == 0
         assert json.loads(out)["warnings"]
 
+
+    def test_boolean_ray_entry_rejected(self, tmp_path, capsys):
+        f = tmp_path / "fan.json"
+        f.write_text(json.dumps({"rays": [[True, 0], [0, 1]], "max_cones": [[0, 1]]}))
+        code, out, err = run(capsys, "check-fan", f, "--format", "json")
+        assert code == 1
+        assert not out
+        assert "field 'rays' must be a list of integer vectors" in err
+
+    def test_boolean_cone_index_rejected(self, tmp_path, capsys):
+        f = tmp_path / "fan.json"
+        f.write_text(json.dumps({"rays": [[1, 0], [0, 1]], "max_cones": [[False, True]]}))
+        code, out, err = run(capsys, "check-fan", f, "--format", "json")
+        assert code == 1
+        assert not out
+        assert "field 'max_cones' must be a list of index lists" in err
 
     def test_bound_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,6 @@ from torrigid.lattice import (
     integer_feasible,
     integer_kernel,
     lattice_points,
-    mat_mul,
     smith_normal_form,
     solve_diophantine,
 )
@@ -54,6 +53,10 @@ def invariant_factors_oracle(m):
     while len(factors) < min(len(m), len(m[0])):
         factors.append(0)
     return factors
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def check_decomposition(m, snf):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.localcoh import (
@@ -19,6 +21,7 @@ from torrigid.localcoh import (
     stanley_reisner_complex,
     t_complex,
 )
+from torrigid.t1 import _monomial_mult_matrix
 from torrigid.toric import Graph, graph_gamma, proper_faces_fan, validate_fan
 
 
@@ -153,6 +156,101 @@ class TestMultMap:
             ]
 
         assert compose(a2, a1) == compose(b2, b1)
+
+
+@st.composite
+def monomial_paths(draw):
+    """A squarefree ideal on 3-5 variables, an index i in {2, 3}, a start
+    degree in [-2, 1]^m and an exponent in [0, 2]^m.  Most degrees carry no
+    cohomology, so the start is drawn among nonzero pieces and the exponent
+    among those that reach a nonzero piece in another sign pattern, where
+    such degrees exist."""
+    m = draw(st.integers(3, 5))
+    k = draw(st.integers(1, m - 1))
+    # supports of one size form an antichain: no generator is dropped
+    support = st.frozensets(st.integers(0, m - 1), min_size=k, max_size=k)
+    b = SquarefreeMonomialIdeal(m, tuple(draw(st.lists(support, min_size=2, max_size=6, unique=True))))
+    i = draw(st.sampled_from((2, 3)))
+
+    def nonzero(p):
+        return local_coh_piece(b, i, p).dimension > 0
+
+    starts = list(itertools.product(range(-2, 2), repeat=m))
+    start = draw(st.sampled_from([p for p in starts if nonzero(p)] or starts))
+    exponents = list(itertools.product(range(3), repeat=m))
+    ends = [tuple(x + y for x, y in zip(start, e)) for e in exponents]
+    moving = [
+        e for e, end in zip(exponents, ends) if nonzero(end) and negative(end) != negative(start)
+    ]
+    return b, i, start, draw(st.sampled_from(moving or exponents))
+
+
+def stepwise_product(b, i, start, exponent):
+    """Oracle: compose mult_map one variable step at a time, in increasing
+    variable order, keeping the target x source shape through zero pieces."""
+    sdim = local_coh_piece(b, i, start).dimension
+    cur = [[int(r == c) for c in range(sdim)] for r in range(sdim)]
+    p = list(start)
+    for k, e in enumerate(exponent):
+        for _ in range(e):
+            mm = mult_map(b, i, p, k)
+            cur = [
+                [
+                    sum(mm.matrix[r][t] * cur[t][c] for t in range(mm.source_dimension))
+                    for c in range(sdim)
+                ]
+                for r in range(mm.target_dimension)
+            ]
+            p[k] += 1
+    return cur
+
+
+# from (-1, -1, -1, -1), x0 * x3 passes through the zero piece at
+# (0, -1, -1, -1) between two nonzero ones: a 1 x 1 zero matrix
+ZERO_PATH = ideal(4, {0, 1}, {0, 2}, {1, 2, 3})
+
+
+class TestPatternPairMaps:
+    @settings(max_examples=200)
+    @given(monomial_paths())
+    @example((ZERO_PATH, 2, (-1, -1, -1, -1), (1, 0, 0, 1)))
+    @example((ZERO_PATH, 2, (-1, -1, -1, -1), (2, 0, 0, 2)))
+    @example((ideal(3, {0}, {1}, {2}), 3, (-2, -1, -1), (0, 0, 0)))
+    def test_matches_stepwise_product(self, case):
+        b, i, start, exponent = case
+        assert _monomial_mult_matrix(b, i, start, exponent) == stepwise_product(b, i, start, exponent)
+
+
+class TestPatternCache:
+    @pytest.mark.parametrize(
+        "b", [ideal(2), ideal(2, set())], ids=["zero", "unit"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: local_coh_piece(b, 2, (-1, -1)),
+            lambda b: cech_piece(b, 2, (-1, -1)),
+            lambda b: mult_map(b, 2, (-1, -1), 0),
+            lambda b: t_complex(b, {0}),
+        ],
+        ids=["local_coh_piece", "cech_piece", "mult_map", "t_complex"],
+    )
+    def test_degenerate_raises_on_every_call(self, b, call):
+        for _ in range(2):
+            with pytest.raises(DegenerateIdealError):
+                call(b)
+
+    def test_degenerate_precedes_degree_errors(self):
+        with pytest.raises(DegenerateIdealError):
+            local_coh_piece(ideal(2), -1, (0,))
+
+    def test_ideal_hash_follows_minimal_form(self):
+        messy = ideal(3, {1, 2}, {0, 1, 2}, {0}, {2, 1})
+        minimal = ideal(3, {0}, {1, 2})
+        assert messy == minimal
+        assert hash(messy) == hash(minimal)
+        assert messy.generators == minimal.generators
+        assert {messy: 1}[minimal] == 1
 
 
 class TestCechOracle:

@@ -220,6 +220,14 @@ class TestT1Affine:
     def test_default_bound(self, square_cone):
         assert default_bound(square_cone) == 2
 
+    @pytest.mark.parametrize("bound,total", [(2, 3), (3, 4)])
+    def test_simplicial_cone_window_totals(self, bound, total):
+        # the derivation part of this simplicial cone grows with the window
+        cone = affine_cone([(1, 0, 1), (0, 1, 1), (-1, -2, 3)])
+        report = t1_affine(cone, bound=bound)
+        assert report.mode == "simplicial"
+        assert report.total == total
+
 
 class TestT1Polygon:
     def test_unit_square(self):
