@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ideals import SquarefreeMonomialIdeal, minimalize
-from .lattice import Vec, int_rank, rational_kernel, rational_solve, rref
+from .lattice import int_rank, rational_kernel, rref
 from .toric import Fan, Graph, graph_gamma
 
 
@@ -130,21 +130,20 @@ def _pattern(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> tuple[Simpl
     return kompl, _cohomology_dims(kompl)
 
 
-def _coboundary(kompl: SimplicialComplex, q: int) -> tuple[list[frozenset[int]], list[frozenset[int]], list[list[int]]]:
-    """Faces of dimensions q and q+1 and the matrix of the coboundary map
-    C^q -> C^{q+1} (rows indexed by (q+1)-faces)."""
+def _coboundary(kompl: SimplicialComplex, q: int) -> tuple[list[frozenset[int]], list[list[int]]]:
+    """The q-faces and the matrix of the coboundary map C^q -> C^{q+1}
+    (rows indexed by (q+1)-faces)."""
     lower = kompl.faces_of_dim(q)
-    upper = kompl.faces_of_dim(q + 1)
     index = {f: k for k, f in enumerate(lower)}
     rows = []
-    for g in upper:
+    for g in kompl.faces_of_dim(q + 1):
         row = [0] * len(lower)
         ordered = sorted(g)
         for pos, v in enumerate(ordered):
             f = g - {v}
             row[index[f]] = (-1) ** pos
         rows.append(row)
-    return lower, upper, rows
+    return lower, rows
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +155,7 @@ def _cohomology_dims(kompl: SimplicialComplex) -> dict:
     ranks = {}
     counts = {}
     for q in range(-1, top + 1):
-        lower, _, rows = _coboundary(kompl, q)
+        lower, rows = _coboundary(kompl, q)
         counts[q] = len(lower)
         ranks[q] = int_rank(rows) if rows else 0
     dims = {}
@@ -165,86 +164,58 @@ def _cohomology_dims(kompl: SimplicialComplex) -> dict:
     return dims
 
 
-def reduced_cohomology_dim(kompl: SimplicialComplex, q: int) -> int:
-    return _cohomology_dims(kompl).get(q, 0)
+def _reduce(
+    v: Sequence[Fraction], rows: Sequence[Sequence[Fraction]], pivots: Sequence[int]
+) -> list[Fraction]:
+    """v minus the combination of the reduced row echelon rows that clears
+    their pivot columns: the canonical representative of v modulo their
+    span, zero exactly when v lies in it."""
+    v = list(v)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
 
 
 @lru_cache(maxsize=None)
-def _cohomology_basis(kompl: SimplicialComplex, q: int):
-    """Canonical representatives of H^q as cocycle vectors.
+def _basis(b: SquarefreeMonomialIdeal, pattern: frozenset[int], q: int):
+    """Canonical basis of H^q of the complex of a sign pattern.
 
-    Returns (q-faces, representatives, reduced coboundary rows); the
-    representatives are reduced against the coboundary row space, so they are
-    deterministic for a fixed face order.
+    Returns (q-faces, reps, bnd, bnd_pivots, rep_pivots).  ``bnd`` is the
+    reduced row echelon form of the coboundaries inside C^q, with pivot
+    columns ``bnd_pivots``.  ``reps`` is the reduced row echelon form of the
+    cocycles, each first reduced modulo the coboundaries, with pivot columns
+    ``rep_pivots``: one cocycle per class, and every rep vanishes on the
+    coboundary pivots.  So a cocycle reduced modulo ``bnd`` is a combination
+    of the reps whose coefficients are its entries at ``rep_pivots``.
     """
-    lower, _, rows = _coboundary(kompl, q)
-    if not lower:
-        return (), (), ()
-    cocycles = rational_kernel(rows, len(lower)) if rows else [
-        [Fraction(1) if i == k else Fraction(0) for i in range(len(lower))]
-        for k in range(len(lower))
-    ]
+    kompl, dims = _pattern(b, pattern)
+    lower, rows = _coboundary(kompl, q)
     # rows of the (q-1)-coboundary matrix are indexed by q-faces, so its
     # columns are the coboundary vectors inside C^q
-    _, _, prev = _coboundary(kompl, q - 1)
-    cob_vectors = []
-    if prev:
-        for k in range(len(prev[0])):
-            cob_vectors.append([Fraction(row[k]) for row in prev])
-    bnd_rref, _ = rref(cob_vectors) if cob_vectors else ([], [])
-
-    def reduce_mod(vec):
-        v = list(vec)
-        for row in bnd_rref:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if v[piv] != 0:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    reps = []
-    span: list[list[Fraction]] = []
-    for z in cocycles:
-        v = reduce_mod(z)
-        w = list(v)
-        for row in span:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if w[piv] != 0:
-                f = w[piv] / row[piv]
-                w = [a - f * b for a, b in zip(w, row)]
-        if any(w):
-            piv = next(i for i, x in enumerate(w) if x != 0)
-            w = [a / w[piv] for a in w]
-            span.append(w)
-            reps.append(tuple(v))
-    assert len(reps) == reduced_cohomology_dim(kompl, q)
-    return tuple(lower), tuple(reps), tuple(tuple(r) for r in bnd_rref)
+    bnd, bnd_pivots = rref(list(zip(*_coboundary(kompl, q - 1)[1])))
+    reps, rep_pivots = rref(
+        [_reduce(z, bnd, bnd_pivots) for z in rational_kernel(rows, len(lower))]
+    )
+    assert len(reps) == dims.get(q, 0)
+    return lower, reps, bnd, bnd_pivots, rep_pivots
 
 
 class GradedPiece:
     """A finite-dimensional piece of a graded module."""
 
-    def __init__(
-        self,
-        kompl: SimplicialComplex,
-        cochain_degree: int,
-        dimension: int,
-        fine_degree: Vec | None = None,
-        index: int | None = None,
-    ) -> None:
+    def __init__(self, kompl: SimplicialComplex, dimension: int) -> None:
         self.complex = kompl
-        self.cochain_degree = cochain_degree
         self.dimension = dimension
-        self.fine_degree = fine_degree
-        self.index = index
 
     def __repr__(self) -> str:
-        return f"GradedPiece(dim={self.dimension}, i={self.index}, p={self.fine_degree})"
+        return f"GradedPiece(dim={self.dimension})"
 
 
 def reduced_cohomology(kompl: SimplicialComplex, degree: int) -> GradedPiece:
     """Reduced simplicial cohomology over Q at the given cochain degree."""
-    return GradedPiece(kompl, degree, reduced_cohomology_dim(kompl, degree))
+    return GradedPiece(kompl, _cohomology_dims(kompl).get(degree, 0))
 
 
 def local_coh_piece(
@@ -255,7 +226,7 @@ def local_coh_piece(
     degree i - 2."""
     _check_degree(b, i, p)
     kompl, dims = _pattern(b, negative(p))
-    return GradedPiece(kompl, i - 2, dims.get(i - 2, 0), tuple(p), i)
+    return GradedPiece(kompl, dims.get(i - 2, 0))
 
 
 @dataclass(frozen=True)
@@ -281,8 +252,13 @@ def _restriction(
     b: SquarefreeMonomialIdeal, q: int, src_pattern: frozenset[int], tgt_pattern: frozenset[int]
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of the restriction map H^q(T_src) -> H^q(T_tgt), for a target
-    pattern inside the source pattern, in the canonical cocycle bases
+    pattern inside the source pattern, in the canonical bases of ``_basis``
     (target dimension x source dimension).
+
+    A source rep restricted to the target faces is a target cocycle.  Reduced
+    modulo the target coboundaries it is a combination of the target reps,
+    and its coordinates are its entries at their pivot columns: no system is
+    solved.
 
     Multiplying by a monomial from degree p to p + a is this map for the
     patterns of p and p + a: restrictions compose, so the matrix depends on
@@ -291,22 +267,15 @@ def _restriction(
     tdim = _pattern(b, tgt_pattern)[1].get(q, 0)
     if sdim == 0 or tdim == 0:
         return tuple(tuple(Fraction(0) for _ in range(sdim)) for _ in range(tdim))
-    src_faces, src_reps, _ = _cohomology_basis(t_complex(b, src_pattern), q)
-    tgt_faces, tgt_reps, tgt_bnd = _cohomology_basis(t_complex(b, tgt_pattern), q)
+    src_faces, src_reps, *_ = _basis(b, src_pattern, q)
+    tgt_faces, tgt_reps, tgt_bnd, bnd_pivots, rep_pivots = _basis(b, tgt_pattern, q)
     src_index = {f: k for k, f in enumerate(src_faces)}
-    # solve restricted = sum c_k * rep_k + coboundary
-    mat = [
-        [tgt_reps[k][idx] for k in range(tdim)]
-        + [tgt_bnd[r][idx] for r in range(len(tgt_bnd))]
-        for idx in range(len(tgt_faces))
-    ]
     cols = []
     for z in src_reps:
-        restricted = [z[src_index[f]] for f in tgt_faces]
-        sol = rational_solve(mat, restricted)
-        assert sol is not None, "restriction of a cocycle must stay a cocycle class"
-        cols.append(sol[:tdim])
-    return tuple(tuple(cols[c][r] for c in range(sdim)) for r in range(tdim))
+        v = _reduce([z[src_index[f]] for f in tgt_faces], tgt_bnd, bnd_pivots)
+        assert not any(_reduce(v, tgt_reps, rep_pivots)), "restriction must stay a cocycle class"
+        cols.append([v[c] for c in rep_pivots])
+    return tuple(zip(*cols))
 
 
 def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> MultMap:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 
 from .lattice import (
     AffineSystem,
@@ -38,7 +37,7 @@ from .toric import (
     singular_codim,
     smooth_subfan,
     wps_normalize,
-    wps_rigidity_condition,
+    wps_shared_factor,
 )
 
 
@@ -262,18 +261,8 @@ def wps_rigidity(q: WeightSystem) -> RigidityCertificate:
     """Rigid when no n-1 of the n+1 (normalized) weights share a factor."""
     norm = wps_normalize(q)
     w = norm.weights
-    n = norm.dim
-    counterexample = None
-    if n >= 2:
-        for combo in itertools.combinations(range(n + 1), n - 1):
-            g = 0
-            for k in combo:
-                g = gcd(g, w[k])
-            if g > 1:
-                counterexample = (combo, g)
-                break
+    counterexample = wps_shared_factor(norm)
     ok = counterexample is None
-    assert ok == wps_rigidity_condition(norm)
     hyps = [
         Hypothesis(
             "weights_coprime_in_codim_3",

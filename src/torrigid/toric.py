@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, inf
+from math import inf, lcm
 from typing import Sequence
 
 from .ideals import SquarefreeMonomialIdeal, minimalize
@@ -295,9 +295,7 @@ def q_gorenstein(cone: Cone) -> QGorensteinCertificate | None:
     sol = rational_solve(rays, [Fraction(1)] * len(rays))
     if sol is None:
         return None
-    denom = 1
-    for x in sol:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in sol))
     w = [int(x * denom) for x in sol]
     c = content(w)
     u0 = tuple(x // c for x in w)
@@ -423,11 +421,8 @@ def wps_singular_ideal(q: WeightSystem) -> SquarefreeMonomialIdeal:
     """Intersection over primes p | lcm(q) of the ideals (x_i : p does not
     divide q_i); its vanishing locus is the singular locus."""
     w = q.weights
-    lcm = 1
-    for v in w:
-        lcm = lcm * v // gcd(lcm, v)
     primes = []
-    rest = lcm
+    rest = lcm(*w)
     p = 2
     while p * p <= rest:
         if rest % p == 0:
@@ -444,15 +439,21 @@ def wps_singular_ideal(q: WeightSystem) -> SquarefreeMonomialIdeal:
     return ideal
 
 
+def wps_shared_factor(q: WeightSystem) -> tuple[tuple[int, ...], int] | None:
+    """The first n-1 of the n+1 weights, as indices in ``combinations``
+    order, that share a factor above one, with that factor; None when no
+    n-1 weights share one."""
+    w = q.weights
+    for combo in itertools.combinations(range(len(w)), q.dim - 1):
+        g = content(w[k] for k in combo)
+        if g > 1:
+            return combo, g
+    return None
+
+
 def wps_rigidity_condition(q: WeightSystem) -> bool:
     """No n-1 of the n+1 weights share a common factor."""
-    w = q.weights
-    n = q.dim
-    if n < 2:
-        return True
-    return all(
-        content(sub) == 1 for sub in itertools.combinations(w, n - 1)
-    )
+    return wps_shared_factor(q) is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.localcoh import (
     DegenerateIdealError,
     SimplicialComplex,
+    _restriction,
     alexander_dual,
     cech_piece,
     clique_complex,
@@ -219,6 +221,81 @@ class TestPatternPairMaps:
     def test_matches_stepwise_product(self, case):
         b, i, start, exponent = case
         assert _monomial_mult_matrix(b, i, start, exponent) == stepwise_product(b, i, start, exponent)
+
+
+def _faces(b, pattern, q):
+    """q-faces of the sign-pattern complex, built here from the definition:
+    generator index sets of size q + 1 that some variable of the pattern
+    divides none of."""
+    gens = b.generators
+    if q < -1:
+        return []
+    return [
+        frozenset(c)
+        for c in itertools.combinations(range(len(gens)), q + 1)
+        if any(all(v not in gens[j] for j in c) for v in pattern)
+    ]
+
+
+def _coboundary_matrix(b, pattern, q):
+    """Matrix of C^q -> C^{q+1}, rows indexed by the (q+1)-faces."""
+    lower = _faces(b, pattern, q)
+    upper = _faces(b, pattern, q + 1)
+    entries = [
+        (-1) ** sorted(g).index(next(iter(g - f))) if f < g else 0 for g in upper for f in lower
+    ]
+    return lower, sympy.Matrix(len(upper), len(lower), entries)
+
+
+@st.composite
+def squarefree_ideals(draw):
+    """Proper squarefree ideals on 3-5 variables, up to five generators."""
+    m = draw(st.integers(3, 5))
+    support = st.frozensets(st.integers(0, m - 1), min_size=1, max_size=m)
+    return SquarefreeMonomialIdeal(m, tuple(draw(st.lists(support, min_size=1, max_size=5))))
+
+
+# at q = 0 the restriction from pattern {0, 1, 3, 4} to {0, 1} is 1 x 1 and
+# zero although both pieces are nonzero; such rank-deficient maps are rare
+# among random ideals
+RANK_DEFICIENT = ideal(5, {0, 1, 2, 4}, {0, 3}, {1, 2, 3})
+
+
+class TestRestrictionOracle:
+    """The rank of H^q(T_src) -> H^q(T_tgt), with no basis: the restricted
+    cocycles of T_src span, modulo the coboundaries of T_tgt, the image."""
+
+    @staticmethod
+    def oracle_rank(b, q, src, tgt):
+        src_faces, delta = _coboundary_matrix(b, src, q)
+        tgt_faces = _faces(b, tgt, q)
+        _, prev = _coboundary_matrix(b, tgt, q - 1)
+        restricted = [[z[src_faces.index(f)] for f in tgt_faces] for z in delta.nullspace()]
+        stacked = restricted + prev.T.tolist()
+        return sympy.Matrix(len(stacked), len(tgt_faces), sum(stacked, [])).rank() - prev.rank()
+
+    @settings(max_examples=100)
+    @given(squarefree_ideals())
+    @example(RANK_DEFICIENT)
+    def test_rank_matches_oracle(self, b):
+        m = b.num_vars
+        patterns = [frozenset(c) for r in range(m + 1) for c in itertools.combinations(range(m), r)]
+        for q in range(-1, 3):
+            dims = {s: cech_piece(b, q + 2, [-(k in s) for k in range(m)]) for s in patterns}
+            for src in patterns:
+                for tgt in patterns:
+                    if not tgt <= src:
+                        continue
+                    matrix = _restriction(b, q, src, tgt)
+                    assert len(matrix) == dims[tgt] and all(len(row) == dims[src] for row in matrix)
+                    if dims[src] and dims[tgt]:
+                        rank = sympy.Matrix(matrix).rank()
+                        assert rank == self.oracle_rank(b, q, src, tgt), (q, src, tgt)
+
+    def test_rank_deficient_case(self):
+        src, tgt = frozenset({0, 1, 3, 4}), frozenset({0, 1})
+        assert [len(row) for row in _restriction(RANK_DEFICIENT, 0, src, tgt)] == [1]
+        assert self.oracle_rank(RANK_DEFICIENT, 0, src, tgt) == 0
 
 
 class TestPatternCache:
