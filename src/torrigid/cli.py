@@ -137,15 +137,21 @@ def load_polynomial(path: str, fan: Fan):
 
 
 def _resolve_bound(args) -> int | None:
+    """The search bound from --bound, else TORRIGID_BOUND, else None; a
+    bound below 1 is an input error."""
     if args.bound is not None:
-        return args.bound
-    env = os.environ.get("TORRIGID_BOUND")
-    if env is not None:
+        bound, source = args.bound, "--bound"
+    else:
+        env = os.environ.get("TORRIGID_BOUND")
+        if env is None:
+            return None
         try:
-            return int(env)
+            bound, source = int(env), "TORRIGID_BOUND"
         except ValueError as exc:
             raise InputError(f"TORRIGID_BOUND={env!r} is not an integer") from exc
-    return None
+    if bound < 1:
+        raise InputError(f"{source} must be at least 1, got {bound}")
+    return bound
 
 
 def _one_based(indices) -> list[int]:
@@ -276,7 +282,9 @@ _CONE_CRITERIA = ("qgorenstein", "quotient", "gamma")
 def cmd_rigidity(args) -> int:
     if (args.wps is None) == (args.fanfile is None):
         raise InputError("provide exactly one of a fan file or --wps weights")
-    bound = _resolve_bound(args) or 8
+    bound = _resolve_bound(args)
+    if bound is None:
+        bound = 8
     certificates: list[RigidityCertificate] = []
     if args.wps is not None:
         try:
@@ -438,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--bound",
                 type=int,
                 default=None,
-                help="fine-degree search radius (default: TORRIGID_BOUND or automatic)",
+                help="search radius, at least 1: the character window of t1, the integer "
+                "search of the gamma criterion (default: TORRIGID_BOUND, else automatic "
+                "for t1 and 8 for rigidity)",
             )
 
     p_t1 = sub.add_parser("t1", help="tangent-space dimension of an affine cone")

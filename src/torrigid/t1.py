@@ -3,7 +3,8 @@
 The tangent space of an affine toric variety splits into a derivation part,
 valued in second local cohomology of the total coordinate ring, and a part
 indexed by the cokernel of the Euler derivations, valued in third local
-cohomology.  Both are assembled degree by degree over class-group degree
+cohomology.  Both are kernels of block systems of multiplication maps, one
+system per character, ranked once per sign signature over class-group degree
 zero.  The set of contributing fine degrees is enumerated inside a finite
 box; completeness of that enumeration is tracked explicitly and only the
 Gorenstein-over-a-smooth-polygon case is flagged as provably complete.
@@ -29,7 +30,7 @@ from .lattice import (
     rref,
     smith_normal_form,
 )
-from .localcoh import _restriction, local_coh_piece, mult_map, negative
+from .localcoh import _restriction, local_coh_piece, negative
 from .rigidity import (
     Hypothesis,
     RigidityCertificate,
@@ -65,7 +66,6 @@ class UnsupportedModeError(ValueError):
 class Completeness:
     guaranteed: bool
     bound: int | None = None
-    note: str = ""
 
     def as_text(self) -> str:
         if self.guaranteed:
@@ -152,6 +152,41 @@ def _fine_degree(cone: Cone, u: Sequence[int]) -> Vec:
     )
 
 
+def _shift(p: Vec, j: int) -> Vec:
+    return tuple(x + (k == j) for k, x in enumerate(p))
+
+
+def _kernel_dim(b, i: int, sources, targets, coef, kernels: dict) -> int:
+    """Kernel dimension of the block matrix whose block (t, s) is coef[t][s]
+    times multiplication from the degree sources[s] piece of H^i_B to the
+    degree targets[t] piece; the block is zero where coef[t][s] is 0.
+
+    A multiplication map depends on its two degrees only through their sign
+    patterns, so for fixed coefficients the kernel depends only on the sign
+    signature of the degrees: it is ranked once per signature and kept in
+    ``kernels``, which the caller owns."""
+    dims = [local_coh_piece(b, i, p).dimension for p in sources]
+    if not any(dims):
+        return 0
+    src = tuple(negative(p) for p in sources)
+    tgt = tuple(negative(p) for p in targets)
+    if (src, tgt) not in kernels:
+        rows: list[list[Fraction]] = []
+        for t, q in enumerate(targets):
+            tdim = local_coh_piece(b, i, q).dimension
+            if not tdim:
+                continue
+            blocks = [
+                [[coef[t][s] * x for x in row] for row in _restriction(b, i - 2, src[s], tgt[t])]
+                if coef[t][s] and dims[s]
+                else [[0] * dims[s]] * tdim
+                for s in range(len(sources))
+            ]
+            rows.extend([x for blk in blocks for x in blk[rr]] for rr in range(tdim))
+        kernels[src, tgt] = sum(dims) - len(rref(rows)[1])
+    return kernels[src, tgt]
+
+
 # ---------------------------------------------------------------------------
 # The part valued in third local cohomology
 
@@ -175,10 +210,9 @@ def hom_q_h3(
     cox = class_group(cone.fan)
     r = cox.free_rank
     if r == 0:
-        return 0, (), Completeness(guaranteed=True, note="free class rank is zero")
+        return 0, (), Completeness(guaranteed=True)
     n = cone.fan.ambient_rank
     m = len(cone.indices)
-    a_matrix = cox.grading_matrix
     b = irrelevant_ideal(smooth_subfan(cone))
 
     cert = q_gorenstein(cone)
@@ -188,33 +222,20 @@ def hom_q_h3(
     if guaranteed:
         candidates.add(tuple(-c for c in cert.covector))
 
+    # coef[j][i] = a_ij: the i-th Euler component maps to x_j with weight a_ij
+    coef = list(zip(*cox.grading_matrix))
+    kernels: dict = {}
     contributions = []
     total = 0
     for u in sorted(candidates):
         p = _fine_degree(cone, u)
-        if not negative(p):
-            continue
-        piece = local_coh_piece(b, 3, p)
-        h = piece.dimension
-        if h == 0:
-            continue
-        blocks = []
-        for j in range(m):
-            mm = mult_map(b, 3, p, j)
-            if mm.target_dimension == 0:
-                continue
-            rows = [
-                [a_matrix[i][j] * mm.matrix[rr][cc] for i in range(r) for cc in range(h)]
-                for rr in range(mm.target_dimension)
-            ]
-            blocks.extend(rows)
-        ker = r * h - len(rref(blocks)[1])
+        ker = _kernel_dim(b, 3, [p] * r, [_shift(p, j) for j in range(m)], coef, kernels)
         if ker:
             assert degree_zero_membership(cox, p) is not None
             contributions.append(DegreeContribution(p, ker))
             total += ker
     completeness = (
-        Completeness(guaranteed=True, note="single contributing degree")
+        Completeness(guaranteed=True)
         if guaranteed
         else Completeness(guaranteed=False, bound=bound)
     )
@@ -247,15 +268,6 @@ def dual_cone_generators(cone: Cone) -> list[Vec]:
     return sorted(set(gens))
 
 
-def _monomial_mult_matrix(b, i: int, start: Vec, exponent: Vec):
-    """Matrix of multiplication by the monomial with the given exponent
-    (target dimension x source dimension).  It depends only on the sign
-    patterns of the start and end degrees; through a zero piece it is zero
-    but keeps its shape."""
-    end = [s + e for s, e in zip(start, exponent)]
-    return [list(row) for row in _restriction(b, i - 2, negative(start), negative(end))]
-
-
 def der_part_exact(
     cone: Cone, bound: int | None = None
 ) -> tuple[int, Completeness]:
@@ -269,7 +281,9 @@ def der_part_exact(
     conditions that land in p(u + w).  Every condition of w landing in a
     fine degree t involves only unknowns with p(u) = t - p(w), and p is
     injective because the rays span, so the system is block-diagonal by u:
-    one small system per character, whose kernel dimensions add up.
+    one small system per character, whose kernel dimensions add up.  The
+    system of u depends on u only through the sign signature of its source
+    and target degrees, so each kernel is ranked once per signature.
 
     The characters run over the box of radius bound scaled by the largest
     ray coordinate; the conditions are evaluated exactly wherever they land,
@@ -286,7 +300,7 @@ def der_part_exact(
     if is_smooth(cone):
         # the smooth subfan is the whole cone: its irrelevant ideal is the
         # unit ideal and there is no second local cohomology
-        return 0, Completeness(guaranteed=True, note="smooth cone")
+        return 0, Completeness(guaranteed=True)
     if bound is None:
         bound = default_bound(cone)
     n = cone.fan.ambient_rank
@@ -301,30 +315,14 @@ def der_part_exact(
     for beta in exponents:
         assert all(x >= 0 for x in beta)
 
+    # block (t, j): x_j's image in p(u) + e_j, times x^(beta_t - e_j), times beta_t[j]
+    kernels: dict = {}
     total = 0
     for u in itertools.product(range(-radius, radius + 1), repeat=n):
         base = _fine_degree(cone, u)
-        cols = []  # (j, fine degree e_j + p(u), dimension) of each unknown
-        for j in range(m):
-            d = tuple(base[k] + (1 if k == j else 0) for k in range(m))
-            dim = local_coh_piece(b, 2, d).dimension
-            if dim:
-                cols.append((j, d, dim))
-        if not cols:
-            continue
-        rows: list[list[Fraction]] = []
-        for beta in exponents:
-            target = tuple(x + y for x, y in zip(base, beta))
-            tdim = local_coh_piece(b, 2, target).dimension
-            if tdim == 0:
-                continue
-            blocks = []  # per unknown, its tdim x dim matrix of coefficients
-            for j, d, dim in cols:
-                gamma = tuple(beta[k] - (1 if k == j else 0) for k in range(m))
-                mat = _monomial_mult_matrix(b, 2, d, gamma) if beta[j] else [[0] * dim] * tdim
-                blocks.append([[beta[j] * x for x in row] for row in mat])
-            rows.extend([x for blk in blocks for x in blk[rr]] for rr in range(tdim))
-        total += sum(dim for _, _, dim in cols) - len(rref(rows)[1])
+        sources = [_shift(base, j) for j in range(m)]
+        targets = [tuple(x + y for x, y in zip(base, beta)) for beta in exponents]
+        total += _kernel_dim(b, 2, sources, targets, exponents, kernels)
     return total, Completeness(guaranteed=False, bound=bound)
 
 
@@ -345,19 +343,6 @@ def der_part_sufficient(cone: Cone, search_bound: int = 8) -> RigidityCertificat
             reason="all ray generators lie on one hyperplane",
         )
     return der_vanishing_gamma(cone, search_bound=search_bound)
-
-
-def der_part(cone: Cone, mode: str = "exact", bound: int | None = None):
-    """Dispatch between the exact computation and the vanishing certificate."""
-    if mode == "exact":
-        return der_part_exact(cone, bound)
-    if mode == "sufficient":
-        if singular_codim(cone) < 3:
-            raise UnsupportedModeError(
-                "the vanishing criteria require a singular locus of codimension >= 3"
-            )
-        return der_part_sufficient(cone, search_bound=bound or 8)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +381,7 @@ def t1_affine(cone: Cone, bound: int | None = None) -> T1Report:
     if codim >= 3:
         cert = der_part_sufficient(cone, search_bound=bound)
         if cert.verdict is Verdict.DER_PART_VANISHES:
-            der_dim, der_comp = 0, Completeness(
-                guaranteed=True, note=f"vanishing certificate ({cert.criterion})"
-            )
+            der_dim, der_comp = 0, Completeness(guaranteed=True)
         else:
             der_dim, der_comp = der_part_exact(cone, bound)
     else:
@@ -406,9 +389,7 @@ def t1_affine(cone: Cone, bound: int | None = None) -> T1Report:
 
     if simplicial:
         assert class_group(cone.fan).free_rank == 0
-        homq_dim, contributions, homq_comp = 0, (), Completeness(
-            guaranteed=True, note="free class rank is zero"
-        )
+        homq_dim, contributions, homq_comp = 0, (), Completeness(guaranteed=True)
         mode = "simplicial"
     else:
         homq_dim, contributions, homq_comp = hom_q_h3(cone, bound)

@@ -70,8 +70,37 @@ class TestT1Command:
         assert code == 0
         assert json.loads(out)["bound"] == 3
 
+    @pytest.mark.parametrize("bound", ["-1", "0"])
+    def test_nonpositive_bound_rejected(self, capsys, monkeypatch, bound):
+        monkeypatch.delenv("TORRIGID_BOUND", raising=False)
+        code, out, err = run(capsys, "t1", FANS / "a1_cone.json", "--bound", bound, "--format", "json")
+        assert (code, out) == (1, "")
+        assert f"--bound must be at least 1, got {bound}" in err
+
+    def test_nonpositive_env_bound_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("TORRIGID_BOUND", "-2")
+        code, out, err = run(capsys, "t1", FANS / "a1_cone.json", "--format", "json")
+        assert (code, out) == (1, "")
+        assert "TORRIGID_BOUND must be at least 1, got -2" in err
+
 
 class TestRigidityCommand:
+    def test_zero_bound_rejected(self, capsys, monkeypatch):
+        monkeypatch.delenv("TORRIGID_BOUND", raising=False)
+        code, out, err = run(
+            capsys, "rigidity", FANS / "a1_cone.json", "--criterion", "gamma", "--bound", "0"
+        )
+        assert (code, out) == (1, "")
+        assert "--bound must be at least 1, got 0" in err
+
+    def test_default_gamma_bound(self, capsys, monkeypatch):
+        monkeypatch.delenv("TORRIGID_BOUND", raising=False)
+        code, out, _ = run(
+            capsys, "rigidity", FANS / "a1_cone.json", "--criterion", "gamma", "--format", "json"
+        )
+        assert code == 3
+        assert json.loads(out)["certificates"][0]["search_bound"] == 8
+
     def test_third_cone_rigid(self, capsys):
         code, out, _ = run(
             capsys, "rigidity", FANS / "third_cone.json", "--format", "json"

@@ -23,7 +23,6 @@ from torrigid.localcoh import (
     stanley_reisner_complex,
     t_complex,
 )
-from torrigid.t1 import _monomial_mult_matrix
 from torrigid.toric import Graph, graph_gamma, proper_faces_fan, validate_fan
 
 
@@ -220,7 +219,9 @@ class TestPatternPairMaps:
     @example((ideal(3, {0}, {1}, {2}), 3, (-2, -1, -1), (0, 0, 0)))
     def test_matches_stepwise_product(self, case):
         b, i, start, exponent = case
-        assert _monomial_mult_matrix(b, i, start, exponent) == stepwise_product(b, i, start, exponent)
+        end = [s + e for s, e in zip(start, exponent)]
+        matrix = _restriction(b, i - 2, negative(start), negative(end))
+        assert [list(row) for row in matrix] == stepwise_product(b, i, start, exponent)
 
 
 def _faces(b, pattern, q):
