@@ -241,8 +241,14 @@ def cmd_t1(args) -> int:
         data, digest = _read_json(args.fanfile)
         if "vertices" not in data:
             raise InputError(f"{args.fanfile}: polygon file needs a 'vertices' field")
+        vertices = data["vertices"]
+        if not isinstance(vertices, list) or not all(
+            isinstance(v, list) and len(v) == 2 and all(_is_int(x) for x in v)
+            for v in vertices
+        ):
+            raise InputError(f"{args.fanfile}: field 'vertices' must be a list of integer pairs")
         try:
-            poly = t1_polygon([tuple(v) for v in data["vertices"]], bound)
+            poly = t1_polygon([tuple(v) for v in vertices], bound)
         except UnsupportedModeError as exc:
             report = _base_report("t1", digest, str(data.get("name", "")))
             report.update({"mode": "unsupported", "error": str(exc)})

@@ -4,16 +4,19 @@ The tangent space of an affine toric variety splits into a derivation part,
 valued in second local cohomology of the total coordinate ring, and a part
 indexed by the cokernel of the Euler derivations, valued in third local
 cohomology.  Both are kernels of block systems of multiplication maps, one
-system per character, ranked once per sign signature over class-group degree
-zero.  The set of contributing fine degrees is enumerated inside a finite
-box; completeness of that enumeration is tracked explicitly and only the
-Gorenstein-over-a-smooth-polygon case is flagged as provably complete.
+system per character over class-group degree zero.  The characters of a
+finite box are counted by clipped degree, the point where every sign pattern
+of the system is already fixed, and each kernel is ranked once per sign
+signature.  Completeness of the box enumeration is tracked explicitly and
+only the Gorenstein-over-a-smooth-polygon case is flagged as provably
+complete.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -146,14 +149,21 @@ def _require_full_dim(cone: Cone) -> None:
         raise ValueError("cone must be full-dimensional")
 
 
-def _fine_degree(cone: Cone, u: Sequence[int]) -> Vec:
-    return tuple(
-        sum(a * b for a, b in zip(u, cone.fan.rays[i])) for i in sorted(cone.indices)
-    )
+def _fine_degree(rays: Sequence[Vec], u: Sequence[int]) -> Vec:
+    return tuple(sum(a * b for a, b in zip(u, v)) for v in rays)
 
 
 def _shift(p: Vec, j: int) -> Vec:
     return tuple(x + (k == j) for k, x in enumerate(p))
+
+
+def _clip(p: Vec, tops: Sequence[int]) -> Vec:
+    """p clipped coordinatewise to [-1 - top_k, 0].
+
+    x_k + s_k is negative for every shift 0 <= s_k <= top_k when
+    x_k <= -1 - top_k and for none when x_k >= 0, so p + s and its clip
+    plus s have the same sign pattern for every such shift s."""
+    return tuple(max(-1 - t, min(0, x)) for x, t in zip(p, tops))
 
 
 def _kernel_dim(b, i: int, sources, targets, coef, kernels: dict) -> int:
@@ -198,9 +208,13 @@ def hom_q_h3(
     local cohomology, summed over contributing fine degrees.
 
     Fine degrees run over the ray-evaluation image of the covector box of the
-    given radius.  For a three-dimensional Gorenstein cone with isolated
-    singularity only the all-minus-ones degree can contribute, so the result
-    is flagged as complete; otherwise it is a bounded enumeration.
+    given radius.  The system of a degree p maps the pieces at p to the
+    pieces at p + e_j, so its kernel is looked up by p clipped to [-2, 0],
+    once per distinct clip, and ranked once per sign signature; the
+    contributions keep the unclipped degree.  For a three-dimensional
+    Gorenstein cone with isolated singularity only the all-minus-ones degree
+    can contribute, so the result is flagged as complete; otherwise it is a
+    bounded enumeration.
     """
     _require_full_dim(cone)
     if singular_codim(cone) < 3:
@@ -224,12 +238,20 @@ def hom_q_h3(
 
     # coef[j][i] = a_ij: the i-th Euler component maps to x_j with weight a_ij
     coef = list(zip(*cox.grading_matrix))
+    rays = cone.ray_vectors
+    tops = [1] * m
     kernels: dict = {}
+    by_clip: dict = {}
     contributions = []
     total = 0
     for u in sorted(candidates):
-        p = _fine_degree(cone, u)
-        ker = _kernel_dim(b, 3, [p] * r, [_shift(p, j) for j in range(m)], coef, kernels)
+        p = _fine_degree(rays, u)
+        key = _clip(p, tops)
+        if key not in by_clip:
+            by_clip[key] = _kernel_dim(
+                b, 3, [key] * r, [_shift(key, j) for j in range(m)], coef, kernels
+            )
+        ker = by_clip[key]
         if ker:
             assert degree_zero_membership(cox, p) is not None
             contributions.append(DegreeContribution(p, ker))
@@ -283,7 +305,10 @@ def der_part_exact(
     injective because the rays span, so the system is block-diagonal by u:
     one small system per character, whose kernel dimensions add up.  The
     system of u depends on u only through the sign signature of its source
-    and target degrees, so each kernel is ranked once per signature.
+    and target degrees, which is fixed by p(u) clipped to [-1 - top_k, 0]
+    with top_k the largest shift e_j or beta added in coordinate k.  So the
+    characters are counted by clipped degree, the kernel is evaluated once
+    per distinct clip and ranked once per signature.
 
     The characters run over the box of radius bound scaled by the largest
     ray coordinate; the conditions are evaluated exactly wherever they land,
@@ -305,24 +330,27 @@ def der_part_exact(
         bound = default_bound(cone)
     n = cone.fan.ambient_rank
     m = len(cone.indices)
-    radius = bound * max(
-        1, max(abs(c) for v in cone.ray_vectors for c in v)
-    )
+    rays = cone.ray_vectors
+    radius = bound * max(1, max(abs(c) for v in rays for c in v))
     b = irrelevant_ideal(smooth_subfan(cone))
 
     hilbert = hilbert_basis(dual_cone_generators(cone))
-    exponents = [_fine_degree(cone, w) for w in hilbert]
+    exponents = [_fine_degree(rays, w) for w in hilbert]
     for beta in exponents:
         assert all(x >= 0 for x in beta)
 
     # block (t, j): x_j's image in p(u) + e_j, times x^(beta_t - e_j), times beta_t[j]
+    tops = [max([1, *(beta[k] for beta in exponents)]) for k in range(m)]
+    counts = Counter(
+        _clip(_fine_degree(rays, u), tops)
+        for u in itertools.product(range(-radius, radius + 1), repeat=n)
+    )
     kernels: dict = {}
     total = 0
-    for u in itertools.product(range(-radius, radius + 1), repeat=n):
-        base = _fine_degree(cone, u)
-        sources = [_shift(base, j) for j in range(m)]
-        targets = [tuple(x + y for x, y in zip(base, beta)) for beta in exponents]
-        total += _kernel_dim(b, 2, sources, targets, exponents, kernels)
+    for key, count in counts.items():
+        sources = [_shift(key, j) for j in range(m)]
+        targets = [tuple(x + y for x, y in zip(key, beta)) for beta in exponents]
+        total += count * _kernel_dim(b, 2, sources, targets, exponents, kernels)
     return total, Completeness(guaranteed=False, bound=bound)
 
 

@@ -83,6 +83,23 @@ class TestT1Command:
         assert (code, out) == (1, "")
         assert "TORRIGID_BOUND must be at least 1, got -2" in err
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[True, 0], [0, 1], [-1, -1]],
+            [[0.5, 0], [0, 1], [-1, -1]],
+            [["1", 0], [0, 1], [-1, -1]],
+            5,
+        ],
+        ids=["bool", "float", "string", "not_a_list"],
+    )
+    def test_polygon_vertices_validated(self, tmp_path, capsys, vertices):
+        path = tmp_path / "polygon.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, out, err = run(capsys, "t1", path, "--polygon", "--format", "json")
+        assert (code, out) == (1, "")
+        assert "field 'vertices' must be a list of integer pairs" in err
+
 
 class TestRigidityCommand:
     def test_zero_bound_rejected(self, capsys, monkeypatch):

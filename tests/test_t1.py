@@ -6,6 +6,8 @@ from math import comb, factorial, gcd, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torrigid.cli import load_fan
 from torrigid.ideals import SquarefreeMonomialIdeal
@@ -14,6 +16,8 @@ from torrigid.localcoh import _restriction, local_coh_piece, mult_map, negative
 from torrigid.rigidity import Verdict
 from torrigid.t1 import (
     UnsupportedModeError,
+    _clip,
+    _kernel_dim,
     cox_polynomial,
     cy_t1,
     default_bound,
@@ -599,3 +603,43 @@ def test_one_rank_per_sign_signature(monkeypatch, run, calls):
     run()
     assert count == calls
 
+
+@st.composite
+def shifted_degrees(draw):
+    """A degree x, per-coordinate tops and a shift s with 0 <= s_k <= top_k."""
+    k = draw(st.integers(1, 6))
+    tops = [draw(st.integers(1, 5)) for _ in range(k)]
+    x = tuple(draw(st.integers(-12, 12)) for _ in range(k))
+    s = tuple(draw(st.integers(0, t)) for t in tops)
+    return x, tops, s
+
+
+@given(shifted_degrees())
+def test_clip_keeps_sign_patterns(case):
+    x, tops, s = case
+    clipped = _clip(x, tops)
+    assert all(-1 - t <= c <= 0 for c, t in zip(clipped, tops))
+    assert negative([c + d for c, d in zip(clipped, s)]) == negative([a + d for a, d in zip(x, s)])
+
+
+@pytest.mark.parametrize(
+    "run,calls",
+    [
+        (lambda: der_part_exact(affine_cone([(1, 0, 1), (0, 1, 1), (-1, -2, 3)]), 2), 183),
+        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)]), 2), 39),
+        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1]), 4), 123),  # the hexagon
+    ],
+)
+def test_one_kernel_per_clipped_degree(monkeypatch, run, calls):
+    # one kernel lookup per distinct clipped degree; looking up every
+    # character of the box took 2197, 841 and 729 calls
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return _kernel_dim(*args)
+
+    monkeypatch.setattr("torrigid.t1._kernel_dim", counting)
+    run()
+    assert count == calls
