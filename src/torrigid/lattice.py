@@ -668,12 +668,22 @@ def lattice_points(system: AffineSystem) -> list[Vec]:
 # Cones
 
 
+def _common_length(generators: Sequence[Sequence[int]]) -> int:
+    """Length shared by all generators; ValueError if the lengths differ."""
+    lengths = {len(g) for g in generators}
+    if len(lengths) > 1:
+        raise ValueError("ragged generators")
+    return lengths.pop() if lengths else 0
+
+
 def cone_contains(generators: Sequence[Vec], x: Sequence[int]) -> bool:
     """Is x a nonnegative rational combination of the generators?"""
     k = len(generators)
     if k == 0:
         return all(a == 0 for a in x)
-    n = len(generators[0])
+    n = _common_length(generators)
+    if len(x) != n:
+        raise ValueError(f"point has length {len(x)}, generators have length {n}")
     rows: list[_Row] = []
     for j in range(n):
         a = tuple(g[j] for g in generators)
@@ -687,66 +697,103 @@ def cone_contains(generators: Sequence[Vec], x: Sequence[int]) -> bool:
 
 def cone_is_pointed(generators: Sequence[Vec]) -> bool:
     """A cone is pointed iff some covector is strictly positive on all generators."""
+    n = _common_length(generators)
     gens = [g for g in generators if any(g)]
     if not gens:
         return True
-    n = len(gens[0])
     rows = [(tuple(g), 1) for g in gens]
     return rational_feasible(rows, n)
+
+
+def _adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """adj(M), so that adj(M) * M = det(M) * I."""
+    n = len(m)
+    return [
+        [
+            (-1) ** (i + j)
+            * int_det([[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def hilbert_basis(generators: Sequence[Sequence[int]]) -> list[Vec]:
     """Minimal generating set of the monoid of lattice points of a pointed cone.
 
-    Candidates are the lattice points of the zonotope spanned by the
-    primitive generators (Gordan's lemma makes these generate); reducible
-    elements are then filtered out.  Intended for small ambient rank and
-    small determinants.
+    Candidates come from the simplicial subcones.  For every set S of n
+    primitive generators with d = |det S| != 0, the lattice points of the
+    half-open parallelepiped { S * lam : 0 <= lam < 1 } are S * mu / d, where
+    mu runs over the subgroup of (Z/d)^n generated by the columns of
+    adj(S) mod d; a closure over sums lists it.  This is complete: by
+    Caratheodory an irreducible element h lies in some simplicial subcone,
+    h = S * lam with lam >= 0, and h - S * floor(lam) is again in the
+    monoid, so h is a generator or a parallelepiped point of S.
+
+    The facets are the adjugate rows that are >= 0 on every generator, so
+    membership in the cone is a few dot products.  Candidates are sorted by
+    the sum of the facet normals, which is positive on the cone minus 0, and
+    h is kept unless h - c lies in the cone for some c kept before it: an
+    element that splits has an irreducible summand of smaller height.
+    Generators of lower rank are first written in a lattice basis of their
+    saturated span and the result is mapped back.
+
+    The cost is one closure per nonsingular n-subset, so the number of
+    candidates is at most the sum of |det S| over those subsets.  The only
+    Fourier-Motzkin elimination left is the pointedness check.
     """
+    ambient = _common_length(generators)
     gens = sorted({primitive(g) for g in generators if any(g)})
     if not gens:
         return []
     if not cone_is_pointed(gens):
         raise NonPointedConeError("cone contains a line; Hilbert basis undefined")
+    span = None
+    normals = integer_kernel(gens)
+    if normals:
+        # coordinates in a lattice basis of span(gens) ∩ Z^ambient
+        span = integer_kernel(normals)
+        columns = [[b[i] for b in span] for i in range(ambient)]
+        gens = [solve_diophantine(columns, g)[0] for g in gens]
     n = len(gens[0])
-    k = len(gens)
 
-    box = []
-    for j in range(n):
-        lo = sum(min(0, g[j]) for g in gens)
-        hi = sum(max(0, g[j]) for g in gens)
-        box.append((lo, hi))
-
-    def in_zonotope(x: Vec) -> bool:
-        rows: list[_Row] = []
-        for j in range(n):
-            a = tuple(g[j] for g in gens)
-            rows.append((a, x[j]))
-            rows.append((tuple(-c for c in a), -x[j]))
-        for i in range(k):
-            e = tuple(1 if j == i else 0 for j in range(k))
-            rows.append((e, 0))
-            rows.append((tuple(-c for c in e), -1))
-        return rational_feasible(rows, k)
-
+    facets: set[Vec] = set()
     candidates = set(gens)
-    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        if any(x) and x not in candidates and cone_contains(gens, x) and in_zonotope(x):
-            candidates.add(tuple(x))
+    zero = (0,) * n
+    for sub in itertools.combinations(gens, n):
+        mat = [[g[i] for g in sub] for i in range(n)]  # the generators as columns
+        d = int_det(mat)
+        if d == 0:
+            continue
+        adj = [[a if d > 0 else -a for a in row] for row in _adjugate(mat)]
+        d = abs(d)
+        for row in adj:
+            if all(sum(a * b for a, b in zip(row, g)) >= 0 for g in gens):
+                facets.add(primitive(row))
+        # the closure of 0 under adding the columns of adj mod d
+        steps = [tuple(row[j] % d for row in adj) for j in range(n)]
+        seen = {zero}
+        todo = [zero]
+        while todo:
+            mu = todo.pop()
+            for step in steps:
+                nxt = tuple((a + b) % d for a, b in zip(mu, step))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        seen.discard(zero)
+        candidates.update(
+            tuple(sum(g[i] * c for g, c in zip(sub, mu)) // d for i in range(n)) for mu in seen
+        )
 
-    ordered = sorted(candidates)
-    basis = []
-    for h in ordered:
-        reducible = False
-        for c in ordered:
-            if c == h:
-                continue
-            diff = tuple(a - b for a, b in zip(h, c))
-            if all(d == 0 for d in diff):
-                continue
-            if cone_contains(gens, diff):
-                reducible = True
-                break
-        if not reducible:
+    # h - c lies in the cone iff every facet is at least as high on h as on c
+    heights = {x: tuple(sum(a * b for a, b in zip(f, x)) for f in facets) for x in candidates}
+    basis: list[Vec] = []
+    for h in sorted(candidates, key=lambda x: (sum(heights[x]), x)):
+        if not any(all(a >= b for a, b in zip(heights[h], heights[c])) for c in basis):
             basis.append(h)
-    return basis
+    if span is not None:
+        basis = [
+            tuple(sum(c * b[i] for c, b in zip(h, span)) for i in range(ambient)) for h in basis
+        ]
+    return sorted(basis)

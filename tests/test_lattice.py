@@ -8,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from torrigid import lattice
 from torrigid.lattice import (
     AffineSystem,
     BoundExceeded,
@@ -16,12 +17,15 @@ from torrigid.lattice import (
     UnboundedPolyhedronError,
     Witness,
     cone_contains,
+    cone_is_pointed,
     hilbert_basis,
     int_det,
     int_rank,
     integer_feasible,
     integer_kernel,
     lattice_points,
+    primitive,
+    rational_feasible,
     smith_normal_form,
     solve_diophantine,
 )
@@ -220,7 +224,6 @@ class TestHilbertBasis:
             hilbert_basis([(1, 0), (-1, 0)])
 
     def test_generates_and_irreducible(self):
-        rng = random.Random(4242)
         cones = [
             [(1, 0), (1, 2)],
             [(1, 0), (1, 3)],
@@ -252,7 +255,133 @@ class TestHilbertBasis:
                     ),
                 )
                 assert lattice_points(coeff_sys), f"{x} not generated for {gens}"
-        del rng
+
+    def test_ragged_generators_rejected(self):
+        for gens in ([(1, 0, 0), (0, 1)], [(0, 1), (1, 0, 0)]):
+            with pytest.raises(ValueError, match="ragged"):
+                hilbert_basis(gens)
+
+    def test_index_42_dual(self):
+        # dual of the cone (-3,3,-1),(-2,0,-3),(-1,-3,2); the zonotope scan
+        # did not finish on it
+        gens = [(-9, -7, 6), (-9, 7, 6), (-3, -7, -12)]
+        basis = hilbert_basis(gens)
+        assert len(basis) == 25
+        for h, c in itertools.permutations(basis, 2):
+            assert not cone_contains(gens, tuple(a - b for a, b in zip(h, c))), (h, c)
+        in_cone = {}
+        generated = {(0, 0, 0): True}
+
+        def is_generated(x):
+            if x not in generated:
+                generated[x] = False
+                for h in basis:
+                    y = tuple(a - b for a, b in zip(x, h))
+                    if y not in in_cone:
+                        in_cone[y] = cone_contains(gens, y)
+                    if in_cone[y] and is_generated(y):
+                        generated[x] = True
+                        break
+            return generated[x]
+
+        for x in itertools.product(range(-6, 7), repeat=3):
+            if cone_contains(gens, x):
+                assert is_generated(x), x
+
+    def test_fourier_motzkin_only_for_pointedness(self, monkeypatch):
+        # one elimination per ambient coordinate, all in cone_is_pointed
+        calls = []
+        original = lattice._fm_eliminate
+
+        def counting(rows, var):
+            calls.append(var)
+            return original(rows, var)
+
+        monkeypatch.setattr(lattice, "_fm_eliminate", counting)
+        hexagon_dual = [(-1, 0, 1), (-1, 1, 1), (0, -1, 1), (0, 1, 1), (1, -1, 1), (1, 0, 1)]
+        assert len(hilbert_basis(hexagon_dual)) == 7
+        assert calls == [0, 1, 2]
+        calls.clear()
+        assert hilbert_basis([(1, 0), (2, 5)]) == [(1, 0), (1, 1), (1, 2), (2, 5)]
+        assert calls == [0, 1]
+
+
+def zonotope_hilbert_basis(generators):
+    """Hilbert basis of a pointed cone by brute force, for checking hilbert_basis.
+
+    Every lattice point of the bounding box of the zonotope spanned by the
+    primitive generators is tested for membership in the cone and in the
+    zonotope by Fourier-Motzkin elimination; these points generate the monoid
+    (Gordan's lemma).  A candidate is dropped when subtracting another
+    candidate leaves a point of the cone.
+    """
+    gens = sorted({primitive(g) for g in generators if any(g)})
+    if not gens:
+        return []
+    n, k = len(gens[0]), len(gens)
+
+    def in_zonotope(x):
+        rows = []
+        for j in range(n):
+            a = tuple(g[j] for g in gens)
+            rows.append((a, x[j]))
+            rows.append((tuple(-c for c in a), -x[j]))
+        for i in range(k):
+            e = tuple(1 if j == i else 0 for j in range(k))
+            rows.append((e, 0))
+            rows.append((tuple(-c for c in e), -1))
+        return rational_feasible(rows, k)
+
+    box = [
+        range(sum(min(0, g[j]) for g in gens), sum(max(0, g[j]) for g in gens) + 1)
+        for j in range(n)
+    ]
+    candidates = set(gens)
+    for x in itertools.product(*box):
+        if any(x) and x not in candidates and cone_contains(gens, x) and in_zonotope(x):
+            candidates.add(x)
+    return sorted(
+        h
+        for h in candidates
+        if not any(
+            c != h and cone_contains(gens, tuple(a - b for a, b in zip(h, c)))
+            for c in candidates
+        )
+    )
+
+
+@st.composite
+def small_cones(draw):
+    """2-5 generators in Z^2 or Z^3 with coordinates in [-3, 3]; two
+    generators in Z^3 give a rank-deficient set."""
+    n = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(2, 5))
+    return [tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(k)]
+
+
+@settings(max_examples=150)
+@given(small_cones())
+# rank-deficient: (1,0,1) is half the sum of the generators, a lattice point
+# of their span that they do not reach with integer coefficients
+@example([(1, 1, 1), (1, -1, 1)])
+@example([(2, 0, 0), (0, 3, 3)])
+def test_hilbert_basis_matches_zonotope_scan(gens):
+    if not cone_is_pointed(gens):
+        with pytest.raises(NonPointedConeError):
+            hilbert_basis(gens)
+        return
+    assert hilbert_basis(gens) == zonotope_hilbert_basis(gens)
+
+
+class TestConeInputLengths:
+    def test_point_length_checked(self):
+        with pytest.raises(ValueError, match="length"):
+            cone_contains([(1, 0)], (1, 0, 5))
+
+    def test_ragged_pointedness_rejected(self):
+        # read as rows of length 2, (-1, 0, 5) lost its last coordinate
+        with pytest.raises(ValueError, match="ragged"):
+            cone_is_pointed([(1, 0), (-1, 0, 5)])
 
 
 class TestLatticePoints:

@@ -152,6 +152,12 @@ class TestDerPart:
         dim, _ = der_part_exact(third_cone, bound=2)
         assert dim == 0
 
+    def test_index_42_cone(self):
+        # the dual monoid has a 25-element Hilbert basis
+        cone = affine_cone([(-3, 3, -1), (-2, 0, -3), (-1, -3, 2)])
+        dim, completeness = der_part_exact(cone, 1)
+        assert (dim, completeness.as_text()) == (0, "bounded(1)")
+
     @pytest.mark.parametrize("rays", [[(1, 0), (2, 1)], [(1, 0, 0), (0, 1, 0), (1, 1, 1)]])
     def test_smooth_cone(self, rays):
         # the irrelevant ideal of the smooth subfan is the unit ideal here
