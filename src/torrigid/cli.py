@@ -29,6 +29,7 @@ from .rigidity import (
     wps_rigidity,
 )
 from .t1 import (
+    Completeness,
     T1Report,
     UnsupportedModeError,
     cox_polynomial,
@@ -218,14 +219,15 @@ def _t1_payload(report: T1Report) -> dict:
         "hypotheses": _hypotheses_payload(report.hypotheses),
     }
     if report.mode != "unsupported":
+        completeness = report.completeness
         payload.update(
             {
                 "der_dimension": report.der_dimension,
-                "der_completeness": report.der_completeness.as_text(),
+                "der_completeness": report.der_completeness.value,
                 "homq_dimension": report.homq_dimension,
-                "homq_completeness": report.homq_completeness.as_text(),
-                "total": report.total,
-                "completeness": "guaranteed" if report.complete else f"bounded({report.bound})",
+                "homq_completeness": report.homq_completeness.value,
+                "total": "infinite" if completeness is Completeness.INFINITE else report.total,
+                "completeness": completeness.value,
                 "contributing_degrees": [
                     {"fine_degree": list(c.fine_degree), "dimension": c.dimension}
                     for c in report.contributions
@@ -279,7 +281,8 @@ def cmd_t1(args) -> int:
     report = _base_report("t1", digest, fan.name, fan.warnings)
     report.update(_t1_payload(t1))
     sys.stdout.write(render(report, args.format))
-    return EXIT_OK if t1.mode != "unsupported" else EXIT_UNSUPPORTED
+    ok = t1.mode != "unsupported" and t1.completeness is not Completeness.INCONCLUSIVE
+    return EXIT_OK if ok else EXIT_UNSUPPORTED
 
 
 _CONE_CRITERIA = ("qgorenstein", "quotient", "gamma")
@@ -452,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--bound",
                 type=int,
                 default=None,
-                help="search radius, at least 1: the character window of t1, the integer "
-                "search of the gamma criterion (default: TORRIGID_BOUND, else automatic "
-                "for t1 and 8 for rigidity)",
+                help="integer search radius, at least 1, of the gamma criterion and of t1's "
+                "unbounded sign chambers (default: TORRIGID_BOUND, else twice the largest "
+                "ray coordinate for t1 and 8 for rigidity)",
             )
 
     p_t1 = sub.add_parser("t1", help="tangent-space dimension of an affine cone")

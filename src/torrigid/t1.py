@@ -3,35 +3,38 @@
 The tangent space of an affine toric variety splits into a derivation part,
 valued in second local cohomology of the total coordinate ring, and a part
 indexed by the cokernel of the Euler derivations, valued in third local
-cohomology.  Both are kernels of block systems of multiplication maps, one
-system per character over class-group degree zero.  The characters of a
-finite box are counted by clipped degree, the point where every sign pattern
-of the system is already fixed, and each kernel is ranked once per sign
-signature.  Completeness of the box enumeration is tracked explicitly and
-only the Gorenstein-over-a-smooth-polygon case is flagged as provably
-complete.
+cohomology.  Both split by characters u in M into kernels of block systems
+of multiplication maps, and the system of u depends on u only through the
+sign chamber of p(u) = (<u, v_k>)_k.  So both parts are counted chamber by
+chamber: each kernel is ranked once per sign signature, and only a chamber
+with a nonzero kernel has its characters counted.  A part is ``guaranteed``
+when every such chamber is finite, ``infinite`` when one holds infinitely
+many characters, and ``inconclusive`` when an integer search within the
+bound could not decide that.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .lattice import (
     AffineSystem,
+    BoundExceeded,
+    UnboundedPolyhedronError,
     Vec,
+    Witness,
     hilbert_basis,
     int_det,
     int_rank,
+    integer_feasible,
     integer_kernel,
     lattice_points,
     rref,
-    smith_normal_form,
 )
 from .localcoh import _restriction, local_coh_piece, negative
 from .rigidity import (
@@ -65,15 +68,17 @@ class UnsupportedModeError(ValueError):
     """The input lies outside the territory where a formula is available."""
 
 
-@dataclass(frozen=True)
-class Completeness:
-    guaranteed: bool
-    bound: int | None = None
+class Completeness(Enum):
+    """A dimension is exact, infinite, or left open by an integer search that
+    ran out; listed in increasing precedence in a sum."""
 
-    def as_text(self) -> str:
-        if self.guaranteed:
-            return "guaranteed"
-        return f"bounded({self.bound})"
+    GUARANTEED = "guaranteed"
+    INCONCLUSIVE = "inconclusive"
+    INFINITE = "infinite"
+
+    @property
+    def guaranteed(self) -> bool:
+        return self is Completeness.GUARANTEED
 
 
 @dataclass(frozen=True)
@@ -130,13 +135,10 @@ class T1Report:
         return self.der_dimension + self.homq_dimension
 
     @property
-    def complete(self) -> bool:
-        return bool(
-            self.der_completeness
-            and self.der_completeness.guaranteed
-            and self.homq_completeness
-            and self.homq_completeness.guaranteed
-        )
+    def completeness(self) -> Completeness | None:
+        if self.mode == "unsupported":
+            return None
+        return max(self.der_completeness, self.homq_completeness, key=list(Completeness).index)
 
 
 def default_bound(cone: Cone) -> int:
@@ -155,15 +157,6 @@ def _fine_degree(rays: Sequence[Vec], u: Sequence[int]) -> Vec:
 
 def _shift(p: Vec, j: int) -> Vec:
     return tuple(x + (k == j) for k, x in enumerate(p))
-
-
-def _clip(p: Vec, tops: Sequence[int]) -> Vec:
-    """p clipped coordinatewise to [-1 - top_k, 0].
-
-    x_k + s_k is negative for every shift 0 <= s_k <= top_k when
-    x_k <= -1 - top_k and for none when x_k >= 0, so p + s and its clip
-    plus s have the same sign pattern for every such shift s."""
-    return tuple(max(-1 - t, min(0, x)) for x, t in zip(p, tops))
 
 
 def _kernel_dim(b, i: int, sources, targets, coef, kernels: dict) -> int:
@@ -197,24 +190,84 @@ def _kernel_dim(b, i: int, sources, targets, coef, kernels: dict) -> int:
     return kernels[src, tgt]
 
 
+def _intervals(shifts: Sequence[int]) -> list[tuple[int, int | None, int | None]]:
+    """The intervals (key, lo, hi) of x, None an open end and key a point of
+    the interval, on which the sign of x + s is constant for s = 0 and every
+    shift: x >= 0, [-s_(i+1), -s_i - 1] and x <= -s_r - 1, where s_0 = 0 and
+    0 < s_1 < ... < s_r are the distinct positive shifts."""
+    ends = [0, *sorted({s for s in shifts if s > 0})]
+    return [(0, 0, None), *((-a - 1, -b, -a - 1) for a, b in zip(ends, ends[1:])),
+            (-ends[-1] - 1, None, -ends[-1] - 1)]
+
+
+def _chamber_characters(
+    rays: Sequence[Vec], shifts: Sequence[Sequence[int]], kernel, bound: int
+) -> tuple[int | None, list[tuple[Vec, int]], Completeness]:
+    """The sum of the kernels of all characters u, and the pairs (u, kernel)
+    with a nonzero kernel in lexicographic order; None and [] unless the
+    result is GUARANTEED.
+
+    A chamber is a product over k of ``_intervals`` of the shifts added to
+    x_k = <u, v_k>.  ``kernel`` gets the key of each chamber, and only a
+    chamber with a nonzero kernel has its characters counted.  One that is
+    unbounded and holds a character makes the result INFINITE; where the
+    integer search of radius ``bound`` cannot decide that, INCONCLUSIVE."""
+    n = len(rays[0])
+    # |det| e_k lies in p(M) for a simplicial cone: a character of a chamber
+    # can be moved to within |det| values of the finite end of each half-line
+    index = abs(int_det(rays)) if len(rays) == n else 0
+
+    def system(chamber) -> AffineSystem:
+        rows = [(v, lo) for v, (_, lo, _) in zip(rays, chamber) if lo is not None]
+        rows += [
+            (tuple(-c for c in v), -hi) for v, (_, _, hi) in zip(rays, chamber) if hi is not None
+        ]
+        return AffineSystem(num_vars=n, inequalities=tuple(rows))
+
+    found: list[tuple[Vec, int]] = []
+    completeness = Completeness.GUARANTEED
+    for chamber in itertools.product(*map(_intervals, shifts)):
+        ker = kernel(tuple(key for key, _, _ in chamber))
+        if not ker:
+            continue
+        try:
+            found += [(u, ker) for u in lattice_points(system(chamber))]
+        except UnboundedPolyhedronError:
+            if index:  # the cut chamber is bounded, so the search is exact
+                chamber = [
+                    (key, hi - index + 1 if lo is None else lo, lo + index - 1 if hi is None else hi)
+                    for key, lo, hi in chamber
+                ]
+            outcome = integer_feasible(system(chamber), bound)
+            if isinstance(outcome, Witness):
+                return None, [], Completeness.INFINITE
+            if isinstance(outcome, BoundExceeded):
+                completeness = Completeness.INCONCLUSIVE
+    if not completeness.guaranteed:
+        return None, [], completeness
+    return sum(ker for _, ker in found), sorted(found), completeness
+
+
 # ---------------------------------------------------------------------------
 # The part valued in third local cohomology
 
 
 def hom_q_h3(
     cone: Cone, bound: int | None = None
-) -> tuple[int, tuple[DegreeContribution, ...], Completeness]:
+) -> tuple[int | None, tuple[DegreeContribution, ...], Completeness]:
     """Dimension of the degree-zero maps from the Euler cokernel into third
     local cohomology, summed over contributing fine degrees.
 
-    Fine degrees run over the ray-evaluation image of the covector box of the
-    given radius.  The system of a degree p maps the pieces at p to the
-    pieces at p + e_j, so its kernel is looked up by p clipped to [-2, 0],
-    once per distinct clip, and ranked once per sign signature; the
-    contributions keep the unclipped degree.  For a three-dimensional
-    Gorenstein cone with isolated singularity only the all-minus-ones degree
-    can contribute, so the result is flagged as complete; otherwise it is a
-    bounded enumeration.
+    The system of a character u maps the pieces at p = p(u) to those at
+    p + e_j, so it is fixed by the sign chamber of p for the shift 1 in
+    every coordinate.  An infinite or inconclusive part has no dimension and
+    no contributions; ``bound`` is the search radius of unbounded chambers.
+
+    No three-dimensional cone shows which target p + e_j goes with a_ij:
+    there H^3_B is a line at all-negative p and zero elsewhere, so the
+    kernel is cut out by sum_i a_ij h_i = 0 for p_j <= -2, of dimension
+    |N| - rank(v_k : k in N) for N = {k : p_k = -1} by Gale duality, and no
+    three rays are coplanar.  The cone over a square pyramid shows it.
     """
     _require_full_dim(cone)
     if singular_codim(cone) < 3:
@@ -224,44 +277,23 @@ def hom_q_h3(
     cox = class_group(cone.fan)
     r = cox.free_rank
     if r == 0:
-        return 0, (), Completeness(guaranteed=True)
-    n = cone.fan.ambient_rank
+        return 0, (), Completeness.GUARANTEED
     m = len(cone.indices)
     b = irrelevant_ideal(smooth_subfan(cone))
-
-    cert = q_gorenstein(cone)
-    guaranteed = n == 3 and cert is not None and cert.index == 1
-
-    candidates = {tuple(u) for u in itertools.product(range(-bound, bound + 1), repeat=n)}
-    if guaranteed:
-        candidates.add(tuple(-c for c in cert.covector))
+    rays = cone.ray_vectors
 
     # coef[j][i] = a_ij: the i-th Euler component maps to x_j with weight a_ij
     coef = list(zip(*cox.grading_matrix))
-    rays = cone.ray_vectors
-    tops = [1] * m
     kernels: dict = {}
-    by_clip: dict = {}
-    contributions = []
-    total = 0
-    for u in sorted(candidates):
-        p = _fine_degree(rays, u)
-        key = _clip(p, tops)
-        if key not in by_clip:
-            by_clip[key] = _kernel_dim(
-                b, 3, [key] * r, [_shift(key, j) for j in range(m)], coef, kernels
-            )
-        ker = by_clip[key]
-        if ker:
-            assert degree_zero_membership(cox, p) is not None
-            contributions.append(DegreeContribution(p, ker))
-            total += ker
-    completeness = (
-        Completeness(guaranteed=True)
-        if guaranteed
-        else Completeness(guaranteed=False, bound=bound)
-    )
-    return total, tuple(contributions), completeness
+
+    def kernel(key: Vec) -> int:
+        # most chambers have no third cohomology: skip building their targets
+        if not local_coh_piece(b, 3, key).dimension:
+            return 0
+        return _kernel_dim(b, 3, [key] * r, [_shift(key, j) for j in range(m)], coef, kernels)
+
+    total, found, completeness = _chamber_characters(rays, [[1]] * m, kernel, bound)
+    return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found), completeness
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +324,7 @@ def dual_cone_generators(cone: Cone) -> list[Vec]:
 
 def der_part_exact(
     cone: Cone, bound: int | None = None
-) -> tuple[int, Completeness]:
+) -> tuple[int | None, Completeness]:
     """Degree-zero derivations into second local cohomology, computed as the
     kernel of the linearity conditions on the dual-monoid generators.
 
@@ -304,19 +336,11 @@ def der_part_exact(
     fine degree t involves only unknowns with p(u) = t - p(w), and p is
     injective because the rays span, so the system is block-diagonal by u:
     one small system per character, whose kernel dimensions add up.  The
-    system of u depends on u only through the sign signature of its source
-    and target degrees, which is fixed by p(u) clipped to [-1 - top_k, 0]
-    with top_k the largest shift e_j or beta added in coordinate k.  So the
-    characters are counted by clipped degree, the kernel is evaluated once
-    per distinct clip and ranked once per signature.
-
-    The characters run over the box of radius bound scaled by the largest
-    ray coordinate; the conditions are evaluated exactly wherever they land,
-    so the result is the dimension of the space of solutions supported in
-    the window (non-decreasing in the bound).  Contributing degrees provably
-    escape any window of fixed radius as the rays grow (already for the
-    two-dimensional index-n cones), so the window has to track the ray
-    height."""
+    system of u is fixed by the sign chamber of p(u) for the shifts e_j and
+    beta = p(w) in each coordinate, so the dimension is the sum over
+    chambers of the kernel times the number of characters.  An infinite or
+    inconclusive part has no dimension; ``bound`` is the integer search
+    radius for unbounded chambers of non-simplicial cones."""
     _require_full_dim(cone)
     if not (is_simplicial(cone) or singular_codim(cone) >= 3):
         raise UnsupportedModeError(
@@ -325,13 +349,11 @@ def der_part_exact(
     if is_smooth(cone):
         # the smooth subfan is the whole cone: its irrelevant ideal is the
         # unit ideal and there is no second local cohomology
-        return 0, Completeness(guaranteed=True)
+        return 0, Completeness.GUARANTEED
     if bound is None:
         bound = default_bound(cone)
-    n = cone.fan.ambient_rank
     m = len(cone.indices)
     rays = cone.ray_vectors
-    radius = bound * max(1, max(abs(c) for v in rays for c in v))
     b = irrelevant_ideal(smooth_subfan(cone))
 
     hilbert = hilbert_basis(dual_cone_generators(cone))
@@ -340,18 +362,16 @@ def der_part_exact(
         assert all(x >= 0 for x in beta)
 
     # block (t, j): x_j's image in p(u) + e_j, times x^(beta_t - e_j), times beta_t[j]
-    tops = [max([1, *(beta[k] for beta in exponents)]) for k in range(m)]
-    counts = Counter(
-        _clip(_fine_degree(rays, u), tops)
-        for u in itertools.product(range(-radius, radius + 1), repeat=n)
-    )
     kernels: dict = {}
-    total = 0
-    for key, count in counts.items():
+
+    def kernel(key: Vec) -> int:
         sources = [_shift(key, j) for j in range(m)]
         targets = [tuple(x + y for x, y in zip(key, beta)) for beta in exponents]
-        total += count * _kernel_dim(b, 2, sources, targets, exponents, kernels)
-    return total, Completeness(guaranteed=False, bound=bound)
+        return _kernel_dim(b, 2, sources, targets, exponents, kernels)
+
+    shifts = [[1, *(beta[k] for beta in exponents)] for k in range(m)]
+    total, _, completeness = _chamber_characters(rays, shifts, kernel, bound)
+    return total, completeness
 
 
 def der_part_sufficient(cone: Cone, search_bound: int = 8) -> RigidityCertificate:
@@ -405,19 +425,14 @@ def t1_affine(cone: Cone, bound: int | None = None) -> T1Report:
     if not simplicial and codim < 3:
         return T1Report(mode="unsupported", bound=bound, hypotheses=tuple(hyps))
 
-    der_dim: int
-    if codim >= 3:
-        cert = der_part_sufficient(cone, search_bound=bound)
-        if cert.verdict is Verdict.DER_PART_VANISHES:
-            der_dim, der_comp = 0, Completeness(guaranteed=True)
-        else:
-            der_dim, der_comp = der_part_exact(cone, bound)
+    if codim >= 3 and der_part_sufficient(cone, bound).verdict is Verdict.DER_PART_VANISHES:
+        der_dim, der_comp = 0, Completeness.GUARANTEED
     else:
         der_dim, der_comp = der_part_exact(cone, bound)
 
     if simplicial:
         assert class_group(cone.fan).free_rank == 0
-        homq_dim, contributions, homq_comp = 0, (), Completeness(guaranteed=True)
+        homq_dim, contributions, homq_comp = 0, (), Completeness.GUARANTEED
         mode = "simplicial"
     else:
         homq_dim, contributions, homq_comp = hom_q_h3(cone, bound)
@@ -446,28 +461,6 @@ class PolygonReport:
     cross_check_total: int
 
 
-def _cyclic_hull_order(points: list[Vec]) -> list[Vec]:
-    """Vertices of a convex polygon in counterclockwise order, exactly."""
-    start = min(points)
-    rest = sorted(points)
-    rest.remove(start)
-
-    def cross(o, a, bb):
-        return (a[0] - o[0]) * (bb[1] - o[1]) - (a[1] - o[1]) * (bb[0] - o[0])
-
-    def compare(a, bb):
-        c = cross(start, a, bb)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        da = (a[0] - start[0]) ** 2 + (a[1] - start[1]) ** 2
-        db = (bb[0] - start[0]) ** 2 + (bb[1] - start[1]) ** 2
-        return -1 if da < db else 1
-
-    return [start] + sorted(rest, key=functools.cmp_to_key(compare))
-
-
 def t1_polygon(vertices: Sequence[Sequence[int]], bound: int | None = None) -> PolygonReport:
     """Tangent dimension of the cone over a lattice polygon at height one.
 
@@ -487,18 +480,13 @@ def t1_polygon(vertices: Sequence[Sequence[int]], bound: int | None = None) -> P
     for i in range(len(pts)):
         if not _is_vertex(pts, i):
             raise ValueError(f"{pts[i]} is not a vertex of the hull")
-    ordered = _cyclic_hull_order(pts)
-    m = len(ordered)
-    lifted = [(p[0], p[1], 1) for p in ordered]
-    for k in range(m):
-        pair = [lifted[k], lifted[(k + 1) % m]]
-        snf = smith_normal_form(pair)
-        if snf.invariant_factors != (1, 1):
-            raise UnsupportedModeError(
-                f"edge cone over {ordered[k]}, {ordered[(k + 1) % m]} is not smooth; "
-                "use the general affine computation"
-            )
-    cone = affine_cone(lifted)
+    m = len(pts)
+    cone = affine_cone([(x, y, 1) for x, y in pts])
+    if singular_codim(cone) < 3:
+        raise UnsupportedModeError(
+            "an edge cone is not smooth (an edge is not primitive); "
+            "use the general affine computation"
+        )
     cox = class_group(cone.fan)
     r = cox.free_rank
     minor_ok = True

@@ -86,8 +86,9 @@ def validate_fan(rays, max_cones, name: str = "") -> Fan:
     """Normalize and check a raw fan description.
 
     Non-primitive rays are normalized with a warning; rays that coincide
-    after normalization, non-pointed cones, out-of-range indices and an
-    empty cone list are rejected.
+    after normalization, non-pointed cones, a listed ray that is not
+    extremal in its cone, out-of-range indices and an empty cone list are
+    rejected.
     """
     if not rays:
         raise FanValidationError("fan needs at least one ray")
@@ -114,8 +115,13 @@ def validate_fan(rays, max_cones, name: str = "") -> Fan:
         for i in idx:
             if not 0 <= i < len(prim):
                 raise FanValidationError(f"cone {sorted(idx)} has out-of-range ray index {i}")
-        if not cone_is_pointed([prim[i] for i in idx]):
+        gens = [prim[i] for i in sorted(idx)]
+        if not cone_is_pointed(gens):
             raise FanValidationError(f"cone {sorted(idx)} is not pointed")
+        if int_rank(gens) < len(gens):  # independent rays are always extremal
+            for i in sorted(idx):
+                if cone_contains([prim[j] for j in idx - {i}], prim[i]):
+                    raise FanValidationError(f"ray {i} is not extremal in cone {sorted(idx)}")
         if idx not in cones:
             cones.append(idx)
     return Fan(tuple(prim), tuple(cones), name=name, warnings=tuple(warnings))

@@ -13,7 +13,7 @@ import time
 from math import gcd
 
 from torrigid.ideals import SquarefreeMonomialIdeal
-from torrigid.lattice import cone_is_pointed
+from torrigid.lattice import cone_contains, cone_is_pointed
 from torrigid.localcoh import (
     alexander_dual,
     cech_piece,
@@ -92,7 +92,11 @@ def random_small_fan(rng):
         for _ in range(rng.randint(1, 4)):
             size = rng.randint(1, min(n + 1, m - 1))
             idx = tuple(sorted(rng.sample(range(m), size)))
-            if cone_is_pointed([rays[i] for i in idx]):
+            gens = [rays[i] for i in idx]
+            # the cones of a fan are pointed and list only extremal rays
+            if cone_is_pointed(gens) and not any(
+                cone_contains(gens[:k] + gens[k + 1 :], g) for k, g in enumerate(gens)
+            ):
                 cones.append(idx)
         if not cones:
             continue

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,43 @@ class TestT1Command:
         assert code == 0
         report = json.loads(out)
         assert report["total"] == total
-        assert report["der_completeness"] == f"bounded({report['bound']})"
+        assert report["der_completeness"] == "guaranteed"
+
+    def test_infinite_derivation_part(self, capsys):
+        # the cone is singular along a curve; a window of characters gave a
+        # finite total that grew with the window
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "t1", FANS / "infinite_der_cone.json", "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        report = json.loads(out)
+        assert (report["total"], report["completeness"]) == ("infinite", "infinite")
+        assert (report["der_dimension"], report["der_completeness"]) == (None, "infinite")
+        code, out, _ = run(capsys, "t1", FANS / "infinite_der_cone.json")
+        assert code == 0 and "total: infinite" in out
+
+    def test_inconclusive_part_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the cone over a square pyramid has an unbounded chamber whose
+        # characters only an integer search finds; make that search run out
+        from torrigid.lattice import BoundExceeded
+
+        rays = [[0, 0, 0, 1], [1, 0, 0, 1], [1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+        f = tmp_path / "pyramid.json"
+        f.write_text(json.dumps({"rays": rays, "max_cones": [list(range(5))]}))
+        code, out, _ = run(capsys, "t1", f, "--format", "json")
+        assert (code, json.loads(out)["total"]) == (0, "infinite")
+        monkeypatch.setattr("torrigid.t1.integer_feasible", lambda system, bound: BoundExceeded(bound))
+        code, out, _ = run(capsys, "t1", f, "--format", "json")
+        report = json.loads(out)
+        assert code == 2
+        assert (report["total"], report["completeness"], report["homq_dimension"]) == (None, "inconclusive", None)
+
+    def test_non_extremal_ray_rejected(self, tmp_path, capsys):
+        f = tmp_path / "fan.json"
+        f.write_text(json.dumps({"rays": [[1, 0], [1, 1], [0, 1]], "max_cones": [[0, 1, 2]]}))
+        code, out, err = run(capsys, "t1", f, "--format", "json")
+        assert (code, out) == (1, "")
+        assert "ray 1 is not extremal in cone [0, 1, 2]" in err
 
     def test_env_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("TORRIGID_BOUND", "3")

@@ -63,9 +63,9 @@ DIGESTS = {
     "rigidity square_polygon.json --format json": "c4ad8fd7f0481b298961772ff3eb7b4f8309c933c16f6ab8d8908ed7bea43419",
     "rigidity third_cone.json --format json": "2402bcf164b7c9b2def39a19abed2a564906f4147dddaad8c7f7dba2a62ffdce",
     "rigidity weighted_simplex_1113.json --format json": "ab5a226c62d8606998d1366e8ccefc90b30ffe969b67ba83d4c1dc2d74f749d0",
-    "t1 a1_cone.json --format json": "1139e1bf0735c46638e7b92fd6c018b50f7f60db88155c3938f39e9a1fc4b119",
-    "t1 a2_cone.json --format json": "3b690af053cf0249541f4689afff8a5b34073fff04acda20ea213ca71f4c75cf",
-    "t1 a3_cone.json --format json": "fdce7df6c5e0d015bc95fc19cd25e7d06c7ae5160eb40b4564da9a2dc072a2bc",
+    "t1 a1_cone.json --format json": "60d1e4a5fca1444aba576c5ea85ed677496044040bd0a366b752f584c4169991",
+    "t1 a2_cone.json --format json": "99c79875c303e1feba696bc0ca5022b717a25ef11413180057ff644608682269",
+    "t1 a3_cone.json --format json": "c4b4d5ab1c6cfef8c806d6f2aa89c1e06c9effc6e3965ecf55baf2b916f8cbd4",
     "t1 degree4_on_p4.json --format json": "28daf93ca1673d957a075e5179698cd1cbfc067c4aab9b642c3ed2c98aa46672",
     "t1 f2.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
     "t1 fermat_quartic.json --format json": "8e7e9deb78b4f907e359209b43c950e23b5f0b3062cd25aaa5154ab3b3574f5b",
@@ -73,6 +73,7 @@ DIGESTS = {
     "t1 hexagon_cone.json --format json": "c0bbe91cb0ab981376e7b3359d9a1a25f124bd9bdd9f4d412819be6606930b38",
     "t1 hexagon_polygon.json --format json": "976b493aaba4d9a318670265bed0d18de045807a23bfd18105bfab0f3a8a43d3",
     "t1 hexagon_polygon.json --polygon": "ebed0dfc5034adf540dcfbe5dc208ff42024cc4229017d1641923190444e7b9d",
+    "t1 infinite_der_cone.json --format json": "cdf6e6baf0ea20d9e578e97bf276497282a5db9f70e4190d4886af83397e24ff",
     "t1 p1xp3.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
     "t1 p2.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
     "t1 p3.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",

@@ -53,6 +53,12 @@ class TestValidateFan:
         with pytest.raises(FanValidationError):
             validate_fan([(1, 0)], [])
 
+    def test_ray_not_extremal(self):
+        # (1, 1) lies inside the cone of (1, 0) and (0, 1): the smooth plane,
+        # which must not gain a class group of rank one
+        with pytest.raises(FanValidationError, match="ray 1 is not extremal in cone \\[0, 1, 2\\]"):
+            affine_cone([(1, 0), (1, 1), (0, 1)])
+
 
 class TestFaces:
     def test_square_cone(self, square_cone):
