@@ -17,6 +17,8 @@ from torrigid.rigidity import Verdict
 from torrigid.t1 import (
     Completeness,
     UnsupportedModeError,
+    _chamber_characters,
+    _fine_degree,
     _intervals,
     _kernel_dim,
     cox_polynomial,
@@ -267,14 +269,38 @@ class TestT1Affine:
     def test_default_bound(self, square_cone):
         assert default_bound(square_cone) == 2
 
-    def test_simplicial_cone_infinite(self):
-        # singular along a curve: a window of characters gave 3, 4, ... for
-        # bounds 2, 3, ...
+    @pytest.mark.parametrize("bound,total", [(2, 3), (3, 4)])
+    def test_simplicial_cone_window_totals(self, monkeypatch, bound, total):
+        # singular along a curve: the characters in the box of radius
+        # 3 * bound carry 3, 4, ... dimensions, so the derivation part is
+        # infinite whatever the bound
         cone = affine_cone([(1, 0, 1), (0, 1, 1), (-1, -2, 3)])
-        report = t1_affine(cone)
+        seen = {}
+
+        def recording(rays, shifts, kernel, search):
+            seen.update(rays=rays, shifts=shifts, kernel=kernel)
+            return _chamber_characters(rays, shifts, kernel, search)
+
+        monkeypatch.setattr("torrigid.t1._chamber_characters", recording)
+        report = t1_affine(cone, bound=bound)
         assert report.mode == "simplicial"
         assert (report.der_dimension, report.der_completeness) == (None, Completeness.INFINITE)
         assert (report.total, report.completeness) == (None, Completeness.INFINITE)
+
+        def chamber_key(x, shifts):
+            return next(
+                key for key, lo, hi in _intervals(shifts)
+                if (lo is None or lo <= x) and (hi is None or x <= hi)
+            )
+
+        radius = 3 * bound
+        window = sum(
+            seen["kernel"](
+                tuple(map(chamber_key, _fine_degree(seen["rays"], u), seen["shifts"]))
+            )
+            for u in itertools.product(range(-radius, radius + 1), repeat=3)
+        )
+        assert window == total
 
 
 class TestT1Polygon:
