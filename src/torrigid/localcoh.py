@@ -8,6 +8,13 @@ the same dimensions from the fine strand of a Cech complex on the ideal
 generators, with no simplicial conventions involved; the two must always
 agree, and the test suite enforces that on randomized inputs.
 
+Every piece is looked up the same way: the degree goes to its sign pattern
+through a small bounded cache of recent degrees (``_negative``), and the
+pattern keys the caches of complexes, cohomology and restriction maps
+(``_pattern``, ``_basis``, ``_restriction``) and of the Cech strand
+(``_cech_dims``).  A sweep that asks for every piece of one degree in turn
+computes its pattern once.
+
 All cohomology is over the exact rationals.
 """
 
@@ -46,6 +53,13 @@ def _check_degree(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> None:
 
 def negative(p: Sequence[int]) -> frozenset[int]:
     """Indices where the multidegree is negative."""
+    return _negative(tuple(p))
+
+
+@lru_cache(maxsize=64)
+def _negative(p: tuple[int, ...]) -> frozenset[int]:
+    """The sign pattern of a degree tuple.  A sweep asks for every piece of a
+    degree in turn, so a few recent degrees are all that is worth keeping."""
     return frozenset([i for i, x in enumerate(p) if x <= -1])
 
 
@@ -205,6 +219,8 @@ def _basis(b: SquarefreeMonomialIdeal, pattern: frozenset[int], q: int):
 class GradedPiece:
     """A finite-dimensional piece of a graded module."""
 
+    __slots__ = ("complex", "dimension")
+
     def __init__(self, kompl: SimplicialComplex, dimension: int) -> None:
         self.complex = kompl
         self.dimension = dimension
@@ -225,7 +241,7 @@ def local_coh_piece(
     supported at the ideal: reduced cohomology of the sign-pattern complex in
     degree i - 2."""
     _check_degree(b, i, p)
-    kompl, dims = _pattern(b, negative(p))
+    kompl, dims = _pattern(b, _negative(tuple(p)))
     return GradedPiece(kompl, dims.get(i - 2, 0))
 
 
@@ -286,7 +302,7 @@ def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> Mu
         _check_proper(b)  # a degenerate ideal takes precedence
         raise ValueError("variable index out of range")
     _check_degree(b, i, p)
-    src_pattern = negative(p)
+    src_pattern = _negative(tuple(p))
     tgt_pattern = src_pattern - {j} if p[j] == -1 else src_pattern
     matrix = _restriction(b, i - 2, src_pattern, tgt_pattern)
     return MultMap(
@@ -351,7 +367,7 @@ def cech_piece(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> int:
     Cech complex on the generators; independent of the simplicial route and
     must agree with it everywhere."""
     _check_degree(b, i, p)
-    return _cech_dims(b, negative(p)).get(i, 0)
+    return _cech_dims(b, _negative(tuple(p))).get(i, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Sequence
 
 from .lattice import (
@@ -36,7 +37,7 @@ from .lattice import (
     lattice_points,
     rref,
 )
-from .localcoh import _restriction, local_coh_piece, negative
+from .localcoh import _negative, _pattern, _restriction, local_coh_piece
 from .rigidity import (
     Hypothesis,
     RigidityCertificate,
@@ -155,35 +156,41 @@ def _fine_degree(rays: Sequence[Vec], u: Sequence[int]) -> Vec:
     return tuple(sum(a * b for a, b in zip(u, v)) for v in rays)
 
 
-def _shift(p: Vec, j: int) -> Vec:
-    return tuple(x + (k == j) for k, x in enumerate(p))
+def _units(m: int) -> list[Vec]:
+    return [tuple(int(k == j) for k in range(m)) for j in range(m)]
 
 
-def _kernel_dim(b, i: int, sources, targets, coef, kernels: dict) -> int:
+def _translate(p: Vec, shift: Vec) -> Vec:
+    return tuple(map(add, p, shift))
+
+
+def _kernel_dim(b, i: int, key: Vec, source_shifts, target_shifts, coef, kernels: dict) -> int:
     """Kernel dimension of the block matrix whose block (t, s) is coef[t][s]
-    times multiplication from the degree sources[s] piece of H^i_B to the
-    degree targets[t] piece; the block is zero where coef[t][s] is 0.
+    times multiplication from the degree key + source_shifts[s] piece of
+    H^i_B to the degree key + target_shifts[t] piece; the block is zero where
+    coef[t][s] is 0.  The target degrees are formed only when some source
+    piece is nonzero.
 
     A multiplication map depends on its two degrees only through their sign
     patterns, so for fixed coefficients the kernel depends only on the sign
     signature of the degrees: it is ranked once per signature and kept in
     ``kernels``, which the caller owns."""
-    dims = [local_coh_piece(b, i, p).dimension for p in sources]
+    src = tuple(_negative(_translate(key, d)) for d in source_shifts)
+    dims = [_pattern(b, s)[1].get(i - 2, 0) for s in src]
     if not any(dims):
         return 0
-    src = tuple(negative(p) for p in sources)
-    tgt = tuple(negative(p) for p in targets)
+    tgt = tuple(_negative(_translate(key, d)) for d in target_shifts)
     if (src, tgt) not in kernels:
         rows: list[list[Fraction]] = []
-        for t, q in enumerate(targets):
-            tdim = local_coh_piece(b, i, q).dimension
+        for t, pattern in enumerate(tgt):
+            tdim = _pattern(b, pattern)[1].get(i - 2, 0)
             if not tdim:
                 continue
             blocks = [
-                [[coef[t][s] * x for x in row] for row in _restriction(b, i - 2, src[s], tgt[t])]
+                [[coef[t][s] * x for x in row] for row in _restriction(b, i - 2, src[s], pattern)]
                 if coef[t][s] and dims[s]
                 else [[0] * dims[s]] * tdim
-                for s in range(len(sources))
+                for s in range(len(src))
             ]
             rows.extend([x for blk in blocks for x in blk[rr]] for rr in range(tdim))
         kernels[src, tgt] = sum(dims) - len(rref(rows)[1])
@@ -284,13 +291,14 @@ def hom_q_h3(
 
     # coef[j][i] = a_ij: the i-th Euler component maps to x_j with weight a_ij
     coef = list(zip(*cox.grading_matrix))
+    units = _units(m)
     kernels: dict = {}
 
     def kernel(key: Vec) -> int:
-        # most chambers have no third cohomology: skip building their targets
+        # most chambers have no third cohomology: skip them
         if not local_coh_piece(b, 3, key).dimension:
             return 0
-        return _kernel_dim(b, 3, [key] * r, [_shift(key, j) for j in range(m)], coef, kernels)
+        return _kernel_dim(b, 3, key, [(0,) * m] * r, units, coef, kernels)
 
     total, found, completeness = _chamber_characters(rays, [[1]] * m, kernel, bound)
     return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found), completeness
@@ -362,12 +370,11 @@ def der_part_exact(
         assert all(x >= 0 for x in beta)
 
     # block (t, j): x_j's image in p(u) + e_j, times x^(beta_t - e_j), times beta_t[j]
+    units = _units(m)
     kernels: dict = {}
 
     def kernel(key: Vec) -> int:
-        sources = [_shift(key, j) for j in range(m)]
-        targets = [tuple(x + y for x, y in zip(key, beta)) for beta in exponents]
-        return _kernel_dim(b, 2, sources, targets, exponents, kernels)
+        return _kernel_dim(b, 2, key, units, exponents, exponents, kernels)
 
     shifts = [[1, *(beta[k] for beta in exponents)] for k in range(m)]
     total, _, completeness = _chamber_characters(rays, shifts, kernel, bound)

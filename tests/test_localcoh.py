@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.localcoh import (
     DegenerateIdealError,
+    GradedPiece,
     SimplicialComplex,
+    _cech_dims,
+    _negative,
+    _pattern,
     _restriction,
     alexander_dual,
     cech_piece,
@@ -412,3 +416,49 @@ class TestGraphFormulas:
 
 def test_negative():
     assert negative((-1, 0, -2, 3)) == frozenset({0, 2})
+
+
+@st.composite
+def ideal_and_degree(draw):
+    m = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=4))
+    p = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    return SquarefreeMonomialIdeal(m, tuple(gens)), p
+
+
+@given(ideal_and_degree(), st.integers(0, 6), st.data())
+@settings(max_examples=200)
+def test_list_degree_same_as_tuple(case, i, data):
+    b, p = case
+    expected = frozenset(k for k, x in enumerate(p) if x <= -1)
+    assert negative(tuple(p)) == negative(p) == expected
+    piece, same = local_coh_piece(b, i, p), local_coh_piece(b, i, tuple(p))
+    assert type(piece) is GradedPiece
+    assert piece.complex == same.complex == t_complex(b, expected)
+    assert piece.dimension == same.dimension == cech_piece(b, i, p) == cech_piece(b, i, tuple(p))
+    assert repr(piece) == f"GradedPiece(dim={piece.dimension})"
+    j = data.draw(st.integers(0, b.num_vars - 1))
+    assert mult_map(b, i, p, j) == mult_map(b, i, tuple(p), j)
+
+
+def test_graded_piece_has_no_dict():
+    piece = local_coh_piece(XY, 2, [-1, -1])
+    assert (piece.complex, piece.dimension) == (t_complex(XY, {0, 1}), 1)
+    with pytest.raises(AttributeError):
+        piece.extra = 0
+
+
+def test_one_lookup_per_degree_and_pattern():
+    # a sweep that asks for every piece of a degree in turn computes its sign
+    # pattern once, and each pattern's complex and Cech strand once
+    b = ideal(4, {0, 1}, {1, 2, 3}, {0, 3})
+    for cache in (_negative, _pattern, _cech_dims):
+        cache.cache_clear()
+    degrees = list(itertools.product(range(-2, 3), repeat=4))
+    for p in degrees:
+        for i in range(5):
+            assert local_coh_piece(b, i, p).dimension == cech_piece(b, i, p)
+    assert _negative.cache_info().misses == len(degrees)
+    assert _negative.cache_info().hits == len(degrees) * (2 * 5 - 1)
+    assert _negative.cache_info().maxsize == 64
+    assert _pattern.cache_info().misses == _cech_dims.cache_info().misses == 2**4

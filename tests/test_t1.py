@@ -21,6 +21,7 @@ from torrigid.t1 import (
     _fine_degree,
     _intervals,
     _kernel_dim,
+    _translate,
     cox_polynomial,
     cy_t1,
     default_bound,
@@ -721,3 +722,25 @@ def test_one_kernel_per_chamber(monkeypatch, run, calls):
     monkeypatch.setattr("torrigid.t1._kernel_dim", counting)
     run()
     assert count == calls
+
+
+def test_targets_only_behind_nonzero_sources(monkeypatch):
+    # the index-42 cone has 2,340 chambers, and every source piece of H^2
+    # vanishes on each: its 3 source degrees are formed per chamber, its 25
+    # target degrees (one per Hilbert-basis element) never; forming both for
+    # every chamber built 65,520 degrees
+    counts = {"kernels": 0, "degrees": 0}
+
+    def counting_kernel(*args):
+        counts["kernels"] += 1
+        return _kernel_dim(*args)
+
+    def counting_translate(*args):
+        counts["degrees"] += 1
+        return _translate(*args)
+
+    monkeypatch.setattr("torrigid.t1._kernel_dim", counting_kernel)
+    monkeypatch.setattr("torrigid.t1._translate", counting_translate)
+    cone = affine_cone([(-3, 3, -1), (-2, 0, -3), (-1, -3, 2)])
+    assert der_part_exact(cone, 1) == (0, Completeness.GUARANTEED)
+    assert counts == {"kernels": 2340, "degrees": 3 * 2340}
