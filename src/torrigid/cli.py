@@ -42,11 +42,11 @@ from .toric import (
     FanValidationError,
     TorusFactorError,
     WeightSystem,
+    _is_hull_face_fan,
     class_group,
     graph_gamma,
     irrelevant_ideal,
     is_complete,
-    is_fano,
     is_simplicial,
     is_smooth,
     simplicial_codim,
@@ -414,6 +414,7 @@ def cmd_check_fan(args) -> int:
                 "simplicial": is_simplicial(cone),
             }
         )
+    complete = is_complete(fan)
     report.update(
         {
             "rays": [list(r) for r in fan.rays],
@@ -421,8 +422,8 @@ def cmd_check_fan(args) -> int:
             "max_cones": cones_payload,
             "singular_codim": str(singular_codim(fan)),
             "simplicial_codim": str(simplicial_codim(fan)),
-            "complete": is_complete(fan),
-            "fano": is_fano(fan),
+            "complete": complete,
+            "fano": complete and _is_hull_face_fan(fan),
         }
     )
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -239,17 +239,69 @@ def int_det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def int_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free (Bareiss) elimination.
+# A Mersenne prime: products of two residues stay within a few machine words.
+_P = (1 << 61) - 1
 
-    Every row below the pivot is updated, including rows with a zero entry
-    in the pivot column; the rescaling keeps later divisions exact.  Entries
-    must be ``int``: the exact divisions floor anything else, so a
-    ``Fraction`` entry raises TypeError instead of giving a wrong rank.
+
+def int_rank(m: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix.
+
+    A k x k minor that is nonzero modulo the prime P = 2^61 - 1 is a nonzero
+    integer, so the rank modulo P is at most the rank over Q, which is at
+    most k = min(rows, cols).  When the rank modulo P is k it is the exact
+    rank.  That certificate is tried only where fraction-free elimination
+    would outgrow a machine word: k > 4 and the Hadamard-style bound
+    k * (bitlen(max |entry|) + bitlen(k) // 2) on the bit length of the
+    minors exceeds 62.  Every other matrix, and every matrix the modular
+    rank cannot decide (rank-deficient ones among them), is ranked by
+    fraction-free (Bareiss) elimination.
+
+    Entries must be ``int``: the exact Bareiss divisions floor anything
+    else, so a ``Fraction`` entry raises TypeError instead of giving a wrong
+    rank.
     """
     a = [list(row) for row in m]
-    if not all(isinstance(x, int) for row in a for x in row):
+    entries = itertools.chain.from_iterable
+    if not all(map(isinstance, entries(a), itertools.repeat(int))):
         raise TypeError("int_rank needs integer entries")
+    k = min(len(a), len(a[0])) if a else 0
+    if (
+        k > 4
+        and k * (max(map(abs, entries(a))).bit_length() + k.bit_length() // 2) > 62
+        and _full_rank_mod_p(a, k)
+    ):
+        return k
+    return _bareiss_rank(a)
+
+
+def _full_rank_mod_p(a: list[list[int]], k: int) -> bool:
+    """Whether the rank of ``a`` modulo P is k = min(rows, cols), by Gaussian
+    elimination modulo P on the k rows of ``a`` or of its transpose; ``a``
+    itself is not modified."""
+    rows = [[x % _P for x in row] for row in (a if len(a) == k else zip(*a))]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, k) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, _P)
+        tail = rows[rank][col + 1 :]
+        for row in rows[rank + 1 :]:
+            f = row[col] * inv % _P
+            if f:
+                row[col + 1 :] = [(x - f * y) % _P for x, y in zip(row[col + 1 :], tail)]
+        rank += 1
+        if rank == k:
+            return True
+    return False
+
+
+def _bareiss_rank(a: list[list[int]]) -> int:
+    """Rank by fraction-free (Bareiss) elimination, in place.
+
+    Every row below the pivot is updated, including rows with a zero entry
+    in the pivot column; the rescaling keeps later divisions exact."""
     nr = len(a)
     nc = len(a[0]) if nr else 0
     rank = 0
@@ -272,6 +324,17 @@ def int_rank(m: Sequence[Sequence[int]]) -> int:
         if rank == nr:
             break
     return rank
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over Q of a matrix of ``int`` or ``Fraction`` entries: each row
+    is scaled by the lcm of its denominators, which keeps the rank, and the
+    integer matrix is ranked by ``int_rank``."""
+    scaled = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (d // x.denominator) for x in row])
+    return int_rank(scaled)
 
 
 def integer_kernel(m: Sequence[Sequence[int]]) -> list[Vec]:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ideals import SquarefreeMonomialIdeal, minimalize
-from .lattice import int_rank, rational_kernel, rref
+from .lattice import int_rank, rational_kernel, rational_rank, rref
 from .toric import Fan, Graph, graph_gamma
 
 
@@ -259,8 +259,7 @@ class MultMap:
             return False
         if self.source_dimension == 0:
             return True
-        _, pivots = rref(self.matrix)
-        return len(pivots) == self.source_dimension
+        return rational_rank(self.matrix) == self.source_dimension
 
 
 @lru_cache(maxsize=None)

@@ -26,11 +26,11 @@ from .toric import (
     Fan,
     Graph,
     WeightSystem,
+    _is_hull_face_fan,
     _is_vertex,
     graph_gamma,
     graph_gamma_f,
     is_complete,
-    is_fano,
     is_simplicial,
     q_gorenstein,
     simplicial_codim,
@@ -226,7 +226,7 @@ def fano_rigidity(fan: Fan) -> RigidityCertificate:
             hypotheses=tuple(hyps),
             reason="completeness",
         )
-    fano = is_fano(fan)
+    fano = _is_hull_face_fan(fan)
     hyps.append(
         Hypothesis(
             "fano",

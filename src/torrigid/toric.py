@@ -362,8 +362,13 @@ def _is_vertex(points: Sequence[Vec], i: int) -> bool:
 
 def is_fano(fan: Fan) -> bool:
     """Complete fan equal to the face fan of the ray hull, all rays vertices."""
-    if not is_complete(fan):
-        return False
+    return is_complete(fan) and _is_hull_face_fan(fan)
+
+
+def _is_hull_face_fan(fan: Fan) -> bool:
+    """Whether every ray is a vertex of the ray hull and every maximal cone
+    is the cone over a facet of it: the Fano property of a complete fan, for
+    callers that already know completeness."""
     rays = fan.rays
     if not all(_is_vertex(rays, i) for i in range(len(rays))):
         return False

@@ -26,6 +26,7 @@ from torrigid.lattice import (
     lattice_points,
     primitive,
     rational_feasible,
+    rational_rank,
     smith_normal_form,
     solve_diophantine,
 )
@@ -472,12 +473,95 @@ def integer_matrices(draw):
     return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
 
 
+@st.composite
+def modular_path_matrices(draw):
+    """Matrices with min(rows, cols) > 4 and entries up to 10^4, which the
+    gate sends to the modular rank: full rank, products through a smaller
+    inner dimension (rank-deficient), square, wide and tall."""
+    k = draw(st.integers(5, 7))
+    nr, nc = draw(st.sampled_from(((k, k), (k, k + 4), (k + 4, k))))
+    if draw(st.booleans()):
+        entry = st.integers(-(10**4), 10**4)
+        return [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    inner = draw(st.integers(1, k - 1))
+    b = [[draw(st.integers(-100, 100)) for _ in range(inner)] for _ in range(nr)]
+    c = [[draw(st.integers(-100, 100)) for _ in range(nc)] for _ in range(inner)]
+    return [[sum(b[i][t] * c[t][j] for t in range(inner)) for j in range(nc)] for i in range(nr)]
+
+
+def sympy_rank(m):
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    return sympy.Matrix(nr, nc, [x for row in m for x in row]).rank()
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(integer_matrices())
+@given(st.one_of(integer_matrices(), modular_path_matrices()))
 # a row with a zero in the first pivot column must still be rescaled
 @example([[0, 0, 1, 0], [0, 0, 2, 1], [-2, -1, -3, -1]])
 def test_int_rank_matches_sympy(m):
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    expected = sympy.Matrix(nr, nc, [x for row in m for x in row]).rank()
-    assert int_rank(m) == expected
+    assert int_rank(m) == sympy_rank(m)
+
+
+def _counting_bareiss(monkeypatch):
+    calls = []
+    bareiss = lattice._bareiss_rank
+
+    def counting(a):
+        calls.append(a)
+        return bareiss(a)
+
+    monkeypatch.setattr(lattice, "_bareiss_rank", counting)
+    return calls
+
+
+def test_int_rank_modular_certificate_skips_bareiss(monkeypatch):
+    calls = _counting_bareiss(monkeypatch)
+    rng = random.Random(13)
+    for nr, nc in ((6, 6), (6, 40), (40, 6)):
+        m = [[rng.randint(-(10**4), 10**4) for _ in range(nc)] for _ in range(nr)]
+        assert int_rank(m) == 6 == sympy_rank(m)
+    assert calls == []
+    # small entries stay on Bareiss, whatever the shape
+    assert int_rank([[int(i == j) for j in range(8)] for i in range(8)]) == 8
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "m, rank",
+    [
+        # rank 5 over Q, 0 modulo p
+        ([[lattice._P * int(i == j) for j in range(5)] for i in range(5)], 5),
+        # rank 6 over Q, 5 modulo p: the last row is the first plus p e_6
+        (
+            [[10**4 * (i + 1) ** j for j in range(6)] for i in range(5)]
+            + [[10**4 + lattice._P * (j == 5) for j in range(6)]],
+            6,
+        ),
+        # rank-deficient over Q: the modular rank cannot decide either
+        ([[10**4 * (i + j) for j in range(7)] for i in range(5)], 2),
+    ],
+    ids=["diag_p", "rows_agree_mod_p", "rank_deficient"],
+)
+def test_int_rank_falls_back_to_bareiss(monkeypatch, m, rank):
+    calls = _counting_bareiss(monkeypatch)
+    assert int_rank(m) == rank == sympy_rank(m)
+    assert len(calls) == 1
+
+
+@st.composite
+def fraction_matrices(draw):
+    """Fraction matrices with nontrivial denominators, some rank-deficient."""
+    nr = draw(st.integers(0, 7))
+    nc = draw(st.integers(1, 7))
+    entry = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    m = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    if nr > 1 and draw(st.booleans()):  # a combination of two rows
+        m.append([x / 3 - 2 * y for x, y in zip(m[0], m[1])])
+    return m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fraction_matrices())
+def test_rational_rank_matches_sympy(m):
+    assert rational_rank(m) == sympy_rank(m)
