@@ -35,8 +35,7 @@ from .lattice import (
     integer_feasible,
     integer_kernel,
     lattice_points,
-    rational_rank,
-    rref,  # noqa: F401 - unused here; perfbench's tracer test looks up t1.rref
+    rref,
 )
 from .localcoh import _negative, _pattern, _restriction, local_coh_piece
 from .rigidity import (
@@ -194,7 +193,7 @@ def _kernel_dim(b, i: int, key: Vec, source_shifts, target_shifts, coef, kernels
                 for s in range(len(src))
             ]
             rows.extend([x for blk in blocks for x in blk[rr]] for rr in range(tdim))
-        kernels[src, tgt] = sum(dims) - rational_rank(rows)
+        kernels[src, tgt] = sum(dims) - len(rref(rows)[1])
     return kernels[src, tgt]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from torrigid.cli import load_fan
 from torrigid.ideals import SquarefreeMonomialIdeal
-from torrigid.lattice import hilbert_basis, int_det, rational_rank, rref, solve_diophantine
+from torrigid.lattice import hilbert_basis, int_det, rref, solve_diophantine
 from torrigid.localcoh import _restriction, local_coh_piece, mult_map, negative
 from torrigid.rigidity import Verdict
 from torrigid.t1 import (
@@ -656,7 +656,7 @@ def test_per_character_oracle(bound, max_n):
     ],
 )
 def test_one_rank_per_sign_signature(monkeypatch, run, calls):
-    # one rank per distinct (source patterns, target patterns) signature
+    # one rref per distinct (source patterns, target patterns) signature
     # among the chambers; ranking every character of a window separately
     # took 278, 157 and 64 calls
     count = 0
@@ -664,9 +664,9 @@ def test_one_rank_per_sign_signature(monkeypatch, run, calls):
     def counting(*args):
         nonlocal count
         count += 1
-        return rational_rank(*args)
+        return rref(*args)
 
-    monkeypatch.setattr("torrigid.t1.rational_rank", counting)
+    monkeypatch.setattr("torrigid.t1.rref", counting)
     run()
     assert count == calls
 
