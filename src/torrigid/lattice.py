@@ -98,6 +98,8 @@ class SmithDecomposition:
         """
         nr = len(self.u)
         nc = len(self.v)
+        if len(rhs) != nr:
+            raise ValueError(f"right-hand side has length {len(rhs)}, expected {nr}")
         w = [sum(self.u[i][k] * rhs[k] for k in range(nr)) for i in range(nr)]
         y = [0] * nc
         for i in range(nr):
@@ -215,28 +217,10 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
 
 
 def int_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: the last pivot, signed by the row swaps."""
+    rank, det = _bareiss_rank([list(row) for row in m])
+    return det if rank == len(m) else 0
 
 
 # A Mersenne prime: products of two residues stay within a few machine words.
@@ -271,7 +255,7 @@ def int_rank(m: Sequence[Sequence[int]]) -> int:
         and _full_rank_mod_p(a, k)
     ):
         return k
-    return _bareiss_rank(a)
+    return _bareiss_rank(a)[0]
 
 
 def _full_rank_mod_p(a: list[list[int]], k: int) -> bool:
@@ -297,15 +281,17 @@ def _full_rank_mod_p(a: list[list[int]], k: int) -> bool:
     return False
 
 
-def _bareiss_rank(a: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination, in place.
+def _bareiss_rank(a: list[list[int]]) -> tuple[int, int]:
+    """(rank, last pivot signed by the row swaps) by fraction-free (Bareiss)
+    elimination, in place; on a square matrix of full rank the second entry
+    is the determinant.
 
     Every row below the pivot is updated, including rows with a zero entry
     in the pivot column; the rescaling keeps later divisions exact."""
     nr = len(a)
     nc = len(a[0]) if nr else 0
     rank = 0
-    prev = 1
+    prev = sign = 1
     for col in range(nc):
         piv = None
         for i in range(rank, nr):
@@ -314,7 +300,9 @@ def _bareiss_rank(a: list[list[int]]) -> int:
                 break
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
         for i in range(rank + 1, nr):
             for j in range(col + 1, nc):
                 a[i][j] = (a[i][j] * a[rank][col] - a[i][col] * a[rank][j]) // prev
@@ -323,7 +311,7 @@ def _bareiss_rank(a: list[list[int]]) -> int:
         rank += 1
         if rank == nr:
             break
-    return rank
+    return rank, sign * prev
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
@@ -581,24 +569,68 @@ def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _shell_points(ranges: list[tuple[int, int]], radius: int):
-    """Points of prod([lo,hi]) with L-infinity norm == radius, in lex order."""
-    clipped = [(max(lo, -radius), min(hi, radius)) for lo, hi in ranges]
-    if any(lo > hi for lo, hi in clipped):
-        return
-    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in clipped)):
-        if max((abs(x) for x in point), default=0) == radius:
-            yield point
+def _fm_chain(rows: list[_Row], num_vars: int) -> list[list[_Row]]:
+    """Entry k constrains x_0..x_k only: the projection of ``rows`` onto those
+    coordinates, by Fourier-Motzkin elimination of x_{num_vars-1}, ...,
+    x_{k+1}.  The last entry is ``rows`` itself.  Raises _FMContradiction
+    when the rows have no rational solution."""
+    chain = [rows]
+    for var in range(num_vars - 1, -1, -1):
+        chain.append(_fm_eliminate(chain[-1], var))
+    return chain[-2::-1]  # eliminating x_0 as well only checks feasibility
+
+
+def _descend(chain: list[list[_Row]], radius: int | None = None) -> list[Vec]:
+    """The integer points over a chain from ``_fm_chain`` in lexicographic
+    order, within |x_i| <= ``radius`` when it is given.
+
+    Coordinate k runs over the integers that entry k allows once x_0..x_{k-1}
+    are fixed, so every point found satisfies the last entry.  Without
+    ``radius``, entry k must bound x_k on both sides for every k."""
+    n = len(chain)
+    # each row split into its coefficients on x_0..x_{k-1}, on x_k, and c
+    levels = [[(a[:k], a[k], c) for a, c in rows] for k, rows in enumerate(chain)]
+    point = [0] * n
+    out: list[Vec] = []
+
+    def level(k: int) -> None:
+        lo, hi = (None, None) if radius is None else (-radius, radius)
+        for prefix, coef, c in levels[k]:
+            resid = c - sum(x * y for x, y in zip(prefix, point))
+            if coef > 0:
+                b = -(-resid // coef)
+                lo = b if lo is None else max(lo, b)
+            elif coef < 0:
+                b = resid // coef
+                hi = b if hi is None else min(hi, b)
+            elif resid > 0:
+                return
+        for value in range(lo, hi + 1):
+            point[k] = value
+            if k == n - 1:
+                out.append(tuple(point))
+            else:
+                level(k + 1)
+
+    level(0)
+    return out
 
 
 def integer_feasible(system: AffineSystem, search_bound: int) -> FeasibilityResult:
     """Decide whether the system has an integer solution.
 
-    Equalities are absorbed by a lattice parametrization, leaving a pure
-    inequality system in the free coordinates.  If Fourier-Motzkin bounds
-    certify a bounded rational relaxation, its integer points are exhausted
-    and the answer is exact; otherwise the free box of radius
-    ``search_bound`` is searched and exhaustion yields BoundExceeded.
+    Equalities are absorbed by a lattice parametrization u = origin + B*t,
+    leaving inequalities in the free coordinates t.  Fourier-Motzkin bounds
+    give each t_i an integer range, cut to [-search_bound, search_bound] on
+    an unbounded side.  The answer is exact (Witness or Infeasible) when
+    every t_i is bounded, or when one bounded on both sides has an empty
+    range.  Otherwise only |t|_inf <= ``search_bound`` is searched, and an
+    empty search, or an empty cut range, gives BoundExceeded.
+
+    The witness is the image of the least t in the order (max |t_i|, then t
+    lexicographic).  It is found by descending one Fourier-Motzkin chain
+    over the boxes |t|_inf <= 0, 1, 3, 7, ..., capped at the search radius:
+    the first box that holds a point also holds the least one.
     """
     if search_bound < 1:
         raise ValueError("search_bound must be >= 1")
@@ -614,12 +646,6 @@ def integer_feasible(system: AffineSystem, search_bound: int) -> FeasibilityResu
         origin, basis = tuple([0] * n), [tuple(row) for row in _identity(n)]
 
     k = len(basis)
-
-    def to_ambient(t: Sequence[int]) -> Vec:
-        return tuple(
-            origin[i] + sum(basis[j][i] * t[j] for j in range(k)) for i in range(n)
-        )
-
     if k == 0:
         return Witness(origin) if system.satisfied_by(origin) else Infeasible()
 
@@ -635,7 +661,7 @@ def integer_feasible(system: AffineSystem, search_bound: int) -> FeasibilityResu
         return Infeasible()
 
     bounded = all(lo is not None and hi is not None for lo, hi in bounds)
-    ranges: list[tuple[int, int]] = []
+    radius_cap = 0 if bounded else search_bound
     for lo, hi in bounds:
         ilo = _ceil(lo) if lo is not None else -search_bound
         ihi = _floor(hi) if hi is not None else search_bound
@@ -643,88 +669,44 @@ def integer_feasible(system: AffineSystem, search_bound: int) -> FeasibilityResu
             if lo is not None and hi is not None:
                 return Infeasible()
             return BoundExceeded(search_bound)
-        ranges.append((ilo, ihi))
-    if bounded:
-        radius_cap = max(max(abs(lo), abs(hi)) for lo, hi in ranges)
-    else:
-        radius_cap = search_bound
+        if bounded:
+            radius_cap = max(radius_cap, -ilo, ihi)
 
-    def check(t: Vec) -> bool:
-        return all(sum(x * y for x, y in zip(a, t)) >= c for a, c in rows)
-
-    for radius in range(radius_cap + 1):
-        for t in _shell_points(ranges, radius):
-            if check(t):
-                u = to_ambient(t)
-                assert system.satisfied_by(u)
-                return Witness(u)
-    return Infeasible() if bounded else BoundExceeded(search_bound)
+    chain = _fm_chain(rows, k)
+    radius = 0
+    while not (points := _descend(chain, radius)):
+        if radius == radius_cap:
+            return Infeasible() if bounded else BoundExceeded(search_bound)
+        radius = min(2 * radius + 1, radius_cap)
+    t = min(points, key=lambda p: (max(map(abs, p)), p))
+    u = tuple(o + sum(b[i] * x for b, x in zip(basis, t)) for i, o in enumerate(origin))
+    assert system.satisfied_by(u)
+    return Witness(u)
 
 
 def lattice_points(system: AffineSystem) -> list[Vec]:
     """All integer solutions of a bounded system, in lexicographic order.
 
-    Raises UnboundedPolyhedronError when the rational solution set has an
-    unbounded coordinate; an infeasible system yields the empty list.
+    One Fourier-Motzkin chain is descended coordinate by coordinate, so the
+    answer is exact.  Raises UnboundedPolyhedronError when the rational
+    solution set is nonempty and unbounded, whether or not it holds an
+    integer point; an infeasible system yields the empty list.
     """
     n = system.num_vars
     rows = _as_rows(system)
     if n == 0:
-        try:
-            for a, c in rows:
-                if c > 0:
-                    raise _FMContradiction
-        except _FMContradiction:
-            return []
-        return [()]
-    bounds = variable_bounds(rows, n)
-    if bounds is None:
-        return []
-    if any(lo is None or hi is None for lo, hi in bounds):
-        raise UnboundedPolyhedronError("polyhedron has an unbounded direction")
-
-    # chain of systems: level k constrains variables 0..k only
-    levels: list[list[_Row]] = [[] for _ in range(n)]
-    cur = rows
-    levels[n - 1] = cur
+        return [] if any(c > 0 for _, c in rows) else [()]
     try:
-        for k in range(n - 1, 0, -1):
-            cur = _fm_eliminate(cur, k)
-            levels[k - 1] = cur
+        chain = _fm_chain(rows, n)
     except _FMContradiction:
         return []
-
-    out: list[Vec] = []
-    point = [0] * n
-
-    def descend(level: int) -> None:
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for a, c in levels[level]:
-            coef = a[level]
-            resid = c - sum(a[i] * point[i] for i in range(level))
-            if coef > 0:
-                val = Fraction(resid, coef)
-                lo = val if lo is None else max(lo, val)
-            elif coef < 0:
-                val = Fraction(resid, coef)
-                hi = val if hi is None else min(hi, val)
-            elif resid > 0:
-                return
-        if lo is None or hi is None:
-            # globally bounded, so this cannot happen on a feasible branch
-            glo, ghi = bounds[level]
-            lo = glo if lo is None else lo
-            hi = ghi if hi is None else hi
-        for value in range(_ceil(lo), _floor(hi) + 1):
-            point[level] = value
-            if level == n - 1:
-                out.append(tuple(point))
-            else:
-                descend(level + 1)
-
-    descend(0)
-    return out
+    # Entry k is the projection onto x_0..x_k, so x_k is bounded above (below)
+    # over a prefix exactly when entry k has a row with a negative (positive)
+    # coefficient on it, whatever the prefix: a nonempty polyhedron is bounded
+    # iff every entry has both.
+    if not all({a[k] > 0 for a, _ in entry if a[k]} == {True, False} for k, entry in enumerate(chain)):
+        raise UnboundedPolyhedronError("polyhedron has an unbounded direction")
+    return _descend(chain)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 import sympy
@@ -29,6 +29,7 @@ from torrigid.lattice import (
     rational_rank,
     smith_normal_form,
     solve_diophantine,
+    variable_bounds,
 )
 
 SQUARE_CONE_RAYS = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
@@ -112,6 +113,14 @@ class TestSmithNormalForm:
             snf = smith_normal_form(m)
             check_decomposition(m, snf)
             assert list(snf.invariant_factors) == invariant_factors_oracle(m)
+
+    def test_solve_rejects_long_rhs(self):
+        with pytest.raises(ValueError, match="length 3, expected 2"):
+            smith_normal_form([[1, 0], [0, 1]]).solve([3, 4, 99])
+
+    def test_solve_rejects_short_rhs(self):
+        with pytest.raises(ValueError, match="length 1, expected 2"):
+            solve_diophantine([[1, 0], [0, 1]], [3])
 
 
 class TestIntegerKernel:
@@ -421,6 +430,107 @@ class TestLatticePoints:
             lattice_points(sys)
 
 
+def test_unbounded_with_integer_free_bounded_coordinate():
+    # x1 is confined to [-8/5, -3/2], which holds no integer; x0 and x2 are not
+    sys = AffineSystem(3, (), (((2, 1, 2), -2), ((-2, -3, -2), 5), ((-3, 1, -3), -1)))
+    assert integer_feasible(sys, 2) == Infeasible()
+    with pytest.raises(UnboundedPolyhedronError):
+        lattice_points(sys)
+
+
+def test_unbounded_without_integer_points():
+    # 2x - 4y = 1 as two inequalities: a rational line without integer points
+    sys = AffineSystem(2, (), (((2, -4), 1), ((-2, 4), -1)))
+    assert integer_feasible(sys, 3) == BoundExceeded(3)
+    with pytest.raises(UnboundedPolyhedronError):
+        lattice_points(sys)
+
+
+def shell_scan(system, search_bound):
+    """The shell scan that integer_feasible used before the shared descent,
+    kept as an oracle for it: (answer, points).
+
+    The free coordinates t of u = origin + B*t get their integer ranges from
+    the Fourier-Motzkin bounds, cut to [-search_bound, search_bound] on an
+    unbounded side.  ``points`` lists every solution u in those ranges by the
+    shells |t|_inf = 0, 1, 2, ... up to the search radius, each shell scanned
+    over the whole clipped box in lexicographic order; ``answer`` is what
+    integer_feasible returns.
+    """
+    n = system.num_vars
+    if system.equalities:
+        sol = solve_diophantine(
+            [a for a, _ in system.equalities], [c for _, c in system.equalities]
+        )
+        if sol is None:
+            return Infeasible(), []
+        origin, basis = sol
+    else:
+        origin, basis = (0,) * n, [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if not basis:
+        return (Witness(origin), [origin]) if system.satisfied_by(origin) else (Infeasible(), [])
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    rows = [
+        (tuple(dot(a, b) for b in basis), c - dot(a, origin)) for a, c in system.inequalities
+    ]
+    bounds = variable_bounds(rows, len(basis))
+    if bounds is None:
+        return Infeasible(), []
+    ranges = []
+    for lo, hi in bounds:
+        ilo = ceil(lo) if lo is not None else -search_bound
+        ihi = floor(hi) if hi is not None else search_bound
+        if ilo > ihi:
+            if lo is not None and hi is not None:
+                return Infeasible(), []
+            return BoundExceeded(search_bound), []
+        ranges.append((ilo, ihi))
+    bounded = all(lo is not None and hi is not None for lo, hi in bounds)
+    radius_cap = max(max(abs(lo), abs(hi)) for lo, hi in ranges) if bounded else search_bound
+    points = []
+    for radius in range(radius_cap + 1):
+        box = [range(max(lo, -radius), min(hi, radius) + 1) for lo, hi in ranges]
+        for t in itertools.product(*box):
+            if max(map(abs, t)) == radius and all(dot(a, t) >= c for a, c in rows):
+                points.append(
+                    tuple(o + sum(b[i] * x for b, x in zip(basis, t)) for i, o in enumerate(origin))
+                )
+    if points:
+        return Witness(points[0]), points
+    return (Infeasible() if bounded else BoundExceeded(search_bound)), []
+
+
+@st.composite
+def affine_systems(draw):
+    """1-4 variables, coefficients in [-3, 3], 0-2 equalities, 0-5 inequalities."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-6, 6))
+    return AffineSystem(
+        n,
+        tuple(draw(st.lists(row, max_size=2))),
+        tuple(draw(st.lists(row, max_size=5))),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(affine_systems(), st.integers(1, 4))
+def test_descent_matches_shell_scan(system, search_bound):
+    answer, points = shell_scan(system, search_bound)
+    assert integer_feasible(system, search_bound) == answer
+    rows = [(a, c) for a, c in system.equalities]
+    rows += [(tuple(-x for x in a), -c) for a, c in system.equalities]
+    rows += list(system.inequalities)
+    bounds = variable_bounds(rows, system.num_vars)
+    if bounds is not None and any(lo is None or hi is None for lo, hi in bounds):
+        with pytest.raises(UnboundedPolyhedronError):
+            lattice_points(system)
+    else:  # bounded, so the scan covered every solution
+        assert lattice_points(system) == sorted(points)
+
+
 def test_int_rank_matches_fraction_elimination():
     from torrigid.lattice import rref
 
@@ -501,6 +611,21 @@ def sympy_rank(m):
 @example([[0, 0, 1, 0], [0, 0, 2, 1], [-2, -1, -3, -1]])
 def test_int_rank_matches_sympy(m):
     assert int_rank(m) == sympy_rank(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 0, 0, -7, -2, -1, 1, 3, 10**6)), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_int_det_matches_sympy(m):
+    # mostly zeros, so that pivots need row swaps and many matrices are singular
+    assert int_det(m) == (sympy.Matrix(m).det() if m else 1)
 
 
 def _counting_bareiss(monkeypatch):
