@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .localcoh import cech_piece, h2_via_graph, local_coh_piece, negative
 from .rigidity import (
@@ -439,7 +440,10 @@ def cmd_check_fan(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="torrigid",
         description=(

@@ -8,12 +8,14 @@ the same dimensions from the fine strand of a Cech complex on the ideal
 generators, with no simplicial conventions involved; the two must always
 agree, and the test suite enforces that on randomized inputs.
 
-Every piece is looked up the same way: the degree goes to its sign pattern
-through a small bounded cache of recent degrees (``_negative``), and the
-pattern keys the caches of complexes, cohomology and restriction maps
-(``_pattern``, ``_basis``, ``_restriction``) and of the Cech strand
-(``_cech_dims``).  A sweep that asks for every piece of one degree in turn
-computes its pattern once.
+Every piece is looked up the same way: a small bounded cache of recent
+(ideal, degree) pairs (``_degree``) gives the record of the degree's sign
+pattern (``_pattern``).  The record holds the complex, its cohomology
+dimensions, one shared piece per cochain degree and, once the oracle has
+asked for it, the Cech strand.  The pattern also keys the caches of bases
+and restriction maps (``_basis``, ``_restriction``).  A sweep that asks for
+every piece of one degree in turn computes its pattern once, and every other
+lookup of the degree is one cache hit.
 
 All cohomology is over the exact rationals.
 """
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import int_rank, rational_kernel, rational_rank, rref
@@ -42,25 +44,27 @@ def _check_proper(b: SquarefreeMonomialIdeal) -> None:
         raise DegenerateIdealError("unit ideal")
 
 
-def _check_degree(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> None:
-    if i < 0 or len(p) != b.num_vars:
-        _check_proper(b)  # a degenerate ideal takes precedence
-    if i < 0:
-        raise ValueError("cohomological index must be >= 0")
-    if len(p) != b.num_vars:
-        raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
+def _reject_index(b: SquarefreeMonomialIdeal) -> NoReturn:
+    _check_proper(b)  # a degenerate ideal takes precedence
+    raise ValueError("cohomological index must be >= 0")
 
 
 def negative(p: Sequence[int]) -> frozenset[int]:
     """Indices where the multidegree is negative."""
-    return _negative(tuple(p))
+    return frozenset([i for i, x in enumerate(p) if x <= -1])
 
 
 @lru_cache(maxsize=64)
-def _negative(p: tuple[int, ...]) -> frozenset[int]:
-    """The sign pattern of a degree tuple.  A sweep asks for every piece of a
-    degree in turn, so a few recent degrees are all that is worth keeping."""
-    return frozenset([i for i, x in enumerate(p) if x <= -1])
+def _degree(b: SquarefreeMonomialIdeal, p: tuple[int, ...]) -> _SignPattern:
+    """The record of a degree's sign pattern.  A sweep asks for every piece
+    of a degree in turn, so a few recent degrees are all that is worth
+    keeping.  The degree is checked on a miss only; a bad degree or a
+    degenerate ideal raises on every call, because exceptions are not
+    cached."""
+    if len(p) != b.num_vars:
+        _check_proper(b)  # a degenerate ideal takes precedence
+        raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
+    return _pattern(b, negative(p))
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +131,21 @@ def t_complex(b: SquarefreeMonomialIdeal, i_set) -> SimplicialComplex:
     Generators j_1..j_k span a face when some variable in the set divides
     none of them.  The empty variable set gives the void complex.
     """
-    return _pattern(b, frozenset(i_set))[0]
+    return _pattern(b, frozenset(i_set)).complex
 
 
 @lru_cache(maxsize=None)
-def _pattern(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> tuple[SimplicialComplex, dict]:
-    """The complex of a sign pattern and its reduced cohomology dimensions:
-    everything a graded piece depends on.  A degenerate ideal raises here,
-    on every call, because exceptions are not cached."""
+def _pattern(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> _SignPattern:
+    """The record of a sign pattern: everything a graded piece depends on.
+    A degenerate ideal raises here, on every call, because exceptions are
+    not cached."""
     _check_proper(b)
     facets = [
         frozenset(j for j, g in enumerate(b.generators) if var not in g)
         for var in sorted(pattern)
     ]
     kompl = SimplicialComplex(tuple(range(len(b.generators))), tuple(facets))
-    return kompl, _cohomology_dims(kompl)
+    return _SignPattern(pattern, kompl, _cohomology_dims(kompl))
 
 
 def _coboundary(kompl: SimplicialComplex, q: int) -> tuple[list[frozenset[int]], list[list[int]]]:
@@ -204,7 +208,8 @@ def _basis(b: SquarefreeMonomialIdeal, pattern: frozenset[int], q: int):
     coboundary pivots.  So a cocycle reduced modulo ``bnd`` is a combination
     of the reps whose coefficients are its entries at ``rep_pivots``.
     """
-    kompl, dims = _pattern(b, pattern)
+    record = _pattern(b, pattern)
+    kompl, dims = record.complex, record.dims
     lower, rows = _coboundary(kompl, q)
     # rows of the (q-1)-coboundary matrix are indexed by q-faces, so its
     # columns are the coboundary vectors inside C^q
@@ -217,16 +222,39 @@ def _basis(b: SquarefreeMonomialIdeal, pattern: frozenset[int], q: int):
 
 
 class GradedPiece:
-    """A finite-dimensional piece of a graded module."""
+    """A finite-dimensional piece of a graded module.  Pieces are shared
+    between lookups, so they are immutable."""
 
     __slots__ = ("complex", "dimension")
 
     def __init__(self, kompl: SimplicialComplex, dimension: int) -> None:
-        self.complex = kompl
-        self.dimension = dimension
+        object.__setattr__(self, "complex", kompl)
+        object.__setattr__(self, "dimension", dimension)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GradedPiece is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GradedPiece is immutable: cannot delete {name!r}")
 
     def __repr__(self) -> str:
         return f"GradedPiece(dim={self.dimension})"
+
+
+class _SignPattern:
+    """The complex of a sign pattern, its reduced cohomology dimensions and
+    one piece per cochain degree (``zero`` for every other degree), and the
+    Cech strand dimensions, None until ``cech_piece`` first asks for them."""
+
+    __slots__ = ("pattern", "complex", "dims", "pieces", "zero", "strand")
+
+    def __init__(self, pattern: frozenset[int], kompl: SimplicialComplex, dims: dict) -> None:
+        self.pattern = pattern
+        self.complex = kompl
+        self.dims = dims
+        self.pieces = {q: GradedPiece(kompl, d) for q, d in dims.items()}
+        self.zero = GradedPiece(kompl, 0)
+        self.strand: dict | None = None
 
 
 def reduced_cohomology(kompl: SimplicialComplex, degree: int) -> GradedPiece:
@@ -240,9 +268,10 @@ def local_coh_piece(
     """The degree-p piece of the i-th local cohomology of the polynomial ring
     supported at the ideal: reduced cohomology of the sign-pattern complex in
     degree i - 2."""
-    _check_degree(b, i, p)
-    kompl, dims = _pattern(b, _negative(tuple(p)))
-    return GradedPiece(kompl, dims.get(i - 2, 0))
+    if i < 0:
+        _reject_index(b)
+    record = _degree(b, tuple(p))
+    return record.pieces.get(i - 2, record.zero)
 
 
 @dataclass(frozen=True)
@@ -278,8 +307,8 @@ def _restriction(
     Multiplying by a monomial from degree p to p + a is this map for the
     patterns of p and p + a: restrictions compose, so the matrix depends on
     the two patterns only, not on the path or the degrees."""
-    sdim = _pattern(b, src_pattern)[1].get(q, 0)
-    tdim = _pattern(b, tgt_pattern)[1].get(q, 0)
+    sdim = _pattern(b, src_pattern).dims.get(q, 0)
+    tdim = _pattern(b, tgt_pattern).dims.get(q, 0)
     if sdim == 0 or tdim == 0:
         return tuple(tuple(Fraction(0) for _ in range(sdim)) for _ in range(tdim))
     src_faces, src_reps, *_ = _basis(b, src_pattern, q)
@@ -300,12 +329,13 @@ def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> Mu
     if not 0 <= j < b.num_vars:
         _check_proper(b)  # a degenerate ideal takes precedence
         raise ValueError("variable index out of range")
-    _check_degree(b, i, p)
-    src_pattern = _negative(tuple(p))
-    tgt_pattern = src_pattern - {j} if p[j] == -1 else src_pattern
-    matrix = _restriction(b, i - 2, src_pattern, tgt_pattern)
+    if i < 0:
+        _reject_index(b)
+    src = _degree(b, tuple(p))
+    tgt_pattern = src.pattern - {j} if p[j] == -1 else src.pattern
+    matrix = _restriction(b, i - 2, src.pattern, tgt_pattern)
     return MultMap(
-        source_dimension=_pattern(b, src_pattern)[1].get(i - 2, 0),
+        source_dimension=src.dims.get(i - 2, 0),
         target_dimension=len(matrix),
         matrix=matrix,
     )
@@ -315,12 +345,9 @@ def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> Mu
 # The Cech oracle
 
 
-@lru_cache(maxsize=None)
-def _cech_dims(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> dict:
+def _cech_strand(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> dict:
     """Cohomology dimensions of the fine strand of the Cech complex on the
-    generators, for the sign pattern of negative coordinates.  A degenerate
-    ideal raises here, on every call, because exceptions are not cached."""
-    _check_proper(b)
+    generators, for the sign pattern of negative coordinates."""
     supports = b.generators
     s = len(supports)
     union: dict[frozenset[int], frozenset[int]] = {}
@@ -364,9 +391,15 @@ def _cech_dims(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> dict:
 def cech_piece(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> int:
     """Dimension of the degree-p strand of local cohomology computed from the
     Cech complex on the generators; independent of the simplicial route and
-    must agree with it everywhere."""
-    _check_degree(b, i, p)
-    return _cech_dims(b, _negative(tuple(p))).get(i, 0)
+    must agree with it everywhere.  The strand is kept in the pattern's
+    record but computed here, on first use, from the generators alone."""
+    if i < 0:
+        _reject_index(b)
+    record = _degree(b, tuple(p))
+    strand = record.strand
+    if strand is None:
+        strand = record.strand = _cech_strand(b, record.pattern)
+    return strand.get(i, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .lattice import (
     lattice_points,
     rref,
 )
-from .localcoh import _negative, _pattern, _restriction, local_coh_piece
+from .localcoh import _degree, _restriction, local_coh_piece
 from .rigidity import (
     Hypothesis,
     RigidityCertificate,
@@ -174,20 +174,22 @@ def _kernel_dim(b, i: int, key: Vec, source_shifts, target_shifts, coef, kernels
     A multiplication map depends on its two degrees only through their sign
     patterns, so for fixed coefficients the kernel depends only on the sign
     signature of the degrees: it is ranked once per signature and kept in
-    ``kernels``, which the caller owns."""
-    src = tuple(_negative(_translate(key, d)) for d in source_shifts)
-    dims = [_pattern(b, s)[1].get(i - 2, 0) for s in src]
+    ``kernels``, which the caller owns, keyed by the sign-pattern records of
+    the degrees (one record per pattern)."""
+    src = tuple(_degree(b, _translate(key, d)) for d in source_shifts)
+    dims = [s.dims.get(i - 2, 0) for s in src]
     if not any(dims):
         return 0
-    tgt = tuple(_negative(_translate(key, d)) for d in target_shifts)
+    tgt = tuple(_degree(b, _translate(key, d)) for d in target_shifts)
     if (src, tgt) not in kernels:
         rows: list[list[Fraction]] = []
-        for t, pattern in enumerate(tgt):
-            tdim = _pattern(b, pattern)[1].get(i - 2, 0)
+        for t, record in enumerate(tgt):
+            tdim = record.dims.get(i - 2, 0)
             if not tdim:
                 continue
             blocks = [
-                [[coef[t][s] * x for x in row] for row in _restriction(b, i - 2, src[s], pattern)]
+                [[coef[t][s] * x for x in row]
+                 for row in _restriction(b, i - 2, src[s].pattern, record.pattern)]
                 if coef[t][s] and dims[s]
                 else [[0] * dims[s]] * tdim
                 for s in range(len(src))

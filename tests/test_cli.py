@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from torrigid.cli import main
+import torrigid
+from torrigid.cli import build_parser, main
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 
@@ -324,3 +328,24 @@ class TestReportContract:
         code, out, _ = run(capsys, "t1", FANS / "square_cone.json")
         assert code == 0
         assert "total: 1" in out
+
+    def test_one_parser_per_process(self, capsys):
+        # the parser is built once; commands run one after another in one
+        # process print what fresh processes print
+        commands = [
+            ["check-fan", FANS / "p2.json", "--format", "json"],
+            ["localcoh", FANS / "square_faces.json", "--i", "3", "--p=-1,-1,-1,-1", "--oracle"],
+            ["check-fan", FANS / "p2.json"],
+            ["rigidity", FANS / "p2.json", "--criterion", "fano"],
+            ["t1", FANS / "square_cone.json", "--format", "json"],
+        ]
+        src = str(Path(torrigid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "torrigid.cli", *map(str, argv)],
+                capture_output=True, env=env, check=False,
+            )
+            assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert build_parser() is build_parser()

@@ -6,13 +6,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from torrigid import localcoh
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.localcoh import (
     DegenerateIdealError,
     GradedPiece,
     SimplicialComplex,
-    _cech_dims,
-    _negative,
+    _degree,
     _pattern,
     _restriction,
     alexander_dual,
@@ -448,17 +448,76 @@ def test_graded_piece_has_no_dict():
         piece.extra = 0
 
 
-def test_one_lookup_per_degree_and_pattern():
-    # a sweep that asks for every piece of a degree in turn computes its sign
-    # pattern once, and each pattern's complex and Cech strand once
+def test_graded_piece_is_immutable():
+    # pieces are shared between lookups: a mutation must fail and leave the
+    # cached piece as it was
+    for i, dim in ((2, 1), (5, 0)):
+        piece = local_coh_piece(XY, i, (-1, -1))
+        for name, value in (("dimension", dim + 7), ("complex", t_complex(XY, {0}))):
+            with pytest.raises(AttributeError):
+                setattr(piece, name, value)
+        with pytest.raises(AttributeError):
+            del piece.dimension
+        again = local_coh_piece(XY, i, [-1, -1])
+        assert (again.complex, again.dimension) == (t_complex(XY, {0, 1}), dim)
+        assert (piece.complex, piece.dimension) == (again.complex, again.dimension)
+    assert GradedPiece.__slots__ == ("complex", "dimension")
+
+
+def _value(x):
+    return (x.complex, x.dimension) if isinstance(x, GradedPiece) else x
+
+
+@pytest.mark.parametrize(
+    "call",
+    [local_coh_piece, cech_piece, lambda b, i, p: mult_map(b, i, p, 0)],
+    ids=["local_coh_piece", "cech_piece", "mult_map"],
+)
+def test_degree_checks_fire_on_every_call(call):
+    # the degree is checked when it is looked up, on a cache miss; a bad
+    # call must raise every time, also when the same degree tuple is cached
+    # for another ideal whose variable count matches its length
+    b2, b3 = XY, ideal(3, {0}, {1, 2})
+    p = (-1, 0, 1)
+    call(b3, 2, p)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="length 3, expected 2"):
+            call(b2, 2, p)
+        with pytest.raises(ValueError, match="length 2, expected 3"):
+            call(b3, 2, p[:2])
+        with pytest.raises(ValueError, match="cohomological index"):
+            call(b3, -1, p)
+    # a degenerate ideal takes precedence over both errors
+    for degenerate in (ideal(3), ideal(3, set())):
+        for i, q in ((2, p), (-1, p), (2, p[:2]), (-1, p[:2])) * 2:
+            with pytest.raises(DegenerateIdealError):
+                call(degenerate, i, q)
+    for i in range(4):
+        assert _value(call(b3, i, list(p))) == _value(call(b3, i, p))
+
+
+def test_one_lookup_per_degree_and_pattern(monkeypatch):
+    # a sweep that asks for every piece of a degree in turn looks the degree
+    # up once and hits the degree cache after that, builds each sign
+    # pattern's record once and computes each Cech strand once
     b = ideal(4, {0, 1}, {1, 2, 3}, {0, 3})
-    for cache in (_negative, _pattern, _cech_dims):
+    strands = []
+    cech_strand = localcoh._cech_strand
+
+    def counted(b, pattern):
+        strands.append(pattern)
+        return cech_strand(b, pattern)
+
+    monkeypatch.setattr(localcoh, "_cech_strand", counted)
+    for cache in (_degree, _pattern):
         cache.cache_clear()
     degrees = list(itertools.product(range(-2, 3), repeat=4))
     for p in degrees:
         for i in range(5):
             assert local_coh_piece(b, i, p).dimension == cech_piece(b, i, p)
-    assert _negative.cache_info().misses == len(degrees)
-    assert _negative.cache_info().hits == len(degrees) * (2 * 5 - 1)
-    assert _negative.cache_info().maxsize == 64
-    assert _pattern.cache_info().misses == _cech_dims.cache_info().misses == 2**4
+    assert _degree.cache_info().misses == len(degrees)
+    assert _degree.cache_info().hits == len(degrees) * (2 * 5 - 1)
+    assert _degree.cache_info().maxsize == 64
+    assert _pattern.cache_info().misses == 2**4
+    assert _pattern.cache_info().hits == len(degrees) - 2**4
+    assert len(strands) == len(set(strands)) == 2**4
