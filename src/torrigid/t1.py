@@ -52,7 +52,6 @@ from .toric import (
     _is_vertex,
     affine_cone,
     class_group,
-    degree_zero_membership,
     faces,
     gorenstein,
     irrelevant_ideal,
@@ -549,9 +548,9 @@ def cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
         )
     cox = class_group(fan)
     ref = poly.terms[0][1]
+    degree = cox.class_of(ref)
     for _, e in poly.terms[1:]:
-        diff = tuple(a - bb for a, bb in zip(e, ref))
-        if degree_zero_membership(cox, diff) is None:
+        if cox.class_of(e) != degree:
             raise ValueError(f"terms {ref} and {e} have different class degrees")
     return poly
 
@@ -624,13 +623,8 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
         )
     if poly.num_vars != m:
         raise ValueError("polynomial does not match the fan")
-    one = tuple([1] * m)
-    bad_exp = None
-    for _, e in poly.terms:
-        diff = tuple(a - bb for a, bb in zip(e, one))
-        if degree_zero_membership(cox, diff) is None:
-            bad_exp = e
-            break
+    anticanonical = cox.class_of((1,) * m)
+    bad_exp = next((e for _, e in poly.terms if cox.class_of(e) != anticanonical), None)
     hyps.append(
         Hypothesis(
             "degree_anticanonical",
@@ -656,6 +650,10 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
     terms = [(c.numerator * (scale // c.denominator), e) for c, e in poly.terms]
     rows = []
     for k in range(m):
+        # the terms of the partial derivative by x_k, as (c * e_k, e - e_k)
+        derivative = [(c * e[k], tuple(x - (j == k) for j, x in enumerate(e))) for c, e in terms if e[k]]
+        if not derivative:
+            continue
         mult_system = AffineSystem(
             num_vars=n,
             inequalities=tuple(
@@ -668,15 +666,9 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
                 for j, v in enumerate(rays)
             )
             row = [0] * len(monomials)
-            hit = False
-            for c, e in terms:
-                if e[k] == 0:
-                    continue
-                target = tuple(g + x - (1 if j == k else 0) for j, (g, x) in enumerate(zip(gamma, e)))
-                row[index[target]] += c * e[k]
-                hit = True
-            if hit:
-                rows.append(row)
+            for c, e in derivative:
+                row[index[tuple(map(add, gamma, e))]] += c
+            rows.append(row)
     rank = int_rank(rows)
     return CyReport(
         dimension=len(monomials) - rank,

@@ -12,17 +12,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import inf, lcm
+from functools import lru_cache, partial
+from math import gcd, inf, lcm
+from operator import mul
 from typing import Sequence
 
 from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import (
     SmithDecomposition,
     Vec,
+    _adjugate,
     cone_contains,
     cone_is_pointed,
     content,
+    int_det,
     int_rank,
     primitive,
     rational_feasible,
@@ -88,7 +91,9 @@ def validate_fan(rays, max_cones, name: str = "") -> Fan:
     Non-primitive rays are normalized with a warning; rays that coincide
     after normalization, non-pointed cones, a listed ray that is not
     extremal in its cone, out-of-range indices and an empty cone list are
-    rejected.
+    rejected.  A listed cone whose rays all belong to another listed cone
+    is dropped with a warning when it is a face of that cone (which leaves
+    the irrelevant ideal unchanged) and rejected otherwise.
     """
     if not rays:
         raise FanValidationError("fan needs at least one ray")
@@ -109,21 +114,30 @@ def validate_fan(rays, max_cones, name: str = "") -> Fan:
             raise FanValidationError(f"rays {i} and {j} coincide after normalization")
     if not max_cones:
         raise FanValidationError("fan needs at least one cone")
-    cones: list[frozenset[int]] = []
+    independent: dict[frozenset[int], bool] = {}  # listed cone -> rays independent
     for cone in max_cones:
         idx = frozenset(cone)
         for i in idx:
             if not 0 <= i < len(prim):
                 raise FanValidationError(f"cone {sorted(idx)} has out-of-range ray index {i}")
         gens = [prim[i] for i in sorted(idx)]
+        independent[idx] = int_rank(gens) == len(gens)
+        if independent[idx]:  # independent rays are pointed and extremal
+            continue
         if not cone_is_pointed(gens):
             raise FanValidationError(f"cone {sorted(idx)} is not pointed")
-        if int_rank(gens) < len(gens):  # independent rays are always extremal
-            for i in sorted(idx):
-                if cone_contains([prim[j] for j in idx - {i}], prim[i]):
-                    raise FanValidationError(f"ray {i} is not extremal in cone {sorted(idx)}")
-        if idx not in cones:
+        for i in sorted(idx):
+            if cone_contains([prim[j] for j in idx - {i}], prim[i]):
+                raise FanValidationError(f"ray {i} is not extremal in cone {sorted(idx)}")
+    cones: list[frozenset[int]] = []
+    for idx in independent:
+        outer = next((o for o in independent if idx < o), None)
+        if outer is None:
             cones.append(idx)
+        elif independent[outer] or idx in _faces_of(tuple(prim), outer):
+            warnings.append(f"cone {sorted(idx)} is a face of cone {sorted(outer)}; dropped")
+        else:
+            raise FanValidationError(f"cone {sorted(idx)} lies in cone {sorted(outer)} but is not a face of it")
     return Fan(tuple(prim), tuple(cones), name=name, warnings=tuple(warnings))
 
 
@@ -166,33 +180,36 @@ def is_simplicial(cone: Cone) -> bool:
 
 
 def is_smooth(cone: Cone) -> bool:
-    """Smooth means the rays extend to a basis of the ambient lattice."""
-    if not cone.indices:
-        return True
-    if not is_simplicial(cone):
-        return False
-    snf = smith_normal_form(cone.ray_vectors)
-    return all(f == 1 for f in snf.invariant_factors if f != 0) and snf.rank == len(
-        cone.indices
-    )
+    """Smooth means the rays extend to a basis of the ambient lattice: the
+    k x k minors of the k rays have gcd 1.  That gcd is the product of the
+    invariant factors, and 0 when the rays are dependent."""
+    rays = cone.ray_vectors
+    g = 0
+    for cols in itertools.combinations(range(cone.fan.ambient_rank), len(rays)):
+        g = gcd(g, int_det([[v[c] for c in cols] for v in rays]))
+        if g == 1:
+            return True
+    return False
 
 
-def _face_cones(obj: Fan | Cone) -> list[Cone]:
-    if isinstance(obj, Fan):
-        return obj.cones()
-    return [obj.fan.cone(f) for f in faces(obj)]
+def _least_dim_without(obj: Fan | Cone, good) -> int | float:
+    """Least dimension of a cone of ``obj`` (a fan's cones, or a cone's
+    faces) that is not ``good``; infinity when all are.  Every face of a
+    smooth or simplicial cone is again smooth or simplicial, so only the
+    faces of top cones that fail ``good`` are tested."""
+    fan, tops = (obj, obj.max_cones) if isinstance(obj, Fan) else (obj.fan, (obj.indices,))
+    candidates = {f for t in tops if not good(fan.cone(t)) for f in faces(fan.cone(t))}
+    return min((fan.cone(f).dim for f in candidates if not good(fan.cone(f))), default=inf)
 
 
 def singular_codim(obj: Fan | Cone) -> int | float:
     """Least dimension of a non-smooth cone (= codimension of its orbit
     closure); infinity when everything is smooth."""
-    dims = [c.dim for c in _face_cones(obj) if not is_smooth(c)]
-    return min(dims) if dims else inf
+    return _least_dim_without(obj, is_smooth)
 
 
 def simplicial_codim(obj: Fan | Cone) -> int | float:
-    dims = [c.dim for c in _face_cones(obj) if not is_simplicial(c)]
-    return min(dims) if dims else inf
+    return _least_dim_without(obj, is_simplicial)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +241,23 @@ class CoxData:
     def column_degree(self, j: int) -> Vec:
         return tuple(row[j] for row in self.grading_matrix)
 
+    def class_of(self, e: Sequence[int]) -> tuple[Vec, Vec]:
+        """Class of the divisor sum_j e_j D_j as (torsion part, free part).
+
+        With U * ray_matrix * V = D the class group Z^m / im(ray_matrix) is
+        Z^m / im(D) through e -> U e: the torsion part is (U e)_i mod d_i
+        over the invariant factors d_i > 1, which are the last of the first
+        ``ambient_rank`` since each divides the next, and the free part is
+        the grading matrix (the rows of U past the rank) times e.  Two
+        exponents have the same class exactly when their difference lies in
+        the row lattice of the rays."""
+        n = self.ambient_rank
+        rows = self.smith.u[n - len(self.torsion) : n]
+        return (
+            tuple(sum(map(mul, row, e)) % d for row, d in zip(rows, self.torsion)),
+            tuple(sum(map(mul, row, e)) for row in self.grading_matrix),
+        )
+
 
 def class_group(fan: Fan) -> CoxData:
     """Class group presentation from the ray matrix.
@@ -252,17 +286,6 @@ def class_group(fan: Fan) -> CoxData:
         torsion=torsion,
         smith=snf,
     )
-
-
-def degree_zero_membership(cox: CoxData, p: Vec) -> Vec | None:
-    """If p lies in the row lattice of the ray matrix, return the u with
-    p = (<u, v_j>)_j, else None.  This is exactly class-group degree zero."""
-    sol = cox.smith.solve(p)
-    if sol is None:
-        return None
-    u, basis = sol
-    assert not basis  # rays span, so the solution is unique
-    return u
 
 
 def irrelevant_ideal(fan: Fan) -> SquarefreeMonomialIdeal:
@@ -319,6 +342,19 @@ def gorenstein(cone: Cone) -> bool:
 # Completeness and the Fano property
 
 
+def _cone_probe(gens: Sequence[Vec]):
+    """Membership test for the cone on ``gens``.  For n independent rays in
+    rank n, x = R lam has lam = adj(R) x / det(R), where R holds the rays as
+    columns, so x lies in the cone exactly when sgn(det R) adj(R) x >= 0.
+    Other cones go through ``cone_contains``."""
+    if len(gens) != len(gens[0]):
+        return partial(cone_contains, gens)
+    adj = _adjugate(list(zip(*gens)))
+    sign = 1 if sum(map(mul, adj[0], gens[0])) > 0 else -1  # (adj(R) R)_00 = det R
+    rows = [[sign * a for a in row] for row in adj]
+    return lambda x: all(sum(map(mul, row, x)) >= 0 for row in rows)
+
+
 def is_complete(fan: Fan) -> bool:
     """Support covers the whole space.
 
@@ -329,22 +365,21 @@ def is_complete(fan: Fan) -> bool:
     n = fan.ambient_rank
     if not fan.max_cones:
         return False
-    for idx in fan.max_cones:
-        if int_rank([fan.rays[i] for i in idx]) != n:
-            return False
+    gens = [[fan.rays[i] for i in sorted(idx)] for idx in fan.max_cones]
+    if any(int_rank(g) != n for g in gens):
+        return False
     facet_count: dict[frozenset[int], int] = {}
     for idx in fan.max_cones:
         for f in faces(fan.cone(idx)):
-            if int_rank([fan.rays[i] for i in f]) == n - 1:
+            if len(f) >= n - 1 and int_rank([fan.rays[i] for i in f]) == n - 1:
                 facet_count[f] = facet_count.get(f, 0) + 1
     if not facet_count or any(c != 2 for c in facet_count.values()):
         return False
-    for signs in itertools.product((-1, 1), repeat=n):
-        if not any(
-            cone_contains([fan.rays[i] for i in idx], signs) for idx in fan.max_cones
-        ):
-            return False
-    return True
+    probes = [_cone_probe(g) for g in gens]
+    return all(
+        any(probe(signs) for probe in probes)
+        for signs in itertools.product((-1, 1), repeat=n)
+    )
 
 
 def _is_vertex(points: Sequence[Vec], i: int) -> bool:

@@ -34,6 +34,7 @@ from torrigid.rigidity import (
 )
 from torrigid.t1 import cox_polynomial, cy_t1, der_part_exact, t1_affine, t1_polygon
 from torrigid.toric import (
+    FanValidationError,
     WeightSystem,
     affine_cone,
     graph_gamma,
@@ -106,7 +107,10 @@ def random_small_fan(rng):
         relabel = {old: new for new, old in enumerate(used)}
         rays = [rays[i] for i in used]
         cones = [tuple(relabel[i] for i in c) for c in cones]
-        fan = validate_fan(rays, cones)
+        try:
+            fan = validate_fan(rays, cones)
+        except FanValidationError:  # a cone inside another but not a face of it
+            continue
         if not irrelevant_ideal(fan).is_unit:
             return fan
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import torrigid
+from torrigid import lattice, toric
 from torrigid.cli import build_parser, main
+from torrigid.lattice import SmithDecomposition
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 
@@ -97,6 +99,16 @@ class TestT1Command:
         report = json.loads(out)
         assert code == 2
         assert (report["total"], report["completeness"], report["homq_dimension"]) == (None, "inconclusive", None)
+
+    def test_listed_face_dropped(self, tmp_path, capsys):
+        # the square cone plus its edge [0, 1] is still one affine cone
+        f = tmp_path / "fan.json"
+        rays = [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]]
+        f.write_text(json.dumps({"rays": rays, "max_cones": [[0, 1, 2, 3], [0, 1]]}))
+        code, out, _ = run(capsys, "t1", f, "--format", "json")
+        report = json.loads(out)
+        assert (code, report["total"]) == (0, 1)
+        assert report["warnings"] == ["cone [0, 1] is a face of cone [0, 1, 2, 3]; dropped"]
 
     def test_non_extremal_ray_rejected(self, tmp_path, capsys):
         f = tmp_path / "fan.json"
@@ -311,6 +323,37 @@ class TestCheckFan:
             main(["check-fan", str(FANS / "p2.json"), "--bound", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
+
+
+class TestToricPredicateCalls:
+    """The toric predicates of ``cy`` and ``check-fan`` on simplicial fans
+    run on integer minors: no Smith solve per term, no Fourier-Motzkin
+    orthant probe."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"solve": 0, "cone_contains": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SmithDecomposition, "solve", counting("solve", SmithDecomposition.solve))
+        for module in (lattice, toric):
+            monkeypatch.setattr(module, "cone_contains", counting("cone_contains", module.cone_contains))
+        return counts
+
+    def test_cy(self, capsys, calls):
+        code, _, _ = run(capsys, "cy", FANS / "p4.json", FANS / "fermat_quintic.json")
+        assert code == 0
+        assert calls == {"solve": 0, "cone_contains": 0}
+
+    def test_check_fan(self, capsys, calls):
+        code, _, _ = run(capsys, "check-fan", FANS / "p4.json")
+        assert code == 0
+        assert calls["cone_contains"] == 0
 
 
 class TestReportContract:

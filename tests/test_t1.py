@@ -36,7 +36,6 @@ from torrigid.t1 import (
 from torrigid.toric import (
     affine_cone,
     class_group,
-    degree_zero_membership,
     irrelevant_ideal,
     singular_codim,
     smooth_subfan,
@@ -502,10 +501,13 @@ class TestCyT1:
     "name", ["weighted_simplex_1113", "third_cone", "a2_cone", "a3_cone", "p4"]
 )
 def test_degree_zero_membership_matches_solve_diophantine(name):
-    # class groups Z, Z/3, Z/3, Z/4 and Z; where there is torsion, a vector
-    # of free degree zero can still lie outside the row lattice of the rays
+    # p has class degree zero, class(p) = class(0), exactly when it lies in
+    # the row lattice of the rays.  Class groups Z, Z/3, Z/3, Z/4 and Z;
+    # where there is torsion, a vector of free degree zero can still lie
+    # outside that lattice
     fan, _ = load_fan(str(FANS / f"{name}.json"))
     cox = class_group(fan)
+    zero = cox.class_of((0,) * cox.num_rays)
     rng = random.Random(name)
     hits = 0
     for _ in range(200):
@@ -514,13 +516,24 @@ def test_degree_zero_membership_matches_solve_diophantine(name):
             p = tuple(sum(a * b for a, b in zip(u, v)) + rng.choice((0, 0, 1)) for v in fan.rays)
         else:
             p = tuple(rng.randint(-5, 5) for _ in range(cox.num_rays))
-        sol = solve_diophantine(fan.rays, p)
-        got = degree_zero_membership(cox, p)
-        assert got == (None if sol is None else sol[0]), p
-        if got is not None:
-            hits += 1
-            assert p == tuple(sum(a * b for a, b in zip(got, v)) for v in fan.rays)
+        in_row_lattice = solve_diophantine(fan.rays, p) is not None
+        assert (cox.class_of(p) == zero) == in_row_lattice, p
+        hits += in_row_lattice
     assert 0 < hits < 200
+
+
+def test_cox_polynomial_compares_torsion():
+    # rays (+-1, +-1): class group Z^2 + Z/2.  x1 and x4 differ by p(1/2, 1/2),
+    # so they share the free degree but not the torsion class
+    fan = validate_fan([(1, 1), (1, -1), (-1, 1), (-1, -1)], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    cox = class_group(fan)
+    assert cox.torsion == (2,)
+    x1, x4 = (1, 0, 0, 0), (0, 0, 0, 1)
+    assert cox.class_of(x1)[1] == cox.class_of(x4)[1]
+    assert cox.class_of(x1)[0] != cox.class_of(x4)[0]
+    with pytest.raises(ValueError, match="different class degrees"):
+        cox_polynomial(fan, [(1, x1), (1, x4)])
+    cox_polynomial(fan, [(1, (2, 0, 0, 0)), (1, (0, 0, 0, 2))])  # 2 p(1/2, 1/2) is integral
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 import itertools
+import math
+import random
 from math import inf
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from torrigid.cli import load_fan
+from torrigid.lattice import cone_contains, int_rank, smith_normal_form
 from torrigid.toric import (
+    Fan,
     FanValidationError,
     TorusFactorError,
     WeightSystem,
+    _cone_probe,
     affine_cone,
     class_group,
     faces,
@@ -30,6 +39,15 @@ from torrigid.toric import (
     wps_well_formed,
 )
 
+FANS = Path(__file__).resolve().parent.parent / "fans"
+SQUARE_RAYS = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+COMPLETE_FANS = ["f2", "p1xp3", "p2", "p3", "p4", "weighted_simplex_1113"]
+# the face fan of the cube: complete, with six non-simplicial maximal cones
+CUBE_RAYS = list(itertools.product((-1, 1), repeat=3))
+CUBE_CONES = [
+    [i for i, v in enumerate(CUBE_RAYS) if v[k] == s] for k in range(3) for s in (-1, 1)
+]
+
 
 class TestValidateFan:
     def test_p2(self, p2_fan):
@@ -52,6 +70,37 @@ class TestValidateFan:
     def test_empty_cone_list(self):
         with pytest.raises(FanValidationError):
             validate_fan([(1, 0)], [])
+
+    def test_listed_face_dropped(self):
+        # P2 plus the ray cone [0]: a listed face of a listed cone is dropped,
+        # so the fan stays complete
+        fan = validate_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2), (0,)])
+        assert fan.max_cones == (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
+        assert fan.warnings == ("cone [0] is a face of cone [0, 1]; dropped",)
+        assert is_complete(fan)
+        square = validate_fan(SQUARE_RAYS, [(0, 1), (0, 1, 2, 3), (0, 1)])
+        assert square.max_cones == (frozenset(range(4)),)
+        assert len(square.warnings) == 1
+
+    def test_nested_non_face_rejected(self):
+        # the diagonal [0, 2] lies in the square cone but is not a face of it
+        with pytest.raises(FanValidationError, match="cone \\[0, 2\\] lies in cone \\[0, 1, 2, 3\\]"):
+            validate_fan(SQUARE_RAYS, [(0, 1, 2, 3), (0, 2)])
+
+    def test_nested_cones_keep_the_irrelevant_ideal(self):
+        rng = random.Random(16)
+        checked = 0
+        while checked < 40:
+            rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 0), (0, -1, 1)]
+            cones = [tuple(sorted(rng.sample(range(6), rng.randint(1, 3)))) for _ in range(4)]
+            try:
+                fan = validate_fan(rays, cones)
+            except FanValidationError:
+                continue
+            kept = set(fan.max_cones)
+            assert all(any(frozenset(c) <= k for k in kept) for c in cones)
+            assert irrelevant_ideal(fan) == irrelevant_ideal(Fan(fan.rays, tuple(map(frozenset, cones))))
+            checked += 1
 
     def test_ray_not_extremal(self):
         # (1, 1) lies inside the cone of (1, 0) and (0, 1): the smooth plane,
@@ -97,7 +146,53 @@ class TestFaces:
                     assert sub in all_faces
 
 
+def smooth_by_smith(cone) -> bool:
+    """The Smith-form definition: the rays are independent and every
+    invariant factor of the ray matrix is 1."""
+    if not cone.indices:
+        return True
+    if not is_simplicial(cone):
+        return False
+    snf = smith_normal_form(cone.ray_vectors)
+    return all(f == 1 for f in snf.invariant_factors if f != 0) and snf.rank == len(cone.indices)
+
+
+@st.composite
+def ray_sets(draw):
+    """Rank 2-5; 0 to n + 1 nonzero rays, not necessarily primitive; with a
+    dependent ray appended now and then."""
+    n = draw(st.integers(2, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(tuple)
+    rays = draw(st.lists(vec, max_size=n + 1))
+    if len(rays) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        extra = tuple(a * x + b * y for x, y in zip(rays[0], rays[1]))
+        if any(extra):
+            rays.append(extra)
+    return n, rays
+
+
 class TestSmoothSimplicial:
+    @given(ray_sets())
+    def test_minors_match_smith_form(self, case):
+        n, rays = case
+        fan = Fan(tuple(rays) or ((1,) * n,), (frozenset(range(len(rays))),))
+        cone = fan.cone(range(len(rays)))
+        assert is_smooth(cone) == smooth_by_smith(cone)
+
+    def test_minors_match_smith_form_by_hand(self):
+        cases = [
+            ([], True),
+            ([(2, 0, 0)], False),  # not primitive
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], False),  # dependent
+            ([(1, 0, 0, 0), (1, 2, 0, 0)], False),
+            ([(1, 2, 3, 4, 5), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)], True),
+        ]
+        for rays, smooth in cases:
+            fan = Fan(tuple(rays) or ((1, 0),), (frozenset(range(len(rays))),))
+            cone = fan.cone(range(len(rays)))
+            assert is_smooth(cone) == smooth == smooth_by_smith(cone), rays
+
     def test_basic(self):
         assert is_smooth(affine_cone([(1, 0), (0, 1)]))
         a1 = affine_cone([(1, 0), (1, 2)])
@@ -129,6 +224,27 @@ class TestCodims:
     def test_square(self, square_cone):
         assert singular_codim(square_cone) == 3
         assert simplicial_codim(square_cone) == 3
+
+
+@st.composite
+def small_fans(draw):
+    """Rank 2 or 3, up to six distinct rays, one to four cones."""
+    n = draw(st.integers(2, 3))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(tuple)
+    rays = draw(st.lists(vec, min_size=1, max_size=6, unique=True))
+    cone = st.frozensets(st.integers(0, len(rays) - 1), min_size=1, max_size=n + 1)
+    return Fan(tuple(rays), tuple(draw(st.lists(cone, min_size=1, max_size=4))))
+
+
+class TestSingularCodim:
+    @given(small_fans())
+    def test_equals_all_faces_minimum(self, fan):
+        for codim, good in ((singular_codim, smooth_by_smith), (simplicial_codim, is_simplicial)):
+            assert codim(fan) == min((c.dim for c in fan.cones() if not good(c)), default=inf)
+            for idx in fan.max_cones:
+                cone = fan.cone(idx)
+                dims = [fan.cone(f).dim for f in faces(cone) if not good(fan.cone(f))]
+                assert codim(cone) == min(dims, default=inf)
 
 
 class TestClassGroup:
@@ -222,6 +338,47 @@ class TestCompleteFano:
     def test_p4(self, p4_fan):
         assert is_complete(p4_fan)
         assert is_fano(p4_fan)
+
+    def test_cube_face_fan(self):
+        assert is_complete(validate_fan(CUBE_RAYS, CUBE_CONES))
+        assert not is_complete(validate_fan(CUBE_RAYS, CUBE_CONES[1:]))
+
+
+def random_complete_plane_fan(rng: random.Random) -> Fan:
+    """Four to seven primitive rays, every angular gap below a half turn,
+    angularly adjacent rays spanning the maximal cones."""
+    while True:
+        rays = sorted(
+            {tuple(x // math.gcd(*v) for x in v) for v in
+             ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(4, 7))) if any(v)},
+            key=lambda v: math.atan2(v[1], v[0]),
+        )
+        m = len(rays)
+        pairs = [(k, (k + 1) % m) for k in range(m)]
+        if m >= 3 and all(
+            rays[a][0] * rays[b][1] - rays[a][1] * rays[b][0] > 0 for a, b in pairs
+        ):
+            return validate_fan(rays, pairs)
+
+
+def test_adjugate_probe_matches_cone_contains():
+    fans = [load_fan(str(FANS / f"{name}.json"))[0] for name in COMPLETE_FANS]
+    rng = random.Random(1616)
+    fans += [random_complete_plane_fan(rng) for _ in range(30)]
+    fans.append(validate_fan(CUBE_RAYS, CUBE_CONES))  # takes the fallback
+    checked = fallback = 0
+    for fan in fans:
+        n = fan.ambient_rank
+        assert is_complete(fan), fan.name
+        for idx in fan.max_cones:
+            gens = [fan.rays[i] for i in sorted(idx)]
+            assert int_rank(gens) == n
+            fallback += len(gens) > n
+            probe = _cone_probe(gens)
+            for signs in itertools.product((-1, 1), repeat=n):
+                assert probe(signs) == cone_contains(gens, signs), (fan.name, sorted(idx), signs)
+                checked += 1
+    assert checked > 900 and fallback == 6
 
 
 class TestWps:
