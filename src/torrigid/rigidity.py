@@ -18,7 +18,6 @@ from .lattice import (
     BoundExceeded,
     Vec,
     Witness,
-    rational_feasible,
 )
 from .lattice import integer_feasible as _integer_feasible
 from .toric import (
@@ -28,6 +27,7 @@ from .toric import (
     WeightSystem,
     _is_hull_face_fan,
     _is_vertex,
+    _lifted_faces,
     graph_gamma,
     graph_gamma_f,
     is_complete,
@@ -295,21 +295,10 @@ class Disconnected:
 
 
 def polytope_edge_graph(points: list[Vec]) -> set[frozenset[int]]:
-    """Edges of the convex hull of the given vertices, by exact feasibility:
-    a pair is an edge iff some covector peaks exactly on it."""
-    n = len(points[0])
-    edges: set[frozenset[int]] = set()
-    for i, j in itertools.combinations(range(len(points)), 2):
-        a, b = points[i], points[j]
-        rows = [(tuple(b[k] - a[k] for k in range(n)), 0)]
-        rows.append((tuple(a[k] - b[k] for k in range(n)), 0))
-        for l, w in enumerate(points):
-            if l in (i, j):
-                continue
-            rows.append((tuple(a[k] - w[k] for k in range(n)), 1))
-        if rational_feasible(rows, n):
-            edges.add(frozenset({i, j}))
-    return edges
+    """Edges of the convex hull of the given vertices: the pairs {i, j} on
+    which some covector peaks exactly, that is, the two-element faces of the
+    cone over the points placed at height one."""
+    return {f for f in _lifted_faces(points) if len(f) == 2}
 
 
 def polytope_halfspace_connectivity(

@@ -33,7 +33,6 @@ from .lattice import (
     int_det,
     int_rank,
     integer_feasible,
-    integer_kernel,
     lattice_points,
     rref,
 )
@@ -48,11 +47,11 @@ from .toric import (
     Cone,
     CoxData,
     Fan,
+    _facet_record,
     _is_hull_face_fan,
     _is_vertex,
     affine_cone,
     class_group,
-    faces,
     gorenstein,
     irrelevant_ideal,
     is_complete,
@@ -310,25 +309,9 @@ def hom_q_h3(
 
 
 def dual_cone_generators(cone: Cone) -> list[Vec]:
-    """Extreme rays of the dual cone, one per facet of the cone."""
+    """Extreme rays of the dual cone: the primitive inward facet normals."""
     _require_full_dim(cone)
-    n = cone.fan.ambient_rank
-    rays = cone.ray_vectors
-    gens: list[Vec] = []
-    for f in faces(cone):
-        fr = [cone.fan.rays[i] for i in sorted(f)]
-        if int_rank(fr) != n - 1:
-            continue
-        kernel = integer_kernel(fr) if fr else [tuple(1 if k == 0 else 0 for k in range(n))]
-        assert len(kernel) == 1
-        w = kernel[0]
-        values = [sum(a * bb for a, bb in zip(w, v)) for v in rays]
-        if all(x >= 0 for x in values):
-            gens.append(w)
-        else:
-            assert all(x <= 0 for x in values)
-            gens.append(tuple(-c for c in w))
-    return sorted(set(gens))
+    return sorted(_facet_record(cone.fan.rays, cone.indices).normals)
 
 
 def der_part_exact(
@@ -541,7 +524,9 @@ class CoxPolynomial:
 
 def cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
     """Build a polynomial and check all terms share one class degree."""
-    poly = CoxPolynomial(tuple((Fraction(c), tuple(e)) for c, e in terms))
+    poly = CoxPolynomial(
+        tuple((c if isinstance(c, Fraction) else Fraction(c), tuple(e)) for c, e in terms)
+    )
     if poly.num_vars != fan.num_rays:
         raise ValueError(
             f"exponents have length {poly.num_vars}, fan has {fan.num_rays} rays"

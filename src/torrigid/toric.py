@@ -2,34 +2,33 @@
 
 A fan is given by primitive ray generators in an ambient lattice plus its
 maximal cones as ray-index sets; this is the only geometric input the whole
-package consumes.  Face detection works by exact rational feasibility of a
-supporting-covector system, so no floating point convex hull machinery is
-involved.  Intended for desk-scale inputs (up to roughly 16 rays in rank 6).
+package consumes.  Every face predicate (faces, pointedness, extremality,
+hull vertices and edges, dual generators, cone membership) is read off one
+cached record per cone: its facets, each found as the cofactor vector of
+d - 1 of its rays (their signed (d-1)-minors, d the rank) that is
+one-signed on all rays.  So no floating point convex hull machinery and no
+Fourier-Motzkin elimination is involved.  Intended for desk-scale inputs
+(up to roughly 16 rays in rank 6).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import (
     SmithDecomposition,
     Vec,
-    _adjugate,
-    cone_contains,
-    cone_is_pointed,
     content,
     int_det,
     int_rank,
     primitive,
-    rational_feasible,
-    rational_solve,
     smith_normal_form,
 )
 
@@ -114,6 +113,7 @@ def validate_fan(rays, max_cones, name: str = "") -> Fan:
             raise FanValidationError(f"rays {i} and {j} coincide after normalization")
     if not max_cones:
         raise FanValidationError("fan needs at least one cone")
+    key = tuple(prim)
     independent: dict[frozenset[int], bool] = {}  # listed cone -> rays independent
     for cone in max_cones:
         idx = frozenset(cone)
@@ -124,17 +124,19 @@ def validate_fan(rays, max_cones, name: str = "") -> Fan:
         independent[idx] = int_rank(gens) == len(gens)
         if independent[idx]:  # independent rays are pointed and extremal
             continue
-        if not cone_is_pointed(gens):
+        # pointed: the empty set is a face; ray i is extremal: {i} is a face
+        cone_faces = _facet_record(key, idx).faces
+        if frozenset() not in cone_faces:
             raise FanValidationError(f"cone {sorted(idx)} is not pointed")
         for i in sorted(idx):
-            if cone_contains([prim[j] for j in idx - {i}], prim[i]):
+            if frozenset([i]) not in cone_faces:
                 raise FanValidationError(f"ray {i} is not extremal in cone {sorted(idx)}")
     cones: list[frozenset[int]] = []
     for idx in independent:
         outer = next((o for o in independent if idx < o), None)
         if outer is None:
             cones.append(idx)
-        elif independent[outer] or idx in _faces_of(tuple(prim), outer):
+        elif independent[outer] or idx in _facet_record(key, outer).faces:
             warnings.append(f"cone {sorted(idx)} is a face of cone {sorted(outer)}; dropped")
         else:
             raise FanValidationError(f"cone {sorted(idx)} lies in cone {sorted(outer)} but is not a face of it")
@@ -151,28 +153,83 @@ def affine_cone(rays, name: str = "") -> Cone:
 # Faces
 
 
-@lru_cache(maxsize=None)
-def _faces_of(rays: tuple[Vec, ...], indices: frozenset[int]) -> tuple[frozenset[int], ...]:
+def _independent(vectors: Sequence[Vec]) -> list[int]:
+    """Indices of the vectors that are independent of the ones before them."""
+    chosen: list[Vec] = []
+    out: list[int] = []
+    for i, v in enumerate(vectors):
+        if int_rank([*chosen, v]) > len(chosen):
+            chosen.append(v)
+            out.append(i)
+            if len(chosen) == len(v):
+                break
+    return out
+
+
+class _Facets(NamedTuple):
+    """Facets and faces of the cone on some rays.
+
+    ``facets[k]`` is the set of ray indices on which ``normals[k]`` vanishes.
+    The normals are primitive and >= 0 on every ray, in the coordinates kept
+    by ``_facet_record``: all coordinates when the rays span the space.
+    ``faces`` lists every face as a ray-index set, by (size, sorted indices).
+    """
+
+    facets: tuple[frozenset[int], ...]
+    normals: tuple[Vec, ...]
+    faces: tuple[frozenset[int], ...]
+
+
+@lru_cache(maxsize=256)
+def _facet_record(rays: tuple[Vec, ...], indices: frozenset[int]) -> _Facets:
+    """Facets and faces of the cone on ``rays[i]``, i in ``indices``.
+
+    Let d be the rank of the rays.  On d coordinates where the rays have
+    rank d the projection is injective on their span, so the faces do not
+    change.  There the cone is full-dimensional, every facet is spanned by
+    d - 1 independent rays, and the cofactor vector w of those rays (w_c is
+    (-1)^c times their minor without column c) is normal to it: the
+    hyperplane supports the cone exactly when w is one-signed on all rays.
+    Every face is an intersection of facets, the whole cone being the empty
+    intersection and the lineality rays the intersection of all, so the
+    faces are the closure of the facets under intersection.  When the rays
+    are independent every subset is a face.
+    """
     idx = sorted(indices)
-    out: list[frozenset[int]] = []
-    for r in range(len(idx) + 1):
-        for sub in itertools.combinations(idx, r):
-            rest = [i for i in idx if i not in sub]
-            rows = [(rays[i], 0) for i in sub] + [(tuple(-c for c in rays[i]), 0) for i in sub]
-            rows += [(rays[j], 1) for j in rest]
-            n = len(rays[0])
-            if rational_feasible(rows, n):
-                out.append(frozenset(sub))
-    return tuple(out)
+    vecs = [rays[i] for i in idx]
+    d = int_rank(vecs)
+    n = len(vecs[0]) if vecs else 0
+    coords = range(n) if d == n else _independent(list(zip(*vecs)))
+    proj = [[v[c] for c in coords] for v in vecs]
+    found: dict[frozenset[int], Vec] = {}
+    for sub in itertools.combinations(range(len(idx)), d - 1) if d else ():
+        if any(all(idx[k] in f for k in sub) for f in found):
+            continue  # those rays span a facet already found
+        rows = [proj[k] for k in sub]
+        w = [(-1) ** c * int_det([r[:c] + r[c + 1 :] for r in rows]) for c in range(d)]
+        values = [sum(map(mul, w, p)) for p in proj]
+        if not any(w) or min(values) < 0 < max(values):
+            continue
+        sign = 1 if max(values) > 0 else -1
+        found[frozenset(i for i, x in zip(idx, values) if x == 0)] = primitive([sign * a for a in w])
+    if d == len(idx):
+        faces = [frozenset(s) for r in range(d + 1) for s in itertools.combinations(idx, r)]
+    else:
+        closure = {frozenset(idx)}
+        for f in found:
+            closure |= {f & g for g in closure}
+        faces = sorted(closure, key=lambda s: (len(s), sorted(s)))
+    return _Facets(tuple(found), tuple(found.values()), tuple(faces))
 
 
 def faces(cone: Cone) -> tuple[frozenset[int], ...]:
     """All faces of the cone as ray-index sets, from the empty face up.
 
     A subset F is a face exactly when some covector vanishes on F and is
-    strictly positive on the remaining rays of the cone.
+    strictly positive on the remaining rays of the cone; the faces are the
+    intersections of the cone's facets (``_facet_record``).
     """
-    return _faces_of(cone.fan.rays, cone.indices)
+    return _facet_record(cone.fan.rays, cone.indices).faces
 
 
 def is_simplicial(cone: Cone) -> bool:
@@ -311,6 +368,22 @@ class QGorensteinCertificate:
             raise ValueError("index must be positive")
 
 
+def _level_covector(rays: Sequence[Vec]) -> tuple[Vec, int] | None:
+    """(z, d) with d > 0 and <z, v> = d for every ray v, or None when no
+    covector is constant on the rays, which must span.  For n independent
+    rays R, as rows, z = adj(R) (1, ..., 1) solves R z = det(R) (1, ..., 1),
+    and any covector constant on all rays is a multiple of it; by Cramer's
+    rule z_i is the determinant of R with column i replaced by ones."""
+    basis = [rays[i] for i in _independent(rays)]
+    z = [int_det([r[:i] + (1,) + r[i + 1 :] for r in basis]) for i in range(len(basis))]
+    d = sum(map(mul, z, basis[0]))  # det R
+    if d < 0:
+        z, d = [-a for a in z], -d
+    if any(sum(map(mul, z, v)) != d for v in rays):
+        return None
+    return tuple(z), d
+
+
 def q_gorenstein(cone: Cone) -> QGorensteinCertificate | None:
     """Certificate with <u0, v_i> = g for every ray, or None.
 
@@ -318,19 +391,14 @@ def q_gorenstein(cone: Cone) -> QGorensteinCertificate | None:
     is unique up to scaling whenever it exists.
     """
     rays = cone.ray_vectors
-    n = cone.fan.ambient_rank
-    if int_rank(rays) != n:
+    if int_rank(rays) != cone.fan.ambient_rank:
         raise ValueError("cone must be full-dimensional")
-    sol = rational_solve(rays, [Fraction(1)] * len(rays))
-    if sol is None:
+    level = _level_covector(rays)
+    if level is None:
         return None
-    denom = lcm(*(x.denominator for x in sol))
-    w = [int(x * denom) for x in sol]
-    c = content(w)
-    u0 = tuple(x // c for x in w)
-    g = denom // c
-    assert all(sum(a * b for a, b in zip(u0, v)) == g for v in rays)
-    return QGorensteinCertificate(covector=u0, index=g)
+    z, d = level
+    c = content(z)
+    return QGorensteinCertificate(covector=tuple(a // c for a in z), index=d // c)
 
 
 def gorenstein(cone: Cone) -> bool:
@@ -342,17 +410,11 @@ def gorenstein(cone: Cone) -> bool:
 # Completeness and the Fano property
 
 
-def _cone_probe(gens: Sequence[Vec]):
-    """Membership test for the cone on ``gens``.  For n independent rays in
-    rank n, x = R lam has lam = adj(R) x / det(R), where R holds the rays as
-    columns, so x lies in the cone exactly when sgn(det R) adj(R) x >= 0.
-    Other cones go through ``cone_contains``."""
-    if len(gens) != len(gens[0]):
-        return partial(cone_contains, gens)
-    adj = _adjugate(list(zip(*gens)))
-    sign = 1 if sum(map(mul, adj[0], gens[0])) > 0 else -1  # (adj(R) R)_00 = det R
-    rows = [[sign * a for a in row] for row in adj]
-    return lambda x: all(sum(map(mul, row, x)) >= 0 for row in rows)
+def _cone_probe(cone: Cone):
+    """Membership test for a full-dimensional cone: x lies in it exactly
+    when every inward facet normal is >= 0 on x."""
+    normals = _facet_record(cone.fan.rays, cone.indices).normals
+    return lambda x: all(sum(map(mul, w, x)) >= 0 for w in normals)
 
 
 def is_complete(fan: Fan) -> bool:
@@ -365,34 +427,29 @@ def is_complete(fan: Fan) -> bool:
     n = fan.ambient_rank
     if not fan.max_cones:
         return False
-    gens = [[fan.rays[i] for i in sorted(idx)] for idx in fan.max_cones]
-    if any(int_rank(g) != n for g in gens):
+    cones = [fan.cone(idx) for idx in fan.max_cones]
+    if any(c.dim != n for c in cones):
         return False
-    facet_count: dict[frozenset[int], int] = {}
-    for idx in fan.max_cones:
-        for f in faces(fan.cone(idx)):
-            if len(f) >= n - 1 and int_rank([fan.rays[i] for i in f]) == n - 1:
-                facet_count[f] = facet_count.get(f, 0) + 1
+    facet_count = Counter(f for idx in fan.max_cones for f in _facet_record(fan.rays, idx).facets)
     if not facet_count or any(c != 2 for c in facet_count.values()):
         return False
-    probes = [_cone_probe(g) for g in gens]
+    probes = [_cone_probe(c) for c in cones]
     return all(
         any(probe(signs) for probe in probes)
         for signs in itertools.product((-1, 1), repeat=n)
     )
 
 
+def _lifted_faces(points: Sequence[Sequence[int]]) -> tuple[frozenset[int], ...]:
+    """Faces of the cone over the points placed at height one: the faces
+    {i} are the hull's vertices, and the faces {i, j} its edges."""
+    return _facet_record(tuple((*p, 1) for p in points), frozenset(range(len(points)))).faces
+
+
 def _is_vertex(points: Sequence[Vec], i: int) -> bool:
     """Whether points[i] is a vertex of the hull: some u has <u, v> > <u, w>
-    for every other point w."""
-    v = points[i]
-    n = len(v)
-    rows = [
-        (tuple(v[k] - w[k] for k in range(n)), 1)
-        for j, w in enumerate(points)
-        if j != i
-    ]
-    return rational_feasible(rows, n)
+    for every other point w, that is, {i} is a lifted face."""
+    return frozenset([i]) in _lifted_faces(points)
 
 
 def is_fano(fan: Fan) -> bool:
@@ -409,15 +466,12 @@ def _is_hull_face_fan(fan: Fan) -> bool:
         return False
     # each maximal cone must be the cone over a facet of the hull
     for idx in fan.max_cones:
-        cone_rays = [rays[i] for i in sorted(idx)]
-        sol = rational_solve(cone_rays, [Fraction(1)] * len(cone_rays))
-        if sol is None:
+        level = _level_covector([rays[i] for i in sorted(idx)])
+        if level is None:
             return False
-        for k, w in enumerate(rays):
-            if k in idx:
-                continue
-            if sum(a * b for a, b in zip(sol, w)) >= 1:
-                return False
+        z, d = level
+        if any(sum(map(mul, z, w)) >= d for k, w in enumerate(rays) if k not in idx):
+            return False
     return True
 
 

@@ -326,13 +326,14 @@ class TestCheckFan:
 
 
 class TestToricPredicateCalls:
-    """The toric predicates of ``cy`` and ``check-fan`` on simplicial fans
-    run on integer minors: no Smith solve per term, no Fourier-Motzkin
-    orthant probe."""
+    """The toric predicates of ``cy``, ``check-fan`` and ``t1`` run on
+    integer minors: no Smith solve per term and no Fourier-Motzkin
+    feasibility test (faces, vertices and orthant probes come from the
+    facet normals)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"solve": 0, "cone_contains": 0}
+        counts = {"solve": 0, "rational_feasible": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -341,19 +342,26 @@ class TestToricPredicateCalls:
             return wrapper
 
         monkeypatch.setattr(SmithDecomposition, "solve", counting("solve", SmithDecomposition.solve))
-        for module in (lattice, toric):
-            monkeypatch.setattr(module, "cone_contains", counting("cone_contains", module.cone_contains))
+        monkeypatch.setattr(
+            lattice, "rational_feasible", counting("rational_feasible", lattice.rational_feasible)
+        )
         return counts
 
     def test_cy(self, capsys, calls):
         code, _, _ = run(capsys, "cy", FANS / "p4.json", FANS / "fermat_quintic.json")
         assert code == 0
-        assert calls == {"solve": 0, "cone_contains": 0}
+        assert calls == {"solve": 0, "rational_feasible": 0}
 
     def test_check_fan(self, capsys, calls):
         code, _, _ = run(capsys, "check-fan", FANS / "p4.json")
         assert code == 0
-        assert calls["cone_contains"] == 0
+        assert calls["rational_feasible"] == 0
+
+    @pytest.mark.parametrize("argv", [["hexagon_cone.json"], ["hexagon_polygon.json", "--polygon"]])
+    def test_t1_hexagon(self, capsys, calls, argv):
+        code, _, _ = run(capsys, "t1", FANS / argv[0], *argv[1:])
+        assert code == 0
+        assert calls["rational_feasible"] == 0
 
 
 class TestReportContract:

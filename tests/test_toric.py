@@ -5,17 +5,31 @@ from math import inf
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torrigid.cli import load_fan
-from torrigid.lattice import cone_contains, int_rank, smith_normal_form
+from torrigid.lattice import (
+    cone_contains,
+    content,
+    int_rank,
+    integer_kernel,
+    rational_feasible,
+    rational_solve,
+    smith_normal_form,
+)
+from torrigid.rigidity import polytope_edge_graph
+from torrigid.t1 import dual_cone_generators
 from torrigid.toric import (
+    Cone,
     Fan,
     FanValidationError,
     TorusFactorError,
     WeightSystem,
     _cone_probe,
+    _facet_record,
+    _is_hull_face_fan,
+    _is_vertex,
     affine_cone,
     class_group,
     faces,
@@ -108,6 +122,30 @@ class TestValidateFan:
         with pytest.raises(FanValidationError, match="ray 1 is not extremal in cone \\[0, 1, 2\\]"):
             affine_cone([(1, 0), (1, 1), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "rays, cones, message",
+        [
+            # a line and a non-extremal ray: pointedness is tested first
+            ([(1, 0), (-1, 0), (0, 1), (1, 1)], [(0, 1, 2, 3)], "cone [0, 1, 2, 3] is not pointed"),
+            ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)], "cone [0, 1, 2, 3] is not pointed"),
+            # the whole plane
+            ([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1, 2, 3)], "cone [0, 1, 2, 3] is not pointed"),
+            # two non-extremal rays: the least index is named
+            ([(1, 0), (1, 1), (0, 1), (1, 2)], [(0, 1, 2, 3)], "ray 1 is not extremal in cone [0, 1, 2, 3]"),
+            # a rank-deficient cone with a non-extremal ray
+            ([(1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2)], "ray 1 is not extremal in cone [0, 1, 2]"),
+            # the first listed cone that fails is named
+            ([(1, 0), (1, 1), (0, 1), (-1, 0)], [(0, 1, 2), (0, 3, 2)], "ray 1 is not extremal in cone [0, 1, 2]"),
+            ([(1, 0), (1, 1), (0, 1), (-1, 0)], [(0, 3, 2), (0, 1, 2)], "cone [0, 2, 3] is not pointed"),
+            # an out-of-range index comes before pointedness
+            ([(1, 0), (-1, 0)], [(0, 1, 5)], "cone [0, 1, 5] has out-of-range ray index 5"),
+        ],
+    )
+    def test_error_messages_and_precedence(self, rays, cones, message):
+        with pytest.raises(FanValidationError) as exc:
+            validate_fan(rays, cones)
+        assert str(exc.value) == message
+
 
 class TestFaces:
     def test_square_cone(self, square_cone):
@@ -144,6 +182,144 @@ class TestFaces:
             for f in all_faces:
                 for sub in faces(cone.fan.cone(f)):
                     assert sub in all_faces
+
+
+def fm_faces(rays, indices) -> tuple[frozenset[int], ...]:
+    """The subset definition of the faces, by one Fourier-Motzkin test per
+    subset F: some covector vanishes on F and is >= 1 on the other rays."""
+    idx = sorted(indices)
+    out = []
+    for r in range(len(idx) + 1):
+        for sub in itertools.combinations(idx, r):
+            rows = [(rays[i], 0) for i in sub] + [(tuple(-c for c in rays[i]), 0) for i in sub]
+            rows += [(rays[j], 1) for j in idx if j not in sub]
+            if rational_feasible(rows, len(rays[0])):
+                out.append(frozenset(sub))
+    return tuple(out)
+
+
+def kernel_dual_generators(rays, indices) -> list[tuple[int, ...]]:
+    """The dual generators as integer kernels of the facets' rays, each
+    facet a face of rank n - 1, signed to be >= 0 on the cone."""
+    n = len(rays[0])
+    gens = set()
+    for f in fm_faces(rays, indices):
+        fr = [rays[i] for i in sorted(f)]
+        if int_rank(fr) != n - 1:
+            continue
+        (w,) = integer_kernel(fr) if fr else [tuple(int(k == 0) for k in range(n))]
+        sign = 1 if all(sum(a * b for a, b in zip(w, rays[i])) >= 0 for i in indices) else -1
+        gens.add(tuple(sign * a for a in w))
+    return sorted(gens)
+
+
+@st.composite
+def cone_ray_sets(draw):
+    """Rank 2-4, 1-7 nonzero rays with entries in [-2, 2], some lying in a
+    hyperplane, with duplicate, parallel and opposite copies appended now
+    and then; the cone takes a nonempty subset of them."""
+    n = draw(st.integers(2, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(tuple)
+    rays = draw(st.lists(vec, min_size=1, max_size=7))
+    if draw(st.booleans()):  # last coordinate equal to the first: rank < n
+        rays = [v[:-1] + (v[0],) for v in rays]
+    for scale in draw(st.lists(st.sampled_from((1, 2, -1)), max_size=2)):
+        v = draw(st.sampled_from(rays))
+        if len(rays) < 7:
+            rays.append(tuple(scale * x for x in v))
+    indices = draw(st.sets(st.integers(0, len(rays) - 1), min_size=1))
+    return tuple(rays), frozenset(indices)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cone_ray_sets())
+@example((((1, 0), (-1, 0), (0, 1)), frozenset({0, 1, 2})))  # half-plane
+@example((((1, 0), (-1, 0), (0, 1), (0, -1)), frozenset({0, 1, 2, 3})))  # whole plane
+@example((((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), frozenset({0, 1, 2, 3})))  # a line
+@example((((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)), frozenset({0, 1, 2, 3})))  # rank 2 in 3D
+@example((((1, 1), (1, 1), (1, 0)), frozenset({0, 1, 2})))  # duplicate
+@example((((1, 0), (2, 0), (0, 1)), frozenset({0, 1, 2})))  # parallel
+@example((((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)), frozenset(range(5))))  # interior ray
+def test_faces_match_fourier_motzkin(case):
+    rays, indices = case
+    cone = Cone(Fan(rays, (indices,)), indices)
+    assert faces(cone) == fm_faces(rays, indices)
+    if cone.dim == len(rays[0]):
+        assert dual_cone_generators(cone) == kernel_dual_generators(rays, indices)
+
+
+def test_facet_record_cache_is_bounded():
+    assert _facet_record.cache_info().maxsize == 256
+
+
+def fm_is_vertex(points, i) -> bool:
+    """Some u has <u, v> >= <u, w> + 1 for every other point w."""
+    v = points[i]
+    rows = [(tuple(a - b for a, b in zip(v, w)), 1) for j, w in enumerate(points) if j != i]
+    return rational_feasible(rows, len(v))
+
+
+def fm_edge_graph(points) -> set[frozenset[int]]:
+    """Pairs {i, j} with a covector equal on both and >= 1 above every other point."""
+    edges = set()
+    for i, j in itertools.combinations(range(len(points)), 2):
+        a, b = points[i], points[j]
+        rows = [(tuple(y - x for x, y in zip(a, b)), 0), (tuple(x - y for x, y in zip(a, b)), 0)]
+        rows += [(tuple(x - y for x, y in zip(a, w)), 1) for k, w in enumerate(points) if k not in (i, j)]
+        if rational_feasible(rows, len(a)):
+            edges.add(frozenset({i, j}))
+    return edges
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple), min_size=1, max_size=7)
+    )
+)
+@example([(0, 0), (1, 1), (2, 2), (0, 0)])  # collinear, with a duplicate
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])  # a square pyramid
+def test_vertices_and_edges_match_fourier_motzkin(points):
+    assert [_is_vertex(points, i) for i in range(len(points))] == [
+        fm_is_vertex(points, i) for i in range(len(points))
+    ]
+    assert polytope_edge_graph(points) == fm_edge_graph(points)
+
+
+def solve_q_gorenstein(rays):
+    """The certificate from the rational solution of <u, v> = 1 on every ray."""
+    sol = rational_solve(rays, [1] * len(rays))
+    if sol is None:
+        return None
+    denom = math.lcm(*(x.denominator for x in sol))
+    w = [int(x * denom) for x in sol]
+    c = content(w)
+    return tuple(x // c for x in w), denom // c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cone_ray_sets())
+def test_level_covector_matches_rational_solve(case):
+    rays, indices = case
+    cone = Cone(Fan(rays, (indices,)), indices)
+    if cone.dim != len(rays[0]):
+        return
+    cert = q_gorenstein(cone)
+    assert (cert and (cert.covector, cert.index)) == solve_q_gorenstein(cone.ray_vectors)
+
+
+def solve_hull_face_fan(fan) -> bool:
+    """Every ray a vertex of the ray hull, and the rational solution of
+    <u, v> = 1 on each maximal cone < 1 on every other ray."""
+    if not all(fm_is_vertex(fan.rays, i) for i in range(fan.num_rays)):
+        return False
+    for idx in fan.max_cones:
+        sol = rational_solve([fan.rays[i] for i in sorted(idx)], [1] * len(idx))
+        if sol is None or any(
+            sum(a * b for a, b in zip(sol, w)) >= 1 for k, w in enumerate(fan.rays) if k not in idx
+        ):
+            return False
+    return True
 
 
 def smooth_by_smith(cone) -> bool:
@@ -365,20 +541,21 @@ def test_adjugate_probe_matches_cone_contains():
     fans = [load_fan(str(FANS / f"{name}.json"))[0] for name in COMPLETE_FANS]
     rng = random.Random(1616)
     fans += [random_complete_plane_fan(rng) for _ in range(30)]
-    fans.append(validate_fan(CUBE_RAYS, CUBE_CONES))  # takes the fallback
-    checked = fallback = 0
+    fans.append(validate_fan(CUBE_RAYS, CUBE_CONES))  # six non-simplicial cones
+    checked = nonsimplicial = 0
     for fan in fans:
         n = fan.ambient_rank
         assert is_complete(fan), fan.name
+        assert _is_hull_face_fan(fan) == solve_hull_face_fan(fan), fan.name
         for idx in fan.max_cones:
             gens = [fan.rays[i] for i in sorted(idx)]
             assert int_rank(gens) == n
-            fallback += len(gens) > n
-            probe = _cone_probe(gens)
+            nonsimplicial += len(gens) > n
+            probe = _cone_probe(fan.cone(idx))
             for signs in itertools.product((-1, 1), repeat=n):
                 assert probe(signs) == cone_contains(gens, signs), (fan.name, sorted(idx), signs)
                 checked += 1
-    assert checked > 900 and fallback == 6
+    assert checked > 900 and nonsimplicial == 6
 
 
 class TestWps:
