@@ -8,14 +8,16 @@ the same dimensions from the fine strand of a Cech complex on the ideal
 generators, with no simplicial conventions involved; the two must always
 agree, and the test suite enforces that on randomized inputs.
 
-Every piece is looked up the same way: a small bounded cache of recent
-(ideal, degree) pairs (``_degree``) gives the record of the degree's sign
-pattern (``_pattern``).  The record holds the complex, its cohomology
+Every piece is looked up the same way: ``_degree`` gives the record of the
+degree's sign pattern (``_pattern``), and remembers only the last (ideal,
+degree) it was asked.  The record holds the complex, its cohomology
 dimensions, one shared piece per cochain degree and, once the oracle has
 asked for it, the Cech strand.  The pattern also keys the caches of bases
 and restriction maps (``_basis``, ``_restriction``).  A sweep that asks for
 every piece of one degree in turn computes its pattern once, and every other
-lookup of the degree is one cache hit.
+lookup of the degree is one identity test and one tuple comparison.  A
+computation that revisits many degrees (the chamber walks of ``t1``) keeps
+its own records by degree.
 
 All cohomology is over the exact rationals.
 """
@@ -54,17 +56,27 @@ def negative(p: Sequence[int]) -> frozenset[int]:
     return frozenset([i for i, x in enumerate(p) if x <= -1])
 
 
-@lru_cache(maxsize=64)
+# the last (ideal, degree, record) that _degree returned
+_last: tuple = (None, None, None)
+
+
 def _degree(b: SquarefreeMonomialIdeal, p: tuple[int, ...]) -> _SignPattern:
     """The record of a degree's sign pattern.  A sweep asks for every piece
-    of a degree in turn, so a few recent degrees are all that is worth
-    keeping.  The degree is checked on a miss only; a bad degree or a
-    degenerate ideal raises on every call, because exceptions are not
-    cached."""
+    of a degree in turn, so only the last degree is remembered, and only for
+    the same ideal object: an equal ideal takes the miss path, which returns
+    the same record because ``_pattern`` is keyed by value.  The degree is
+    checked on a miss; a bad degree or a degenerate ideal is never
+    remembered, so it raises on every call."""
+    global _last
+    last = _last
+    if last[0] is b and last[1] == p:
+        return last[2]
     if len(p) != b.num_vars:
         _check_proper(b)  # a degenerate ideal takes precedence
         raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
-    return _pattern(b, negative(p))
+    record = _pattern(b, negative(p))
+    _last = (b, p, record)
+    return record
 
 
 # ---------------------------------------------------------------------------

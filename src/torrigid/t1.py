@@ -36,7 +36,7 @@ from .lattice import (
     lattice_points,
     rref,
 )
-from .localcoh import _degree, _restriction, local_coh_piece
+from .localcoh import _degree, _restriction
 from .rigidity import (
     Hypothesis,
     RigidityCertificate,
@@ -162,7 +162,19 @@ def _translate(p: Vec, shift: Vec) -> Vec:
     return tuple(map(add, p, shift))
 
 
-def _kernel_dim(b, i: int, key: Vec, source_shifts, target_shifts, coef, kernels: dict) -> int:
+def _record(b, p: Vec, records: dict):
+    """The sign-pattern record of degree p, kept in ``records`` by degree:
+    the chambers of one walk share many degrees, and ``_degree`` remembers
+    only the last one."""
+    found = records.get(p)
+    if found is None:
+        found = records[p] = _degree(b, p)
+    return found
+
+
+def _kernel_dim(
+    b, i: int, key: Vec, source_shifts, target_shifts, coef, kernels: dict, records: dict
+) -> int:
     """Kernel dimension of the block matrix whose block (t, s) is coef[t][s]
     times multiplication from the degree key + source_shifts[s] piece of
     H^i_B to the degree key + target_shifts[t] piece; the block is zero where
@@ -172,13 +184,15 @@ def _kernel_dim(b, i: int, key: Vec, source_shifts, target_shifts, coef, kernels
     A multiplication map depends on its two degrees only through their sign
     patterns, so for fixed coefficients the kernel depends only on the sign
     signature of the degrees: it is ranked once per signature and kept in
-    ``kernels``, which the caller owns, keyed by the sign-pattern records of
-    the degrees (one record per pattern)."""
-    src = tuple(_degree(b, _translate(key, d)) for d in source_shifts)
+    ``kernels``, keyed by the sign-pattern records of the degrees (one record
+    per pattern).  The records themselves are looked up through ``records``
+    (``_record``).  The caller owns both dicts and drops them with the
+    computation."""
+    src = tuple(_record(b, _translate(key, d), records) for d in source_shifts)
     dims = [s.dims.get(i - 2, 0) for s in src]
     if not any(dims):
         return 0
-    tgt = tuple(_degree(b, _translate(key, d)) for d in target_shifts)
+    tgt = tuple(_record(b, _translate(key, d), records) for d in target_shifts)
     if (src, tgt) not in kernels:
         rows: list[list[Fraction]] = []
         for t, record in enumerate(tgt):
@@ -293,12 +307,13 @@ def hom_q_h3(
     coef = list(zip(*cox.grading_matrix))
     units = _units(m)
     kernels: dict = {}
+    records: dict = {}
 
     def kernel(key: Vec) -> int:
         # most chambers have no third cohomology: skip them
-        if not local_coh_piece(b, 3, key).dimension:
+        if not _record(b, key, records).dims.get(3 - 2):
             return 0
-        return _kernel_dim(b, 3, key, [(0,) * m] * r, units, coef, kernels)
+        return _kernel_dim(b, 3, key, [(0,) * m] * r, units, coef, kernels, records)
 
     total, found, completeness = _chamber_characters(rays, [[1]] * m, kernel, bound)
     return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found), completeness
@@ -356,9 +371,10 @@ def der_part_exact(
     # block (t, j): x_j's image in p(u) + e_j, times x^(beta_t - e_j), times beta_t[j]
     units = _units(m)
     kernels: dict = {}
+    records: dict = {}
 
     def kernel(key: Vec) -> int:
-        return _kernel_dim(b, 2, key, units, exponents, exponents, kernels)
+        return _kernel_dim(b, 2, key, units, exponents, exponents, kernels, records)
 
     shifts = [[1, *(beta[k] for beta in exponents)] for k in range(m)]
     total, _, completeness = _chamber_characters(rays, shifts, kernel, bound)

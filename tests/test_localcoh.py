@@ -497,27 +497,97 @@ def test_degree_checks_fire_on_every_call(call):
 
 
 def test_one_lookup_per_degree_and_pattern(monkeypatch):
-    # a sweep that asks for every piece of a degree in turn looks the degree
-    # up once and hits the degree cache after that, builds each sign
-    # pattern's record once and computes each Cech strand once
+    # a sweep that asks for every piece of a degree in turn takes the degree's
+    # sign pattern once and hits the one-degree memo after that, builds each
+    # sign pattern's record once and computes each Cech strand once
     b = ideal(4, {0, 1}, {1, 2, 3}, {0, 3})
-    strands = []
-    cech_strand = localcoh._cech_strand
+    strands, lookups = [], []
+    cech_strand, sign_pattern = localcoh._cech_strand, localcoh.negative
 
     def counted(b, pattern):
         strands.append(pattern)
         return cech_strand(b, pattern)
 
+    def counting(p):
+        lookups.append(p)
+        return sign_pattern(p)
+
     monkeypatch.setattr(localcoh, "_cech_strand", counted)
-    for cache in (_degree, _pattern):
-        cache.cache_clear()
+    monkeypatch.setattr(localcoh, "negative", counting)
+    monkeypatch.setattr(localcoh, "_last", (None, None, None))
+    _pattern.cache_clear()
     degrees = list(itertools.product(range(-2, 3), repeat=4))
     for p in degrees:
         for i in range(5):
             assert local_coh_piece(b, i, p).dimension == cech_piece(b, i, p)
-    assert _degree.cache_info().misses == len(degrees)
-    assert _degree.cache_info().hits == len(degrees) * (2 * 5 - 1)
-    assert _degree.cache_info().maxsize == 64
+    assert lookups == degrees  # one per degree, not one per piece
+    assert not hasattr(_degree, "cache_info")
     assert _pattern.cache_info().misses == 2**4
     assert _pattern.cache_info().hits == len(degrees) - 2**4
     assert len(strands) == len(set(strands)) == 2**4
+
+
+@st.composite
+def memo_walks(draw):
+    """A pool of ideals on the same variables, among them an equal but
+    distinct copy, and a sequence of steps: a degree from a small set and the
+    pool indices that ask for it in turn, each with a call, a variable and
+    whether the degree comes as a list."""
+    m = draw(st.integers(1, 4))
+    gens = st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=4)
+    first = SquarefreeMonomialIdeal(m, tuple(draw(gens)))
+    pool = [first, SquarefreeMonomialIdeal(m, first.generators)]
+    pool += [SquarefreeMonomialIdeal(m, tuple(draw(gens))) for _ in range(draw(st.integers(1, 2)))]
+    degrees = draw(st.lists(st.tuples(*[st.integers(-2, 1)] * m), min_size=1, max_size=3))
+    call = st.tuples(
+        st.integers(0, len(pool) - 1),
+        st.sampled_from(["local_coh_piece", "cech_piece", "mult_map"]),
+        st.integers(0, m - 1),
+        st.booleans(),
+    )
+    steps = draw(
+        st.lists(st.tuples(st.sampled_from(degrees), st.lists(call, min_size=1, max_size=4)), max_size=12)
+    )
+    return pool, steps
+
+
+@given(memo_walks())
+@settings(max_examples=150)
+@example(
+    (
+        [ideal(2, {0}, {1}), ideal(2, {0}, {1}), ideal(2, {0, 1})],
+        [((-1, -1), [(0, "local_coh_piece", 0, False), (2, "local_coh_piece", 0, False),
+                     (1, "cech_piece", 0, True), (0, "mult_map", 1, True)]),
+         ((0, 0), [(0, "local_coh_piece", 0, True)])],
+    )
+)
+def test_degree_memo_never_returns_a_stale_record(case):
+    # the memo of _degree keeps one (ideal, degree, record); whatever the
+    # order of calls, ideals and degree types, every answer must be the one
+    # computed afresh from the degree's sign pattern, at every index
+    pool, steps = case
+    assert pool[0] == pool[1] and pool[0] is not pool[1]
+    m = pool[0].num_vars
+    buffer = [0] * m  # one list, rewritten for every list degree
+    for degree, calls in steps:
+        for k, name, j, as_list in calls:
+            b = pool[k]
+            if as_list:
+                buffer[:] = degree
+                p = buffer
+            else:
+                p = degree
+            kompl = t_complex(b, negative(degree))
+            dims = localcoh._cohomology_dims(kompl)
+            for i in range(m + 2):
+                if name == "local_coh_piece":
+                    piece = local_coh_piece(b, i, p)
+                    assert (piece.complex, piece.dimension) == (kompl, dims.get(i - 2, 0))
+                elif name == "cech_piece":
+                    assert cech_piece(b, i, p) == localcoh._cech_strand(b, negative(degree)).get(i, 0)
+                else:
+                    step = mult_map(b, i, p, j)
+                    target = [x + (c == j) for c, x in enumerate(degree)]
+                    target_dims = localcoh._cohomology_dims(t_complex(b, negative(target)))
+                    assert step.source_dimension == dims.get(i - 2, 0)
+                    assert step.target_dimension == target_dims.get(i - 2, 0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from torrigid import localcoh, t1
 from torrigid.cli import load_fan
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.lattice import hilbert_basis, int_det, rref, solve_diophantine
@@ -757,3 +758,46 @@ def test_targets_only_behind_nonzero_sources(monkeypatch):
     cone = affine_cone([(-3, 3, -1), (-2, 0, -3), (-1, -3, 2)])
     assert der_part_exact(cone, 1) == (0, Completeness.GUARANTEED)
     assert counts == {"kernels": 2340, "degrees": 3 * 2340}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: der_part_exact(affine_cone([(0, 1), (7, -3)]), 2),  # X(7, 3)
+        lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1]), 4),  # the hexagon
+    ],
+    ids=["der_part_exact", "hom_q_h3"],
+)
+def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, run):
+    # the chambers share degrees, and the one-degree memo of localcoh._degree
+    # only remembers the last: the walk keeps its records by degree, so each
+    # distinct degree takes at most one sign pattern, and nothing of them
+    # outlives the call at module level
+    degrees, patterns = set(), 0
+    degree, sign_pattern = localcoh._degree, localcoh.negative
+
+    def recording(b, p):
+        degrees.add(p)
+        return degree(b, p)
+
+    def counting(p):
+        nonlocal patterns
+        patterns += 1
+        return sign_pattern(p)
+
+    def sizes():
+        return {
+            (module.__name__, name): len(value)
+            for module in (localcoh, t1)
+            for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set, tuple)) and not name.startswith("__")
+        }
+
+    monkeypatch.setattr(localcoh, "_degree", recording)
+    monkeypatch.setattr("torrigid.t1._degree", recording)
+    monkeypatch.setattr(localcoh, "negative", counting)
+    monkeypatch.setattr(localcoh, "_last", (None, None, None))
+    before = sizes()
+    run()
+    assert 0 < patterns <= len(degrees)
+    assert sizes() == before
