@@ -314,15 +314,22 @@ def _bareiss_rank(a: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over Q of a matrix of ``int`` or ``Fraction`` entries: each row
-    is scaled by the lcm of its denominators, which keeps the rank, and the
-    integer matrix is ranked by ``int_rank``."""
+def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Each row of ``int`` or ``Fraction`` entries times the lcm of its
+    denominators, as a list of ints; row spaces, ranks and kernels are
+    unchanged."""
     scaled = []
     for row in rows:
         d = lcm(*(x.denominator for x in row))
         scaled.append([x.numerator * (d // x.denominator) for x in row])
-    return int_rank(scaled)
+    return scaled
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over Q of a matrix of ``int`` or ``Fraction`` entries: the rows
+    are scaled to integers (``_integer_rows``), which keeps the rank, and
+    ranked by ``int_rank``."""
+    return int_rank(_integer_rows(rows))
 
 
 def integer_kernel(m: Sequence[Sequence[int]]) -> list[Vec]:
@@ -348,11 +355,15 @@ def solve_diophantine(
 # Rational elimination (reduced row echelon form and friends)
 
 
-def rref(
-    rows: Sequence[Sequence[Fraction | int]],
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (nonzero rows, pivot columns)."""
-    a = [[Fraction(x) for x in row] for row in rows]
+def _gauss_jordan(a: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
+    returns the pivot columns.
+
+    For each pivot p at (r, c) every other row a_i with f = a_i[c] != 0
+    becomes (p * a_i - f * a_r) / g, with g its content, so no row grows
+    beyond what its entries need.  The span is unchanged, the first
+    len(pivots) rows are nonzero with a_k[pivots[k]] their only nonzero
+    entry in a pivot column, and the other rows are zero."""
     nr = len(a)
     nc = len(a[0]) if nr else 0
     pivots: list[int] = []
@@ -360,23 +371,43 @@ def rref(
     for c in range(nc):
         piv = None
         for i in range(r, nr):
-            if a[i][c] != 0:
+            if a[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        ar = a[r]
+        p = ar[c]
         for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(a[i], ar)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return a[:r], pivots
+    return pivots
+
+
+def rref(
+    rows: Sequence[Sequence[Fraction | int]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (nonzero rows, pivot columns).
+
+    The rows are scaled to integers (``_integer_rows``) and reduced by
+    fraction-free Gauss-Jordan elimination (``_gauss_jordan``), which keeps
+    their span.  The reduced row echelon form of a span is unique, so
+    dividing each pivot row by its pivot gives the same rows as elimination
+    in ``Fraction`` arithmetic.  Those divisions are the only ``Fraction``s
+    built: one per entry of the returned rows.  The input rows are not
+    modified.
+    """
+    a = _integer_rows(rows)
+    pivots = _gauss_jordan(a)
+    return [[Fraction(x, a[k][c]) for x in a[k]] for k, c in enumerate(pivots)], pivots
 
 
 def rational_kernel(rows: Sequence[Sequence[Fraction | int]], num_cols: int) -> list[list[Fraction]]:

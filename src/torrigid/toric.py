@@ -4,11 +4,11 @@ A fan is given by primitive ray generators in an ambient lattice plus its
 maximal cones as ray-index sets; this is the only geometric input the whole
 package consumes.  Every face predicate (faces, pointedness, extremality,
 hull vertices and edges, dual generators, cone membership) is read off one
-cached record per cone: its facets, each found as the cofactor vector of
-d - 1 of its rays (their signed (d-1)-minors, d the rank) that is
-one-signed on all rays.  So no floating point convex hull machinery and no
-Fourier-Motzkin elimination is involved.  Intended for desk-scale inputs
-(up to roughly 16 rays in rank 6).
+cached record per cone: its facets, each found as the normal of d - 1 of
+its rays (d the rank) that is one-signed on all rays.  So no floating
+point convex hull machinery and no Fourier-Motzkin elimination is
+involved.  Intended for desk-scale inputs (up to roughly 16 rays in rank
+6).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import (
     SmithDecomposition,
     Vec,
+    _gauss_jordan,
     content,
     int_det,
     int_rank,
@@ -187,9 +188,12 @@ def _facet_record(rays: tuple[Vec, ...], indices: frozenset[int]) -> _Facets:
     Let d be the rank of the rays.  On d coordinates where the rays have
     rank d the projection is injective on their span, so the faces do not
     change.  There the cone is full-dimensional, every facet is spanned by
-    d - 1 independent rays, and the cofactor vector w of those rays (w_c is
-    (-1)^c times their minor without column c) is normal to it: the
-    hyperplane supports the cone exactly when w is one-signed on all rays.
+    d - 1 independent rays, and a normal w to those rays is normal to it:
+    the hyperplane supports the cone exactly when w is one-signed on all
+    rays.  One fraction-free elimination of the d - 1 rays
+    (``lattice._gauss_jordan``) gives their rank and, when it is d - 1,
+    the integer line they annihilate, so w is a multiple of their cofactor
+    vector (the signed (d-1)-minors) and has the same primitive normal.
     Every face is an intersection of facets, the whole cone being the empty
     intersection and the lineality rays the intersection of all, so the
     faces are the closure of the facets under intersection.  When the rays
@@ -205,10 +209,19 @@ def _facet_record(rays: tuple[Vec, ...], indices: frozenset[int]) -> _Facets:
     for sub in itertools.combinations(range(len(idx)), d - 1) if d else ():
         if any(all(idx[k] in f for k in sub) for f in found):
             continue  # those rays span a facet already found
-        rows = [proj[k] for k in sub]
-        w = [(-1) ** c * int_det([r[:c] + r[c + 1 :] for r in rows]) for c in range(d)]
+        rows = [list(proj[k]) for k in sub]
+        pivots = _gauss_jordan(rows)
+        if len(pivots) < d - 1:
+            continue  # the rays are dependent: no facet
+        # the kernel line of the reduced rows, a multiple of the cofactor vector
+        free = next(c for c in range(d) if c not in pivots)
+        scale = lcm(*(rows[k][c] for k, c in enumerate(pivots)))
+        w = [0] * d
+        w[free] = scale
+        for row, c in zip(rows, pivots):
+            w[c] = -row[free] * (scale // row[c])
         values = [sum(map(mul, w, p)) for p in proj]
-        if not any(w) or min(values) < 0 < max(values):
+        if min(values) < 0 < max(values):
             continue
         sign = 1 if max(values) > 0 else -1
         found[frozenset(i for i, x in zip(idx, values) if x == 0)] = primitive([sign * a for a in w])

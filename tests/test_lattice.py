@@ -26,7 +26,9 @@ from torrigid.lattice import (
     lattice_points,
     primitive,
     rational_feasible,
+    rational_kernel,
     rational_rank,
+    rref,
     smith_normal_form,
     solve_diophantine,
     variable_bounds,
@@ -690,3 +692,99 @@ def fraction_matrices(draw):
 @given(fraction_matrices())
 def test_rational_rank_matches_sympy(m):
     assert rational_rank(m) == sympy_rank(m)
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan elimination in ``Fraction`` arithmetic: the reduced row
+    echelon form as (nonzero rows, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return a[:r], pivots
+
+
+def sympy_rref(m):
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    red, pivots = sympy.Matrix(nr, nc, [sympy.Rational(x) for row in m for x in row]).rref()
+    rows = [[Fraction(int(red[i, j].p), int(red[i, j].q)) for j in range(nc)] for i in range(len(pivots))]
+    return rows, list(pivots)
+
+
+_BIG = 2**70
+
+
+@st.composite
+def rref_inputs(draw):
+    """int, Fraction and mixed rows, with zero and duplicate rows, lists or
+    tuples as rows, and entries near +-2^70."""
+    nr = draw(st.integers(0, 7))
+    nc = draw(st.integers(0, 7))
+    ints = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 5))
+    fractions = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    big = st.integers(-3, 3).map(lambda d: _BIG + d) | st.integers(-3, 3).map(lambda d: -_BIG + d)
+    entry = draw(st.sampled_from((ints, fractions, ints | fractions, ints | big | fractions)))
+    m = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    if m and draw(st.booleans()):  # a zero row and a copy of a row
+        m.insert(draw(st.integers(0, len(m))), [0] * nc)
+        m.append(list(m[draw(st.integers(0, len(m) - 1))]))
+    if draw(st.booleans()):
+        m = [tuple(row) for row in m]
+    return m
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rref_inputs())
+@example([])
+@example([[], []])
+@example([(0, 0), (0, 0)])
+@example([[_BIG, 1, -_BIG], [_BIG + 1, Fraction(1, 3), 2], [_BIG, 1, -_BIG]])
+def test_rref_matches_sympy_and_fraction_elimination(m):
+    before = [tuple(row) for row in m]
+    kinds = [type(row) for row in m]
+    rows, pivots = rref(m)
+    assert [tuple(row) for row in m] == before and [type(row) for row in m] == kinds
+    assert (rows, pivots) == sympy_rref(m) == fraction_rref(m)
+    assert all(type(x) is Fraction for row in rows for x in row)
+    nc = len(m[0]) if m else 0
+    kernel = rational_kernel(m, nc)
+    assert len(kernel) == nc - len(pivots)
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m for v in kernel)
+    assert not kernel or rational_rank(kernel) == len(kernel)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_builds_fractions_only_for_its_rows(monkeypatch, seed):
+    """The elimination runs on integers: an integer matrix of rank r with c
+    columns costs at most r * c ``Fraction``s, the entries of the result."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    rng = random.Random(seed)
+    nr, nc = rng.randint(20, 40), rng.randint(8, 16)  # tall: rank below the row count
+    m = [[rng.choice((-1, 1)) if rng.random() < 0.3 else 0 for _ in range(nc)] for _ in range(nr)]
+    expected = fraction_rref(m)
+    monkeypatch.setattr(lattice, "Fraction", counting)
+    rows, pivots = rref(m)
+    assert (rows, pivots) == expected
+    assert len(built) <= len(pivots) * nc
