@@ -30,7 +30,6 @@ from .rigidity import (
     wps_rigidity,
 )
 from .t1 import (
-    Completeness,
     T1Report,
     UnsupportedModeError,
     cox_polynomial,
@@ -138,15 +137,15 @@ def load_polynomial(path: str, fan: Fan):
     return poly, digest
 
 
-def _resolve_bound(args) -> int | None:
-    """The search bound from --bound, else TORRIGID_BOUND, else None; a
-    bound below 1 is an input error."""
+def _resolve_bound(args) -> int:
+    """The gamma criterion's search bound from --bound, else TORRIGID_BOUND,
+    else 8; a bound below 1 is an input error."""
     if args.bound is not None:
         bound, source = args.bound, "--bound"
     else:
         env = os.environ.get("TORRIGID_BOUND")
         if env is None:
-            return None
+            return 8
         try:
             bound, source = int(env), "TORRIGID_BOUND"
         except ValueError as exc:
@@ -216,30 +215,30 @@ def _base_report(command: str, digest: str, fan_name: str = "", warnings=()) -> 
 def _t1_payload(report: T1Report) -> dict:
     payload = {
         "mode": report.mode,
-        "bound": report.bound,
         "hypotheses": _hypotheses_payload(report.hypotheses),
+        "completeness": report.completeness.value,
     }
-    if report.mode != "unsupported":
-        completeness = report.completeness
-        payload.update(
-            {
-                "der_dimension": report.der_dimension,
-                "der_completeness": report.der_completeness.value,
-                "homq_dimension": report.homq_dimension,
-                "homq_completeness": report.homq_completeness.value,
-                "total": "infinite" if completeness is Completeness.INFINITE else report.total,
-                "completeness": completeness.value,
-                "contributing_degrees": [
-                    {"fine_degree": list(c.fine_degree), "dimension": c.dimension}
-                    for c in report.contributions
-                ],
-            }
-        )
+    if report.witness_face is not None:
+        face, total = report.witness_face
+        payload.update(total="infinite", witness_face={"rays": _one_based(face), "t1": total})
+        return payload
+    payload.update(
+        {
+            "der_dimension": report.der_dimension,
+            "der_completeness": "guaranteed",
+            "homq_dimension": report.homq_dimension,
+            "homq_completeness": "guaranteed",
+            "total": report.total,
+            "contributing_degrees": [
+                {"fine_degree": list(c.fine_degree), "dimension": c.dimension}
+                for c in report.contributions
+            ],
+        }
+    )
     return payload
 
 
 def cmd_t1(args) -> int:
-    bound = _resolve_bound(args)
     if args.polygon:
         data, digest = _read_json(args.fanfile)
         if "vertices" not in data:
@@ -251,7 +250,7 @@ def cmd_t1(args) -> int:
         ):
             raise InputError(f"{args.fanfile}: field 'vertices' must be a list of integer pairs")
         try:
-            poly = t1_polygon([tuple(v) for v in vertices], bound)
+            poly = t1_polygon([tuple(v) for v in vertices])
         except UnsupportedModeError as exc:
             report = _base_report("t1", digest, str(data.get("name", "")))
             report.update({"mode": "unsupported", "error": str(exc)})
@@ -276,14 +275,13 @@ def cmd_t1(args) -> int:
         )
     cone = fan.cone(fan.max_cones[0])
     try:
-        t1 = t1_affine(cone, bound)
+        t1 = t1_affine(cone)
     except (ValueError, UnsupportedModeError) as exc:
         raise InputError(str(exc)) from exc
     report = _base_report("t1", digest, fan.name, fan.warnings)
     report.update(_t1_payload(t1))
     sys.stdout.write(render(report, args.format))
-    ok = t1.mode != "unsupported" and t1.completeness is not Completeness.INCONCLUSIVE
-    return EXIT_OK if ok else EXIT_UNSUPPORTED
+    return EXIT_OK
 
 
 _CONE_CRITERIA = ("qgorenstein", "quotient", "gamma")
@@ -293,8 +291,6 @@ def cmd_rigidity(args) -> int:
     if (args.wps is None) == (args.fanfile is None):
         raise InputError("provide exactly one of a fan file or --wps weights")
     bound = _resolve_bound(args)
-    if bound is None:
-        bound = 8
     certificates: list[RigidityCertificate] = []
     if args.wps is not None:
         try:
@@ -453,17 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, bound: bool = False):
+    def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if bound:
-            p.add_argument(
-                "--bound",
-                type=int,
-                default=None,
-                help="integer search radius, at least 1, of the gamma criterion and of t1's "
-                "unbounded sign chambers (default: TORRIGID_BOUND, else twice the largest "
-                "ray coordinate for t1 and 8 for rigidity)",
-            )
 
     p_t1 = sub.add_parser("t1", help="tangent-space dimension of an affine cone")
     p_t1.add_argument("fanfile")
@@ -472,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat the input as {'vertices': [[x,y],..]} and use the polygon formula",
     )
-    add_common(p_t1, bound=True)
+    add_common(p_t1)
     p_t1.set_defaults(func=cmd_t1)
 
     p_r = sub.add_parser("rigidity", help="rigidity certificates")
@@ -483,7 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all", "qgorenstein", "quotient", "fano", "gamma", "wps"),
         default="all",
     )
-    add_common(p_r, bound=True)
+    add_common(p_r)
+    p_r.add_argument(
+        "--bound",
+        type=int,
+        default=None,
+        help="integer search radius, at least 1, of the gamma criterion "
+        "(default: TORRIGID_BOUND, else 8)",
+    )
     p_r.set_defaults(func=cmd_rigidity)
 
     p_l = sub.add_parser("localcoh", help="one graded piece of local cohomology")

@@ -351,6 +351,18 @@ def solve_diophantine(
     return smith_normal_form(a).solve(rhs)
 
 
+def _saturated_span(vectors: Sequence[Vec]) -> tuple[list[Vec], list[Vec]] | None:
+    """A lattice basis of span(vectors) ∩ Z^n and the vectors in coordinates
+    of that basis; None when the vectors span Q^n.  The basis is the integer
+    kernel of the integer kernel of the vectors, so it is saturated."""
+    normals = integer_kernel(vectors)
+    if not normals:
+        return None
+    basis = integer_kernel(normals)
+    columns = [list(column) for column in zip(*basis)]
+    return basis, [solve_diophantine(columns, v)[0] for v in vectors]
+
+
 # ---------------------------------------------------------------------------
 # Rational elimination (reduced row echelon form and friends)
 
@@ -824,13 +836,9 @@ def hilbert_basis(generators: Sequence[Sequence[int]]) -> list[Vec]:
         return []
     if not cone_is_pointed(gens):
         raise NonPointedConeError("cone contains a line; Hilbert basis undefined")
-    span = None
-    normals = integer_kernel(gens)
-    if normals:
-        # coordinates in a lattice basis of span(gens) ∩ Z^ambient
-        span = integer_kernel(normals)
-        columns = [[b[i] for b in span] for i in range(ambient)]
-        gens = [solve_diophantine(columns, g)[0] for g in gens]
+    span = _saturated_span(gens)
+    if span is not None:
+        span, gens = span
     n = len(gens[0])
 
     facets: set[Vec] = set()

@@ -7,10 +7,14 @@ cohomology.  Both split by characters u in M into kernels of block systems
 of multiplication maps, and the system of u depends on u only through the
 sign chamber of p(u) = (<u, v_k>)_k.  So both parts are counted chamber by
 chamber: each kernel is ranked once per sign signature, and only a chamber
-with a nonzero kernel has its characters counted.  A part is ``guaranteed``
-when every such chamber is finite, ``infinite`` when one holds infinitely
-many characters, and ``inconclusive`` when an integer search within the
-bound could not decide that.
+with a nonzero kernel has its characters counted.
+
+Near the orbit of a proper face tau, the variety is the one of tau, taken in
+the lattice its rays span, times a torus, so T^1 is finite exactly when every
+proper face is rigid.  That is decided first, face by face from the lowest
+dimension (``_non_rigid_face``).  A non-rigid face makes T^1 ``infinite``;
+otherwise no unbounded chamber with a nonzero kernel holds a character, and
+the bounded chambers give the exact, ``guaranteed`` dimension.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from typing import Sequence
 
 from .lattice import (
     AffineSystem,
-    BoundExceeded,
     UnboundedPolyhedronError,
     Vec,
-    Witness,
+    _saturated_span,
     hilbert_basis,
     int_det,
     int_rank,
-    integer_feasible,
     lattice_points,
     rref,
 )
@@ -52,6 +54,7 @@ from .toric import (
     _is_vertex,
     affine_cone,
     class_group,
+    faces,
     gorenstein,
     irrelevant_ideal,
     is_complete,
@@ -68,16 +71,10 @@ class UnsupportedModeError(ValueError):
 
 
 class Completeness(Enum):
-    """A dimension is exact, infinite, or left open by an integer search that
-    ran out; listed in increasing precedence in a sum."""
+    """A dimension is exact or infinite."""
 
     GUARANTEED = "guaranteed"
-    INCONCLUSIVE = "inconclusive"
     INFINITE = "infinite"
-
-    @property
-    def guaranteed(self) -> bool:
-        return self is Completeness.GUARANTEED
 
 
 @dataclass(frozen=True)
@@ -118,30 +115,25 @@ def q_presentation(cox: CoxData) -> QPresentation:
 
 @dataclass(frozen=True)
 class T1Report:
-    mode: str  # simplicial | codim_ge_3 | unsupported
-    bound: int
+    """Both parts of T^1 when it is finite; otherwise (mode ``non_rigid_face``)
+    no part, and the first non-rigid proper face with its T^1."""
+
+    mode: str  # simplicial | codim_ge_3 | non_rigid_face
     der_dimension: int | None = None
-    der_completeness: Completeness | None = None
     homq_dimension: int | None = None
-    homq_completeness: Completeness | None = None
     contributions: tuple[DegreeContribution, ...] = ()
     hypotheses: tuple[Hypothesis, ...] = ()
+    witness_face: tuple[frozenset[int], int] | None = None
 
     @property
     def total(self) -> int | None:
-        if self.der_dimension is None or self.homq_dimension is None:
+        if self.witness_face is not None:
             return None
         return self.der_dimension + self.homq_dimension
 
     @property
-    def completeness(self) -> Completeness | None:
-        if self.mode == "unsupported":
-            return None
-        return max(self.der_completeness, self.homq_completeness, key=list(Completeness).index)
-
-
-def default_bound(cone: Cone) -> int:
-    return 2 * max(abs(c) for v in cone.ray_vectors for c in v)
+    def completeness(self) -> Completeness:
+        return Completeness.GUARANTEED if self.witness_face is None else Completeness.INFINITE
 
 
 def _require_full_dim(cone: Cone) -> None:
@@ -222,67 +214,69 @@ def _intervals(shifts: Sequence[int]) -> list[tuple[int, int | None, int | None]
 
 
 def _chamber_characters(
-    rays: Sequence[Vec], shifts: Sequence[Sequence[int]], kernel, bound: int
-) -> tuple[int | None, list[tuple[Vec, int]], Completeness]:
+    rays: Sequence[Vec], shifts: Sequence[Sequence[int]], kernel
+) -> tuple[int, list[tuple[Vec, int]]]:
     """The sum of the kernels of all characters u, and the pairs (u, kernel)
-    with a nonzero kernel in lexicographic order; None and [] unless the
-    result is GUARANTEED.
+    with a nonzero kernel in lexicographic order.
 
     A chamber is a product over k of ``_intervals`` of the shifts added to
     x_k = <u, v_k>.  ``kernel`` gets the key of each chamber, and only a
-    chamber with a nonzero kernel has its characters counted.  One that is
-    unbounded and holds a character makes the result INFINITE; where the
-    integer search of radius ``bound`` cannot decide that, INCONCLUSIVE."""
+    chamber with a nonzero kernel has its characters counted.  Unbounded
+    chambers are skipped: the callers have found every proper face rigid, so
+    T^1 is finite, while an unbounded chamber that held one character would
+    hold infinitely many, all with its kernel."""
     n = len(rays[0])
-    # |det| e_k lies in p(M) for a simplicial cone: a character of a chamber
-    # can be moved to within |det| values of the finite end of each half-line
-    index = abs(int_det(rays)) if len(rays) == n else 0
-
-    def system(chamber) -> AffineSystem:
-        rows = [(v, lo) for v, (_, lo, _) in zip(rays, chamber) if lo is not None]
-        rows += [
-            (tuple(-c for c in v), -hi) for v, (_, _, hi) in zip(rays, chamber) if hi is not None
-        ]
-        return AffineSystem(num_vars=n, inequalities=tuple(rows))
-
     found: list[tuple[Vec, int]] = []
-    completeness = Completeness.GUARANTEED
     for chamber in itertools.product(*map(_intervals, shifts)):
         ker = kernel(tuple(key for key, _, _ in chamber))
         if not ker:
             continue
+        rows = [(v, lo) for v, (_, lo, _) in zip(rays, chamber) if lo is not None]
+        rows += [(tuple(-c for c in v), -hi) for v, (_, _, hi) in zip(rays, chamber) if hi is not None]
         try:
-            found += [(u, ker) for u in lattice_points(system(chamber))]
+            found += [(u, ker) for u in lattice_points(AffineSystem(n, inequalities=tuple(rows)))]
         except UnboundedPolyhedronError:
-            if index:  # the cut chamber is bounded, so the search is exact
-                chamber = [
-                    (key, hi - index + 1 if lo is None else lo, lo + index - 1 if hi is None else hi)
-                    for key, lo, hi in chamber
-                ]
-            outcome = integer_feasible(system(chamber), bound)
-            if isinstance(outcome, Witness):
-                return None, [], Completeness.INFINITE
-            if isinstance(outcome, BoundExceeded):
-                completeness = Completeness.INCONCLUSIVE
-    if not completeness.guaranteed:
-        return None, [], completeness
-    return sum(ker for _, ker in found), sorted(found), completeness
+            continue
+    return sum(ker for _, ker in found), sorted(found)
+
+
+def _non_rigid_face(cone: Cone) -> tuple[frozenset[int], int] | None:
+    """The first proper face of the cone, by dimension, whose affine toric
+    variety has T^1 != 0, with that T^1; None when every proper face is rigid.
+
+    Near the orbit of a face tau the variety is U_tau' x (C^*)^(n - dim tau),
+    where tau' is tau in a lattice basis of its saturated span, so T^1 is
+    finite exactly when every proper face is rigid.  Smooth faces are rigid
+    and skipped; each other face is computed by ``t1_affine`` as tau'.  Every
+    face below the one returned was found rigid, so its T^1 is finite."""
+    fan = cone.fan
+    singular = [f for f in faces(cone) if f != cone.indices and not is_smooth(fan.cone(f))]
+    for face in sorted(singular, key=lambda f: fan.cone(f).dim):
+        _, coordinates = _saturated_span([fan.rays[i] for i in sorted(face)])
+        total = t1_affine(affine_cone(coordinates)).total
+        if total:
+            return face, total
+    return None
+
+
+def _infinite_message(witness: tuple[frozenset[int], int]) -> str:
+    face, total = witness
+    rays = [i + 1 for i in sorted(face)]
+    return f"T^1 is infinite: the face on rays {rays} has T^1 of dimension {total}"
 
 
 # ---------------------------------------------------------------------------
 # The part valued in third local cohomology
 
 
-def hom_q_h3(
-    cone: Cone, bound: int | None = None
-) -> tuple[int | None, tuple[DegreeContribution, ...], Completeness]:
+def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
     """Dimension of the degree-zero maps from the Euler cokernel into third
     local cohomology, summed over contributing fine degrees.
 
     The system of a character u maps the pieces at p = p(u) to those at
     p + e_j, so it is fixed by the sign chamber of p for the shift 1 in
-    every coordinate.  An infinite or inconclusive part has no dimension and
-    no contributions; ``bound`` is the search radius of unbounded chambers.
+    every coordinate.  A cone with a non-rigid proper face is refused: its
+    T^1 is infinite, and this part is not known to be.
 
     No three-dimensional cone shows which target p + e_j goes with a_ij:
     there H^3_B is a line at all-negative p and zero elsewhere, so the
@@ -291,14 +285,15 @@ def hom_q_h3(
     three rays are coplanar.  The cone over a square pyramid shows it.
     """
     _require_full_dim(cone)
+    witness = _non_rigid_face(cone)
+    if witness is not None:
+        raise UnsupportedModeError(_infinite_message(witness))
     if singular_codim(cone) < 3:
         raise UnsupportedModeError("requires a singular locus of codimension >= 3")
-    if bound is None:
-        bound = default_bound(cone)
     cox = class_group(cone.fan)
     r = cox.free_rank
     if r == 0:
-        return 0, (), Completeness.GUARANTEED
+        return 0, ()
     m = len(cone.indices)
     b = irrelevant_ideal(smooth_subfan(cone))
     rays = cone.ray_vectors
@@ -315,8 +310,8 @@ def hom_q_h3(
             return 0
         return _kernel_dim(b, 3, key, [(0,) * m] * r, units, coef, kernels, records)
 
-    total, found, completeness = _chamber_characters(rays, [[1]] * m, kernel, bound)
-    return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found), completeness
+    total, found = _chamber_characters(rays, [[1]] * m, kernel)
+    return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +324,7 @@ def dual_cone_generators(cone: Cone) -> list[Vec]:
     return sorted(_facet_record(cone.fan.rays, cone.indices).normals)
 
 
-def der_part_exact(
-    cone: Cone, bound: int | None = None
-) -> tuple[int | None, Completeness]:
+def der_part_exact(cone: Cone) -> tuple[int | None, Completeness]:
     """Degree-zero derivations into second local cohomology, computed as the
     kernel of the linearity conditions on the dual-monoid generators.
 
@@ -345,20 +338,21 @@ def der_part_exact(
     one small system per character, whose kernel dimensions add up.  The
     system of u is fixed by the sign chamber of p(u) for the shifts e_j and
     beta = p(w) in each coordinate, so the dimension is the sum over
-    chambers of the kernel times the number of characters.  An infinite or
-    inconclusive part has no dimension; ``bound`` is the integer search
-    radius for unbounded chambers of non-simplicial cones."""
+    chambers of the kernel times the number of characters.
+
+    A non-rigid proper face makes T^1 infinite.  On a simplicial cone this
+    part is all of T^1, so it is infinite too and has no dimension; on any
+    other cone it is refused."""
     _require_full_dim(cone)
-    if not (is_simplicial(cone) or singular_codim(cone) >= 3):
-        raise UnsupportedModeError(
-            "no formula for non-simplicial cones singular in codimension 2"
-        )
     if is_smooth(cone):
         # the smooth subfan is the whole cone: its irrelevant ideal is the
         # unit ideal and there is no second local cohomology
         return 0, Completeness.GUARANTEED
-    if bound is None:
-        bound = default_bound(cone)
+    witness = _non_rigid_face(cone)
+    if witness is not None:
+        if is_simplicial(cone):
+            return None, Completeness.INFINITE
+        raise UnsupportedModeError(_infinite_message(witness))
     m = len(cone.indices)
     rays = cone.ray_vectors
     b = irrelevant_ideal(smooth_subfan(cone))
@@ -377,8 +371,7 @@ def der_part_exact(
         return _kernel_dim(b, 2, key, units, exponents, exponents, kernels, records)
 
     shifts = [[1, *(beta[k] for beta in exponents)] for k in range(m)]
-    total, _, completeness = _chamber_characters(rays, shifts, kernel, bound)
-    return total, completeness
+    return _chamber_characters(rays, shifts, kernel)[0], Completeness.GUARANTEED
 
 
 def der_part_sufficient(cone: Cone, search_bound: int = 8) -> RigidityCertificate:
@@ -407,14 +400,14 @@ def der_part_sufficient(cone: Cone, search_bound: int = 8) -> RigidityCertificat
 def t1_affine(cone: Cone, bound: int | None = None) -> T1Report:
     """Tangent-space dimension of the affine toric variety of a cone.
 
-    Simplicial cones use the derivation part alone; cones with singular
-    locus of codimension at least three add the third-cohomology part, the
-    two contributions being additive.  Anything else is refused rather than
-    approximated.
+    A cone with a non-rigid proper face has infinite T^1: the report names
+    the first such face (``_non_rigid_face``) and computes no part.
+    Otherwise simplicial cones use the derivation part alone, and the other
+    cones, which are then smooth in codimension 2, add the third-cohomology
+    part, the two contributions being additive.  ``bound`` is ignored; it is
+    still accepted because ``perfbench/workloads.py`` passes it.
     """
     _require_full_dim(cone)
-    if bound is None:
-        bound = default_bound(cone)
     simplicial = is_simplicial(cone)
     codim = singular_codim(cone)
     hyps = [
@@ -429,28 +422,25 @@ def t1_affine(cone: Cone, bound: int | None = None) -> T1Report:
             f"singular codimension {codim}",
         ),
     ]
-    if not simplicial and codim < 3:
-        return T1Report(mode="unsupported", bound=bound, hypotheses=tuple(hyps))
+    witness = _non_rigid_face(cone)
+    if witness is not None:
+        return T1Report(mode="non_rigid_face", hypotheses=tuple(hyps), witness_face=witness)
 
-    if codim >= 3 and der_part_sufficient(cone, bound).verdict is Verdict.DER_PART_VANISHES:
-        der_dim, der_comp = 0, Completeness.GUARANTEED
+    if codim >= 3 and der_part_sufficient(cone).verdict is Verdict.DER_PART_VANISHES:
+        der_dim = 0
     else:
-        der_dim, der_comp = der_part_exact(cone, bound)
+        der_dim, _ = der_part_exact(cone)
 
     if simplicial:
         assert class_group(cone.fan).free_rank == 0
-        homq_dim, contributions, homq_comp = 0, (), Completeness.GUARANTEED
-        mode = "simplicial"
+        homq_dim, contributions, mode = 0, (), "simplicial"
     else:
-        homq_dim, contributions, homq_comp = hom_q_h3(cone, bound)
+        homq_dim, contributions = hom_q_h3(cone)
         mode = "codim_ge_3"
     return T1Report(
         mode=mode,
-        bound=bound,
         der_dimension=der_dim,
-        der_completeness=der_comp,
         homq_dimension=homq_dim,
-        homq_completeness=homq_comp,
         contributions=contributions,
         hypotheses=tuple(hyps),
     )
@@ -468,7 +458,7 @@ class PolygonReport:
     cross_check_total: int
 
 
-def t1_polygon(vertices: Sequence[Sequence[int]], bound: int | None = None) -> PolygonReport:
+def t1_polygon(vertices: Sequence[Sequence[int]]) -> PolygonReport:
     """Tangent dimension of the cone over a lattice polygon at height one.
 
     Requires every listed point to be a hull vertex and every edge cone of
@@ -503,7 +493,7 @@ def t1_polygon(vertices: Sequence[Sequence[int]], bound: int | None = None) -> P
             if int_det(sub) == 0:
                 minor_ok = False
                 break
-    report = t1_affine(cone, bound)
+    report = t1_affine(cone)
     assert report.total == m - 3, "polygon formula disagrees with the affine computation"
     return PolygonReport(
         dimension=m - 3,

@@ -255,9 +255,9 @@ def test_criterion_8_a_series():
     for n in (2, 3, 4):
         versal_parameter_count = len(range(0, n - 1))
         cone = affine_cone([(1, 0), (1, n)])
-        dim, completeness = der_part_exact(cone, bound=3)
+        dim, completeness = der_part_exact(cone)
         assert dim == n - 1 == versal_parameter_count, n
-        report = t1_affine(cone, bound=3)
+        report = t1_affine(cone)
         assert report.total == n - 1
     _report(8, "index-n surface cones give tangent dimensions 1, 2, 3")
 

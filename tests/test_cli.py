@@ -32,9 +32,7 @@ class TestT1Command:
         assert report["completeness"] == "guaranteed"
 
     def test_a1(self, capsys):
-        code, out, _ = run(
-            capsys, "t1", FANS / "a1_cone.json", "--bound", "3", "--format", "json"
-        )
+        code, out, _ = run(capsys, "t1", FANS / "a1_cone.json", "--format", "json")
         assert code == 0
         report = json.loads(out)
         assert report["mode"] == "simplicial"
@@ -80,25 +78,19 @@ class TestT1Command:
         assert code == 0
         report = json.loads(out)
         assert (report["total"], report["completeness"]) == ("infinite", "infinite")
-        assert (report["der_dimension"], report["der_completeness"]) == (None, "infinite")
+        assert (report["mode"], report["witness_face"]) == ("non_rigid_face", {"rays": [1, 3], "t1": 1})
         code, out, _ = run(capsys, "t1", FANS / "infinite_der_cone.json")
         assert code == 0 and "total: infinite" in out
 
-    def test_inconclusive_part_exits_2(self, tmp_path, capsys, monkeypatch):
-        # the cone over a square pyramid has an unbounded chamber whose
-        # characters only an integer search finds; make that search run out
-        from torrigid.lattice import BoundExceeded
-
-        rays = [[0, 0, 0, 1], [1, 0, 0, 1], [1, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
-        f = tmp_path / "pyramid.json"
-        f.write_text(json.dumps({"rays": rays, "max_cones": [list(range(5))]}))
-        code, out, _ = run(capsys, "t1", f, "--format", "json")
-        assert (code, json.loads(out)["total"]) == (0, "infinite")
-        monkeypatch.setattr("torrigid.t1.integer_feasible", lambda system, bound: BoundExceeded(bound))
-        code, out, _ = run(capsys, "t1", f, "--format", "json")
+    def test_non_rigid_face(self, capsys):
+        # the cone over a square pyramid is transversally the cone over the
+        # square along the curve of its base face
+        code, out, _ = run(capsys, "t1", FANS / "pyramid_cone.json", "--format", "json")
+        assert code == 0
         report = json.loads(out)
-        assert code == 2
-        assert (report["total"], report["completeness"], report["homq_dimension"]) == (None, "inconclusive", None)
+        assert (report["mode"], report["total"], report["completeness"]) == ("non_rigid_face", "infinite", "infinite")
+        assert report["witness_face"] == {"rays": [1, 2, 3, 4], "t1": 1}
+        assert "der_dimension" not in report and "homq_dimension" not in report
 
     def test_listed_face_dropped(self, tmp_path, capsys):
         # the square cone plus its edge [0, 1] is still one affine cone
@@ -117,24 +109,37 @@ class TestT1Command:
         assert (code, out) == (1, "")
         assert "ray 1 is not extremal in cone [0, 1, 2]" in err
 
+    # t1 has no search bound: --bound and TORRIGID_BOUND are the gamma
+    # criterion's, and t1 rejects the one and ignores the other
+
     def test_env_bound(self, capsys, monkeypatch):
+        monkeypatch.delenv("TORRIGID_BOUND", raising=False)
+        _, plain, _ = run(capsys, "t1", FANS / "a1_cone.json", "--format", "json")
         monkeypatch.setenv("TORRIGID_BOUND", "3")
         code, out, _ = run(capsys, "t1", FANS / "a1_cone.json", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["bound"] == 3
+        assert (code, out) == (0, plain)
+        code, out, _ = run(
+            capsys, "rigidity", FANS / "a1_cone.json", "--criterion", "gamma", "--format", "json"
+        )
+        assert code == 3
+        assert json.loads(out)["certificates"][0]["search_bound"] == 3
 
     @pytest.mark.parametrize("bound", ["-1", "0"])
     def test_nonpositive_bound_rejected(self, capsys, monkeypatch, bound):
         monkeypatch.delenv("TORRIGID_BOUND", raising=False)
-        code, out, err = run(capsys, "t1", FANS / "a1_cone.json", "--bound", bound, "--format", "json")
+        code, out, err = run(
+            capsys, "rigidity", FANS / "a1_cone.json", "--criterion", "gamma", "--bound", bound
+        )
         assert (code, out) == (1, "")
         assert f"--bound must be at least 1, got {bound}" in err
 
     def test_nonpositive_env_bound_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("TORRIGID_BOUND", "-2")
-        code, out, err = run(capsys, "t1", FANS / "a1_cone.json", "--format", "json")
+        code, out, err = run(capsys, "rigidity", FANS / "a1_cone.json", "--criterion", "gamma")
         assert (code, out) == (1, "")
         assert "TORRIGID_BOUND must be at least 1, got -2" in err
+        code, _, _ = run(capsys, "t1", FANS / "a1_cone.json")
+        assert code == 0
 
     @pytest.mark.parametrize(
         "vertices",
@@ -319,10 +324,11 @@ class TestCheckFan:
         assert "field 'max_cones' must be a list of index lists" in err
 
     def test_bound_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check-fan", str(FANS / "p2.json"), "--bound", "3"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
+        for argv in (["check-fan", str(FANS / "p2.json")], ["t1", str(FANS / "a1_cone.json")]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--bound", "3"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
 
 
 class TestToricPredicateCalls:

@@ -29,7 +29,7 @@ def test_der_vanishing_certificate_matches_exact(rays):
     cone = affine_cone(rays)
     cert = der_vanishing_gamma(cone, search_bound=4)
     if cert.verdict is Verdict.DER_PART_VANISHES:
-        dim, _ = der_part_exact(cone, bound=2)
+        dim, _ = der_part_exact(cone)
         assert dim == 0
 
 
@@ -59,6 +59,6 @@ OCTAGON = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 3), (0, 3), (-1, 2), (-1, 1)]
 )
 def test_polygon_consistency(polygon):
     # t1_polygon cross-checks the affine computation internally
-    report = t1_polygon(polygon, bound=2)
+    report = t1_polygon(polygon)
     assert report.dimension == len(polygon) - 3
     assert report.minor_condition

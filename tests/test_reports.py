@@ -63,26 +63,27 @@ DIGESTS = {
     "rigidity square_polygon.json --format json": "c4ad8fd7f0481b298961772ff3eb7b4f8309c933c16f6ab8d8908ed7bea43419",
     "rigidity third_cone.json --format json": "2402bcf164b7c9b2def39a19abed2a564906f4147dddaad8c7f7dba2a62ffdce",
     "rigidity weighted_simplex_1113.json --format json": "ab5a226c62d8606998d1366e8ccefc90b30ffe969b67ba83d4c1dc2d74f749d0",
-    "t1 a1_cone.json --format json": "60d1e4a5fca1444aba576c5ea85ed677496044040bd0a366b752f584c4169991",
-    "t1 a2_cone.json --format json": "99c79875c303e1feba696bc0ca5022b717a25ef11413180057ff644608682269",
-    "t1 a3_cone.json --format json": "c4b4d5ab1c6cfef8c806d6f2aa89c1e06c9effc6e3965ecf55baf2b916f8cbd4",
+    "t1 a1_cone.json --format json": "9fb5921716767e9c6ec3aaccc3af188a5bbd0d87d5a589c6564e9c01b4e45794",
+    "t1 a2_cone.json --format json": "c32652b37437358bb67fe1d58fecabee513aeaed2392a3a5de228ff85cf2796f",
+    "t1 a3_cone.json --format json": "dcd9d70583a3cc5ebf827581263f804c04f29d458aee1708d0671130af8f34ed",
     "t1 degree4_on_p4.json --format json": "28daf93ca1673d957a075e5179698cd1cbfc067c4aab9b642c3ed2c98aa46672",
     "t1 f2.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
     "t1 fermat_quartic.json --format json": "8e7e9deb78b4f907e359209b43c950e23b5f0b3062cd25aaa5154ab3b3574f5b",
     "t1 fermat_quintic.json --format json": "364fceff1838407537315fe1548979232b9f0fa9ec1a14319d4216ac87e2721e",
-    "t1 hexagon_cone.json --format json": "c0bbe91cb0ab981376e7b3359d9a1a25f124bd9bdd9f4d412819be6606930b38",
+    "t1 hexagon_cone.json --format json": "39deeecac1caba76b055c5c40f55413cebab3b98d4048142047632e5c1553bee",
     "t1 hexagon_polygon.json --format json": "976b493aaba4d9a318670265bed0d18de045807a23bfd18105bfab0f3a8a43d3",
     "t1 hexagon_polygon.json --polygon": "ebed0dfc5034adf540dcfbe5dc208ff42024cc4229017d1641923190444e7b9d",
-    "t1 infinite_der_cone.json --format json": "cdf6e6baf0ea20d9e578e97bf276497282a5db9f70e4190d4886af83397e24ff",
+    "t1 infinite_der_cone.json --format json": "4b51a4b39e975c0f275265c9710203ad99f08869a5a07bd82eb2753878280cc5",
     "t1 p1xp3.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
     "t1 p2.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
     "t1 p3.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
+    "t1 pyramid_cone.json --format json": "305aede81836a76cd376c982f782ce48b1f768398144db2649a3105106381c1a",
     "t1 p4.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
-    "t1 square_cone.json --format json": "8161f006350ac391a8513e84d94756a7ee086e1f4202c22ec0ee260205db1037",
+    "t1 square_cone.json --format json": "2fbacdc9d98bf389729cc46b8dadc2d88fc3614ba14d0d13643ecc394fee326d",
     "t1 square_faces.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
     "t1 square_polygon.json --format json": "c4ad8fd7f0481b298961772ff3eb7b4f8309c933c16f6ab8d8908ed7bea43419",
     "t1 square_polygon.json --polygon": "145785ad40fdc631c7bcb7a516bf6d1dde3264a8ef8a79809c4550fb52d0e589",
-    "t1 third_cone.json --format json": "81d7aff8ba6a7cb90d602e06ac8af3e93f9d09ca1102816a3eea1a765e161ba4",
+    "t1 third_cone.json --format json": "cc39ab0814afe0ea1b829fe85f47da0f972fa7fb79339a7cb672021d39e2b0bb",
     "t1 weighted_simplex_1113.json --format json": "403f83f5305eb6cdb336e20a8eac69360e3dcd85374d105d1ee15b1fc97bb3aa",
 }
 

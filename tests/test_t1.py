@@ -6,26 +6,34 @@ from math import comb, factorial, gcd, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torrigid import localcoh, t1
 from torrigid.cli import load_fan
 from torrigid.ideals import SquarefreeMonomialIdeal
-from torrigid.lattice import hilbert_basis, int_det, rref, solve_diophantine
+from torrigid.lattice import (
+    AffineSystem,
+    BoundExceeded,
+    UnboundedPolyhedronError,
+    Witness,
+    hilbert_basis,
+    int_det,
+    integer_feasible,
+    lattice_points,
+    rref,
+    solve_diophantine,
+)
 from torrigid.localcoh import _restriction, local_coh_piece, mult_map, negative
 from torrigid.rigidity import Verdict
 from torrigid.t1 import (
     Completeness,
     UnsupportedModeError,
-    _chamber_characters,
-    _fine_degree,
     _intervals,
     _kernel_dim,
     _translate,
     cox_polynomial,
     cy_t1,
-    default_bound,
     der_part_exact,
     der_part_sufficient,
     dual_cone_generators,
@@ -35,9 +43,11 @@ from torrigid.t1 import (
     t1_polygon,
 )
 from torrigid.toric import (
+    FanValidationError,
     affine_cone,
     class_group,
     irrelevant_ideal,
+    is_simplicial,
     singular_codim,
     smooth_subfan,
     validate_fan,
@@ -105,39 +115,42 @@ class TestDualCone:
 
 class TestHomQH3:
     def test_square(self, square_cone):
-        total, contributions, completeness = hom_q_h3(square_cone, bound=2)
+        total, contributions = hom_q_h3(square_cone)
         assert total == 1
-        assert completeness.guaranteed
         assert [c.fine_degree for c in contributions] == [(-1, -1, -1, -1)]
 
     def test_hexagon(self, hexagon_cone):
-        total, contributions, completeness = hom_q_h3(hexagon_cone, bound=2)
+        total, contributions = hom_q_h3(hexagon_cone)
         assert total == 3  # vertex count minus three
-        assert completeness.guaranteed
         assert [c.fine_degree for c in contributions] == [(-1, -1, -1, -1, -1, -1)]
 
     def test_simplicial_is_zero(self, third_cone):
-        total, contributions, completeness = hom_q_h3(third_cone, bound=2)
-        assert total == 0 and not contributions and completeness.guaranteed
+        assert hom_q_h3(third_cone) == (0, ())
 
     def test_codim2_refused(self, a1_cone):
         with pytest.raises(UnsupportedModeError):
-            hom_q_h3(a1_cone, bound=2)
+            hom_q_h3(a1_cone)
 
     def test_coefficient_pairing(self):
         # The cone over a square pyramid is singular along the curve of its
-        # base face, transversally the cone over the square, so this part is
-        # infinite.  It comes from the chamber (-1, -1, -1, -1, >= 0), whose
-        # kernel is 1 only when a_ij goes with the target p + e_j: pairing it
-        # with p + e_(j+1) gives 0.  No three-dimensional cone can tell the
+        # base face, transversally the cone over the square, so its T^1 is
+        # infinite and this part is refused.  The infinite part comes from
+        # the unbounded chamber (-1, -1, -1, -1, >= 0), whose kernel is 1
+        # only when a_ij goes with the target p + e_j: pairing it with
+        # p + e_(j+1) gives 0.  No three-dimensional cone can tell the
         # pairings apart (see hom_q_h3).
         pyramid = affine_cone([(0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
-        assert hom_q_h3(pyramid) == (None, (), Completeness.INFINITE)
-
-    def test_monotone_in_bound(self, square_cone):
-        dims = [hom_q_h3(square_cone, bound=b)[0] for b in (2, 3, 4)]
-        assert dims[0] <= dims[1] <= dims[2]
-        assert dims == [1, 1, 1]  # guaranteed-complete case stays constant
+        with pytest.raises(UnsupportedModeError, match=r"face on rays \[1, 2, 3, 4\] has T\^1 of dimension 1"):
+            hom_q_h3(pyramid)
+        b = irrelevant_ideal(smooth_subfan(pyramid))
+        cox = class_group(pyramid.fan)
+        coef = list(zip(*cox.grading_matrix))  # coef[j][i] = a_ij
+        sources = [(0,) * 5] * cox.free_rank
+        targets = [tuple(int(k == j) for k in range(5)) for j in range(5)]
+        chamber = (-1, -1, -1, -1, 0)
+        assert _kernel_dim(b, 3, chamber, sources, targets, coef, {}, {}) == 1
+        shifted = targets[1:] + targets[:1]  # a_ij paired with p + e_(j+1)
+        assert _kernel_dim(b, 3, chamber, sources, shifted, coef, {}, {}) == 0
 
 
 class TestDerPart:
@@ -148,9 +161,9 @@ class TestDerPart:
     @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 3)])
     def test_a_series(self, n, expected):
         cone = affine_cone([(1, 0), (1, n)])
-        dim, completeness = der_part_exact(cone, bound=3)
+        dim, completeness = der_part_exact(cone)
         assert dim == expected
-        assert completeness.guaranteed
+        assert completeness is Completeness.GUARANTEED
 
     def test_monomial_map_through_zero_piece(self):
         # x1 * x4 from degree (-1,-1,-1,-1): the piece after x1 is zero, the
@@ -162,33 +175,30 @@ class TestDerPart:
         assert [list(row) for row in _restriction(b, 0, negative(start), negative(end))] == [[0]]
 
     def test_third_cone_exact_zero(self, third_cone):
-        dim, _ = der_part_exact(third_cone, bound=2)
+        dim, _ = der_part_exact(third_cone)
         assert dim == 0
 
     def test_index_42_cone(self):
         # the dual monoid has a 25-element Hilbert basis
         cone = affine_cone([(-3, 3, -1), (-2, 0, -3), (-1, -3, 2)])
-        dim, completeness = der_part_exact(cone, 1)
+        dim, completeness = der_part_exact(cone)
         assert (dim, completeness) == (0, Completeness.GUARANTEED)
 
     @pytest.mark.parametrize("rays", [[(1, 0), (2, 1)], [(1, 0, 0), (0, 1, 0), (1, 1, 1)]])
     def test_smooth_cone(self, rays):
         # the irrelevant ideal of the smooth subfan is the unit ideal here
         cone = affine_cone(rays)
-        dim, completeness = der_part_exact(cone, bound=1)
+        dim, completeness = der_part_exact(cone)
         assert dim == 0
-        assert completeness.guaranteed
+        assert completeness is Completeness.GUARANTEED
         assert t1_affine(cone).total == 0
 
     def test_unsupported(self):
-        # non-simplicial with a two-dimensional singular face
+        # non-simplicial with a singular two-dimensional face, the A_1 cone
+        # on rays 2 and 3: T^1 is infinite, and this part is not known to be
         cone = affine_cone([(0, 0, 1), (1, 0, 1), (1, 2, 1), (0, 1, 1)])
-        if cone.dim == 3:
-            from torrigid.toric import is_simplicial, singular_codim
-
-            if not is_simplicial(cone) and singular_codim(cone) < 3:
-                with pytest.raises(UnsupportedModeError):
-                    der_part_exact(cone, bound=2)
+        with pytest.raises(UnsupportedModeError, match=r"face on rays \[2, 3\] has T\^1 of dimension 1"):
+            der_part_exact(cone)
 
 
 def riemenschneider_t1(n, q):
@@ -212,8 +222,8 @@ CYCLIC_QUOTIENTS = [
 @pytest.mark.parametrize("n,q", CYCLIC_QUOTIENTS)
 def test_cyclic_quotient_closed_form(n, q):
     cone = affine_cone([(0, 1), (n, -q)])
-    report = t1_affine(cone, bound=2)
-    assert report.completeness.guaranteed
+    report = t1_affine(cone)
+    assert report.completeness is Completeness.GUARANTEED
     assert report.total == riemenschneider_t1(n, q)
 
 
@@ -228,7 +238,7 @@ def test_cyclic_quotient_closed_form_to_30(case):
     # the chambers need no window: a box of characters had to grow with n
     n, q = case
     report = t1_affine(affine_cone([(0, 1), (n, -q)]))
-    assert report.completeness.guaranteed
+    assert report.completeness is Completeness.GUARANTEED
     assert report.total == riemenschneider_t1(n, q)
 
 
@@ -245,7 +255,7 @@ class TestT1Affine:
         assert report.mode == "codim_ge_3"
         assert (report.der_dimension, report.homq_dimension) == (0, 1)
         assert report.total == 1
-        assert report.completeness.guaranteed
+        assert report.completeness is Completeness.GUARANTEED
 
     def test_third_cone_rigid(self, third_cone):
         report = t1_affine(third_cone)
@@ -253,55 +263,35 @@ class TestT1Affine:
         assert report.mode == "simplicial"
 
     def test_a1(self, a1_cone):
-        report = t1_affine(a1_cone, bound=3)
+        report = t1_affine(a1_cone)
         assert report.mode == "simplicial"
         assert report.total == 1
+        assert t1_affine(a1_cone, bound=3) == report  # the bound is ignored
 
     def test_hexagon(self, hexagon_cone):
         report = t1_affine(hexagon_cone)
         assert report.total == 3
 
-    def test_unsupported_mode(self):
+    def test_non_rigid_face_mode(self):
+        # the face on rays 2 and 3 is the A_1 cone, so T^1 is infinite
         cone = affine_cone([(0, 0, 1), (1, 0, 1), (1, 2, 1), (0, 1, 1)])
-        report = t1_affine(cone, bound=2)
-        assert report.mode == "unsupported"
-        assert report.total is None and report.completeness is None
-
-    def test_default_bound(self, square_cone):
-        assert default_bound(square_cone) == 2
+        report = t1_affine(cone)
+        assert report.mode == "non_rigid_face"
+        assert report.witness_face == (frozenset({1, 2}), 1)
+        assert report.total is None and report.completeness is Completeness.INFINITE
+        assert (report.der_dimension, report.homq_dimension) == (None, None)
 
     @pytest.mark.parametrize("bound,total", [(2, 3), (3, 4)])
-    def test_simplicial_cone_window_totals(self, monkeypatch, bound, total):
-        # singular along a curve: the characters in the box of radius
-        # 3 * bound carry 3, 4, ... dimensions, so the derivation part is
-        # infinite whatever the bound
+    def test_simplicial_cone_window_totals(self, bound, total):
+        # singular along a curve, transversally the A_1 cone on rays 1 and 3:
+        # the characters in the box of radius 3 * bound carry 3, 4, ...
+        # dimensions, so the derivation part, all of T^1, is infinite
         cone = affine_cone([(1, 0, 1), (0, 1, 1), (-1, -2, 3)])
-        seen = {}
-
-        def recording(rays, shifts, kernel, search):
-            seen.update(rays=rays, shifts=shifts, kernel=kernel)
-            return _chamber_characters(rays, shifts, kernel, search)
-
-        monkeypatch.setattr("torrigid.t1._chamber_characters", recording)
-        report = t1_affine(cone, bound=bound)
-        assert report.mode == "simplicial"
-        assert (report.der_dimension, report.der_completeness) == (None, Completeness.INFINITE)
+        report = t1_affine(cone)
+        assert (report.mode, report.witness_face) == ("non_rigid_face", (frozenset({0, 2}), 1))
         assert (report.total, report.completeness) == (None, Completeness.INFINITE)
-
-        def chamber_key(x, shifts):
-            return next(
-                key for key, lo, hi in _intervals(shifts)
-                if (lo is None or lo <= x) and (hi is None or x <= hi)
-            )
-
-        radius = 3 * bound
-        window = sum(
-            seen["kernel"](
-                tuple(map(chamber_key, _fine_degree(seen["rays"], u), seen["shifts"]))
-            )
-            for u in itertools.product(range(-radius, radius + 1), repeat=3)
-        )
-        assert window == total
+        assert der_part_exact(cone) == (None, Completeness.INFINITE)
+        assert oracle_der(cone, bound) == total
 
 
 class TestT1Polygon:
@@ -643,7 +633,7 @@ def test_per_character_oracle(bound, max_n):
         # certifies its derivation part zero without it
         if len(rays) < 6:
             der = oracle_der(cone, bound)
-            dim, completeness = der_part_exact(cone, bound)
+            dim, completeness = der_part_exact(cone)
             if completeness is Completeness.INFINITE:
                 assert dim is None and oracle_der(cone, bound - 1) < der, rays
                 infinite_der += 1
@@ -652,8 +642,7 @@ def test_per_character_oracle(bound, max_n):
             nonzero_der += der > 0
         if singular_codim(cone) >= 3:
             contributions = oracle_homq(cone, bound)
-            total, got, completeness = hom_q_h3(cone, bound)
-            assert completeness.guaranteed
+            total, got = hom_q_h3(cone)
             assert [(c.fine_degree, c.dimension) for c in got] == contributions, rays
             assert total == sum(k for _, k in contributions)
             nonzero_homq += total > 0
@@ -664,15 +653,15 @@ def test_per_character_oracle(bound, max_n):
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: der_part_exact(affine_cone([(1, 0, 1), (0, 1, 1), (-1, -2, 3)]), 2), 16),
-        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)]), 2), 15),
-        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1]), 4), 64),  # the hexagon
+        (lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 24),  # the square
+        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 15),
+        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 64),  # the hexagon
     ],
 )
 def test_one_rank_per_sign_signature(monkeypatch, run, calls):
     # one rref per distinct (source patterns, target patterns) signature
     # among the chambers; ranking every character of a window separately
-    # took 278, 157 and 64 calls
+    # took 157 calls on X(7, 3) and 64 on the hexagon
     count = 0
 
     def counting(*args):
@@ -716,16 +705,16 @@ def test_chamber_fixes_sign_patterns(case):
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: der_part_exact(affine_cone([(1, 0, 1), (0, 1, 1), (-1, -2, 3)]), 2), 83),
-        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)]), 2), 25),
-        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1]), 4), 64),  # the hexagon
+        (lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 81),  # the square
+        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 25),
+        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 64),  # the hexagon
     ],
 )
 def test_one_kernel_per_chamber(monkeypatch, run, calls):
-    # one kernel lookup per chamber, until the first infinite one, and for
+    # one kernel lookup per chamber (3^4 of them on the square), and for
     # hom_q_h3 only where the third cohomology is nonzero (64 of 729
-    # chambers); looking up every character of a window took 2197, 841 and
-    # 729 calls
+    # chambers); looking up every character of a window took 841 calls on
+    # X(7, 3) and 729 on the hexagon
     count = 0
 
     def counting(*args):
@@ -756,15 +745,15 @@ def test_targets_only_behind_nonzero_sources(monkeypatch):
     monkeypatch.setattr("torrigid.t1._kernel_dim", counting_kernel)
     monkeypatch.setattr("torrigid.t1._translate", counting_translate)
     cone = affine_cone([(-3, 3, -1), (-2, 0, -3), (-1, -3, 2)])
-    assert der_part_exact(cone, 1) == (0, Completeness.GUARANTEED)
+    assert der_part_exact(cone) == (0, Completeness.GUARANTEED)
     assert counts == {"kernels": 2340, "degrees": 3 * 2340}
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: der_part_exact(affine_cone([(0, 1), (7, -3)]), 2),  # X(7, 3)
-        lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1]), 4),  # the hexagon
+        lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])),  # X(7, 3)
+        lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])),  # the hexagon
     ],
     ids=["der_part_exact", "hom_q_h3"],
 )
@@ -801,3 +790,114 @@ def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, run):
     run()
     assert 0 < patterns <= len(degrees)
     assert sizes() == before
+
+
+# ---------------------------------------------------------------------------
+# Bounded-search oracle: the chamber walk from before finiteness was decided
+# from the faces
+
+
+def searched_chambers(rays, shifts, kernel, bound):
+    """The chamber walk of ``_chamber_characters`` before T^1 was decided from
+    the faces, kept as an oracle for that decision: (total, found, outcome).
+
+    An unbounded chamber with a nonzero kernel is searched for a character
+    by ``integer_feasible`` within ``bound``; on a simplicial cone it is
+    first cut to a bounded chamber that holds a character if it does, since
+    |det| e_k lies in p(M).  A character found makes the outcome
+    ``infinite``, a search that runs out ``inconclusive``."""
+    n = len(rays[0])
+    index = abs(int_det(rays)) if len(rays) == n else 0
+
+    def system(chamber):
+        rows = [(v, lo) for v, (_, lo, _) in zip(rays, chamber) if lo is not None]
+        rows += [(tuple(-c for c in v), -hi) for v, (_, _, hi) in zip(rays, chamber) if hi is not None]
+        return AffineSystem(num_vars=n, inequalities=tuple(rows))
+
+    found, outcome = [], "guaranteed"
+    for chamber in itertools.product(*map(_intervals, shifts)):
+        ker = kernel(tuple(key for key, _, _ in chamber))
+        if not ker:
+            continue
+        try:
+            found += [(u, ker) for u in lattice_points(system(chamber))]
+        except UnboundedPolyhedronError:
+            if index:
+                chamber = [
+                    (key, hi - index + 1 if lo is None else lo, lo + index - 1 if hi is None else hi)
+                    for key, lo, hi in chamber
+                ]
+            result = integer_feasible(system(chamber), bound)
+            if isinstance(result, Witness):
+                return None, [], "infinite"
+            if isinstance(result, BoundExceeded):
+                outcome = "inconclusive"
+    return sum(ker for _, ker in found), sorted(found), outcome
+
+
+def searched_t1(cone):
+    """t1_affine with no face rule and every chamber walk by
+    ``searched_chambers`` at twice the largest ray coordinate: (outcome,
+    total, contributions), the total and contributions only when every walk
+    is ``guaranteed``."""
+    bound = 2 * max(abs(c) for v in cone.ray_vectors for c in v)
+    outcomes = []
+
+    def walk(rays, shifts, kernel):
+        total, found, outcome = searched_chambers(rays, shifts, kernel, bound)
+        outcomes.append(outcome)
+        return total or 0, found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(t1, "_chamber_characters", walk)
+        patch.setattr(t1, "_non_rigid_face", lambda cone: None)
+        report = t1_affine(cone)
+    for outcome in ("infinite", "inconclusive"):
+        if outcome in outcomes:
+            return outcome, None, None
+    return "guaranteed", report.total, report.contributions
+
+
+@st.composite
+def small_cones(draw):
+    """n to n + 2 rays in Z^n, n = 3 or 4, with coordinates in [-2, 2]."""
+    n = draw(st.sampled_from((3, 4)))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    return draw(st.lists(vec, min_size=n, max_size=n + 2))
+
+
+PYRAMID = [(0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)]
+
+
+@settings(max_examples=100)
+@given(small_cones())
+@example(PYRAMID)  # non-simplicial, smooth in codimension 2, one square facet
+@example([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])  # the square: rigid faces
+@example([(1, 0, 1), (0, 1, 1), (-1, -2, 3)])  # simplicial, singular along a curve
+def test_face_rule_matches_bounded_search(rays):
+    try:
+        cone = affine_cone(rays)
+    except FanValidationError:
+        assume(False)
+    assume(cone.dim == len(rays[0]))
+    report = t1_affine(cone)
+    rigid = report.witness_face is None
+    simplicial, codim = is_simplicial(cone), singular_codim(cone)
+    if not rigid:
+        face, total = report.witness_face
+        assert total > 0 and face < cone.indices
+    if simplicial or codim >= 3:
+        outcome, total, contributions = searched_t1(cone)
+        assert rigid == (outcome != "infinite"), outcome
+        if rigid:
+            assert (outcome, total, contributions) == ("guaranteed", report.total, report.contributions)
+    else:
+        # the search does not apply: a singular two-dimensional face
+        assert len(report.witness_face[0]) == 2
+    if simplicial:
+        # Schlessinger: quotient singularities smooth in codimension 2 are
+        # rigid; a singular two-dimensional face is never rigid
+        if codim >= 3:
+            assert report.total == 0 and der_part_exact(cone) == (0, Completeness.GUARANTEED)
+        else:
+            assert report.completeness is Completeness.INFINITE
