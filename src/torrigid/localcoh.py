@@ -9,15 +9,16 @@ generators, with no simplicial conventions involved; the two must always
 agree, and the test suite enforces that on randomized inputs.
 
 Every piece is looked up the same way: ``_degree`` gives the record of the
-degree's sign pattern (``_pattern``), and remembers only the last (ideal,
-degree) it was asked.  The record holds the complex, its cohomology
-dimensions, one shared piece per cochain degree and, once the oracle has
+degree's sign pattern (``_pattern``) and remembers the last (ideal, degree)
+it was asked in ``_last``.  The record holds the complex, its cohomology
+dimensions, its pieces by local-cohomology index and, once the oracle has
 asked for it, the Cech strand.  The pattern also keys the caches of bases
 and restriction maps (``_basis``, ``_restriction``).  A sweep that asks for
-every piece of one degree in turn computes its pattern once, and every other
-lookup of the degree is one identity test and one tuple comparison.  A
-computation that revisits many degrees (the chamber walks of ``t1``) keeps
-its own records by degree.
+every piece of one degree in turn computes its pattern once:
+``local_coh_piece`` and ``cech_piece`` test ``_last`` themselves, so every
+other lookup of the degree is one identity test and one tuple comparison,
+with no further call.  A computation that revisits many degrees (the
+chamber walks of ``t1``) keeps its own records by degree.
 
 All cohomology is over the exact rationals.
 """
@@ -61,16 +62,14 @@ _last: tuple = (None, None, None)
 
 
 def _degree(b: SquarefreeMonomialIdeal, p: tuple[int, ...]) -> _SignPattern:
-    """The record of a degree's sign pattern.  A sweep asks for every piece
-    of a degree in turn, so only the last degree is remembered, and only for
-    the same ideal object: an equal ideal takes the miss path, which returns
-    the same record because ``_pattern`` is keyed by value.  The degree is
-    checked on a miss; a bad degree or a degenerate ideal is never
-    remembered, so it raises on every call."""
+    """The record of a degree's sign pattern, remembered in ``_last``: the
+    miss path of the one-slot memo that ``local_coh_piece`` and
+    ``cech_piece`` test themselves (the same ideal object, an equal degree).
+    An equal ideal that is another object misses, and gets the same record
+    because ``_pattern`` is keyed by value.  The degree is checked here; a
+    bad degree or a degenerate ideal is never remembered, so it raises on
+    every call."""
     global _last
-    last = _last
-    if last[0] is b and last[1] == p:
-        return last[2]
     if len(p) != b.num_vars:
         _check_proper(b)  # a degenerate ideal takes precedence
         raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
@@ -254,9 +253,11 @@ class GradedPiece:
 
 
 class _SignPattern:
-    """The complex of a sign pattern, its reduced cohomology dimensions and
-    one piece per cochain degree (``zero`` for every other degree), and the
-    Cech strand dimensions, None until ``cech_piece`` first asks for them."""
+    """The complex of a sign pattern, its reduced cohomology dimensions by
+    cochain degree, its pieces of local cohomology by index i (cochain
+    degree i - 2), and the Cech strand dimensions, None until ``cech_piece``
+    first asks for them.  ``pieces`` ends at the top cochain degree; every
+    zero piece, and the piece at every index past the end, is ``zero``."""
 
     __slots__ = ("pattern", "complex", "dims", "pieces", "zero", "strand")
 
@@ -264,8 +265,11 @@ class _SignPattern:
         self.pattern = pattern
         self.complex = kompl
         self.dims = dims
-        self.pieces = {q: GradedPiece(kompl, d) for q, d in dims.items()}
-        self.zero = GradedPiece(kompl, 0)
+        self.zero = zero = GradedPiece(kompl, 0)
+        self.pieces = tuple(
+            GradedPiece(kompl, dims[q]) if dims.get(q) else zero
+            for q in range(-2, max(dims, default=-2) + 1)
+        )
         self.strand: dict | None = None
 
 
@@ -282,8 +286,11 @@ def local_coh_piece(
     degree i - 2."""
     if i < 0:
         _reject_index(b)
-    record = _degree(b, tuple(p))
-    return record.pieces.get(i - 2, record.zero)
+    p = tuple(p)
+    last = _last
+    record = last[2] if last[0] is b and last[1] == p else _degree(b, p)
+    pieces = record.pieces
+    return pieces[i] if i < len(pieces) else record.zero
 
 
 @dataclass(frozen=True)
@@ -407,7 +414,9 @@ def cech_piece(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> int:
     record but computed here, on first use, from the generators alone."""
     if i < 0:
         _reject_index(b)
-    record = _degree(b, tuple(p))
+    p = tuple(p)
+    last = _last
+    record = last[2] if last[0] is b and last[1] == p else _degree(b, p)
     strand = record.strand
     if strand is None:
         strand = record.strand = _cech_strand(b, record.pattern)

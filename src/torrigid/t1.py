@@ -240,6 +240,10 @@ def _chamber_characters(
     return sum(ker for _, ker in found), sorted(found)
 
 
+# the last (cone, witness) that _non_rigid_face returned
+_last_walk: tuple = (None, None)
+
+
 def _non_rigid_face(cone: Cone) -> tuple[frozenset[int], int] | None:
     """The first proper face of the cone, by dimension, whose affine toric
     variety has T^1 != 0, with that T^1; None when every proper face is rigid.
@@ -248,15 +252,23 @@ def _non_rigid_face(cone: Cone) -> tuple[frozenset[int], int] | None:
     where tau' is tau in a lattice basis of its saturated span, so T^1 is
     finite exactly when every proper face is rigid.  Smooth faces are rigid
     and skipped; each other face is computed by ``t1_affine`` as tau'.  Every
-    face below the one returned was found rigid, so its T^1 is finite."""
+    face below the one returned was found rigid, so its T^1 is finite.
+    ``t1_affine`` and the parts it calls ask in turn for the same cone, so
+    the answer for the last cone object is remembered."""
+    global _last_walk
+    if _last_walk[0] is cone:
+        return _last_walk[1]
     fan = cone.fan
     singular = [f for f in faces(cone) if f != cone.indices and not is_smooth(fan.cone(f))]
+    witness = None
     for face in sorted(singular, key=lambda f: fan.cone(f).dim):
         _, coordinates = _saturated_span([fan.rays[i] for i in sorted(face)])
         total = t1_affine(affine_cone(coordinates)).total
         if total:
-            return face, total
-    return None
+            witness = face, total
+            break
+    _last_walk = (cone, witness)
+    return witness
 
 
 def _infinite_message(witness: tuple[frozenset[int], int]) -> str:

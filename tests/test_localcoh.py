@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 import sympy
@@ -532,7 +533,7 @@ def memo_walks(draw):
     """A pool of ideals on the same variables, among them an equal but
     distinct copy, and a sequence of steps: a degree from a small set and the
     pool indices that ask for it in turn, each with a call, a variable and
-    whether the degree comes as a list."""
+    the type the degree comes as (tuple, list or array)."""
     m = draw(st.integers(1, 4))
     gens = st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=4)
     first = SquarefreeMonomialIdeal(m, tuple(draw(gens)))
@@ -543,7 +544,7 @@ def memo_walks(draw):
         st.integers(0, len(pool) - 1),
         st.sampled_from(["local_coh_piece", "cech_piece", "mult_map"]),
         st.integers(0, m - 1),
-        st.booleans(),
+        st.sampled_from(["tuple", "list", "array"]),
     )
     steps = draw(
         st.lists(st.tuples(st.sampled_from(degrees), st.lists(call, min_size=1, max_size=4)), max_size=12)
@@ -556,30 +557,33 @@ def memo_walks(draw):
 @example(
     (
         [ideal(2, {0}, {1}), ideal(2, {0}, {1}), ideal(2, {0, 1})],
-        [((-1, -1), [(0, "local_coh_piece", 0, False), (2, "local_coh_piece", 0, False),
-                     (1, "cech_piece", 0, True), (0, "mult_map", 1, True)]),
-         ((0, 0), [(0, "local_coh_piece", 0, True)])],
+        [((-1, -1), [(0, "local_coh_piece", 0, "tuple"), (2, "local_coh_piece", 0, "tuple"),
+                     (1, "cech_piece", 0, "list"), (0, "mult_map", 1, "list")]),
+         ((0, 0), [(0, "local_coh_piece", 0, "list"), (0, "cech_piece", 0, "array")]),
+         ((-1, 0), [(0, "local_coh_piece", 0, "array"), (0, "local_coh_piece", 0, "tuple")])],
     )
 )
 def test_degree_memo_never_returns_a_stale_record(case):
     # the memo of _degree keeps one (ideal, degree, record); whatever the
     # order of calls, ideals and degree types, every answer must be the one
-    # computed afresh from the degree's sign pattern, at every index
+    # computed afresh from the degree's sign pattern, at every index, also
+    # past the last piece
     pool, steps = case
     assert pool[0] == pool[1] and pool[0] is not pool[1]
     m = pool[0].num_vars
-    buffer = [0] * m  # one list, rewritten for every list degree
+    # one list and one array, rewritten for every degree of their type
+    buffers = {"list": [0] * m, "array": array("b", [0] * m)}
     for degree, calls in steps:
-        for k, name, j, as_list in calls:
+        for k, name, j, kind in calls:
             b = pool[k]
-            if as_list:
-                buffer[:] = degree
-                p = buffer
-            else:
+            if kind == "tuple":
                 p = degree
+            else:
+                p = buffers[kind]
+                p[:] = array("b", degree) if kind == "array" else list(degree)
             kompl = t_complex(b, negative(degree))
             dims = localcoh._cohomology_dims(kompl)
-            for i in range(m + 2):
+            for i in range(m + 4):
                 if name == "local_coh_piece":
                     piece = local_coh_piece(b, i, p)
                     assert (piece.complex, piece.dimension) == (kompl, dims.get(i - 2, 0))
@@ -591,3 +595,30 @@ def test_degree_memo_never_returns_a_stale_record(case):
                     target_dims = localcoh._cohomology_dims(t_complex(b, negative(target)))
                     assert step.source_dimension == dims.get(i - 2, 0)
                     assert step.target_dimension == target_dims.get(i - 2, 0)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=5),
+    )
+))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sign_pattern_pieces_by_index(case):
+    # a record holds the piece of H^i at pieces[i], of dimension the reduced
+    # cohomology in cochain degree i - 2; every index past the end is the
+    # record's one shared zero piece
+    m, gens = case
+    b = SquarefreeMonomialIdeal(m, tuple(gens))
+    for r in range(m + 1):
+        for pattern in map(frozenset, itertools.combinations(range(m), r)):
+            record = _pattern(b, pattern)
+            pieces, dims = record.pieces, record.dims
+            assert type(pieces) is tuple
+            for i, piece in enumerate(pieces):
+                assert (piece.complex, piece.dimension) == (record.complex, dims.get(i - 2, 0))
+            assert max(dims, default=-2) + 2 == len(pieces) - 1
+            assert (record.zero.complex, record.zero.dimension) == (record.complex, 0)
+            p = tuple(-1 if k in pattern else 0 for k in range(m))
+            for i in range(len(pieces), len(pieces) + 3):
+                assert local_coh_piece(b, i, p) is record.zero

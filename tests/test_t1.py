@@ -792,6 +792,52 @@ def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, run):
     assert sizes() == before
 
 
+@pytest.mark.parametrize(
+    "rays",
+    [
+        SHIPPED_CONES[-1],  # the hexagon: hom_q_h3 after the face rule
+        SIMPLICIAL_3D[1],  # simplicial and face-rigid
+        SIMPLICIAL_3D[0],  # simplicial with a non-rigid face
+        [(-1, -2, 0), (1, 1, -2), (-2, 2, 2), (-2, 1, 2)],  # der_part_exact and hom_q_h3
+        [(1, 2, -1, -1), (2, 0, 0, 2), (-1, 2, 2, 0), (2, 2, 0, 0), (2, 2, -1, 1)],  # a 3-D face walked
+    ],
+    ids=["hexagon", "simplicial-rigid", "simplicial-witness", "non-q-gorenstein", "4d"],
+)
+def test_one_face_walk_per_cone(monkeypatch, rays):
+    # t1_affine decides the face rule and then calls the parts, which decide
+    # it again for the same cone: the walk of the cone's faces runs once, and
+    # the face cones walked on the way run once each
+    walked = []
+    all_faces = t1.faces
+
+    def counting(cone):
+        walked.append(cone)
+        return all_faces(cone)
+
+    monkeypatch.setattr(t1, "faces", counting)
+    monkeypatch.setattr(t1, "_last_walk", (None, None))
+    cone = affine_cone(rays)
+    report = t1_affine(cone)
+    assert len({id(c) for c in walked}) == len(walked)
+    # called again, directly or through the parts, for the same cone
+    if report.witness_face is None:
+        assert t1_affine(cone) == report
+        if not is_simplicial(cone):
+            assert hom_q_h3(cone) == (report.homq_dimension, report.contributions)
+    else:
+        assert der_part_exact(cone) == (None, Completeness.INFINITE)
+    assert [c for c in walked if c is cone] == [cone]
+
+
+def test_parts_refuse_a_non_rigid_face_after_t1_affine():
+    # the remembered witness of t1_affine's walk refuses the parts too
+    cone = affine_cone(PYRAMID)
+    assert t1_affine(cone).witness_face == (frozenset({0, 1, 2, 3}), 1)
+    for part in (hom_q_h3, der_part_exact):
+        with pytest.raises(UnsupportedModeError, match=r"rays \[1, 2, 3, 4\]"):
+            part(cone)
+
+
 # ---------------------------------------------------------------------------
 # Bounded-search oracle: the chamber walk from before finiteness was decided
 # from the faces
