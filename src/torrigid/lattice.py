@@ -764,35 +764,6 @@ def _common_length(generators: Sequence[Sequence[int]]) -> int:
     return lengths.pop() if lengths else 0
 
 
-def cone_contains(generators: Sequence[Vec], x: Sequence[int]) -> bool:
-    """Is x a nonnegative rational combination of the generators?"""
-    k = len(generators)
-    if k == 0:
-        return all(a == 0 for a in x)
-    n = _common_length(generators)
-    if len(x) != n:
-        raise ValueError(f"point has length {len(x)}, generators have length {n}")
-    rows: list[_Row] = []
-    for j in range(n):
-        a = tuple(g[j] for g in generators)
-        rows.append((a, x[j]))
-        rows.append((tuple(-c for c in a), -x[j]))
-    for i in range(k):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        rows.append((e, 0))
-    return rational_feasible(rows, k)
-
-
-def cone_is_pointed(generators: Sequence[Vec]) -> bool:
-    """A cone is pointed iff some covector is strictly positive on all generators."""
-    n = _common_length(generators)
-    gens = [g for g in generators if any(g)]
-    if not gens:
-        return True
-    rows = [(tuple(g), 1) for g in gens]
-    return rational_feasible(rows, n)
-
-
 def _adjugate(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """adj(M), so that adj(M) * M = det(M) * I."""
     n = len(m)
@@ -818,24 +789,24 @@ def hilbert_basis(generators: Sequence[Sequence[int]]) -> list[Vec]:
     h = S * lam with lam >= 0, and h - S * floor(lam) is again in the
     monoid, so h is a generator or a parallelepiped point of S.
 
-    The facets are the adjugate rows that are >= 0 on every generator, so
-    membership in the cone is a few dot products.  Candidates are sorted by
-    the sum of the facet normals, which is positive on the cone minus 0, and
-    h is kept unless h - c lies in the cone for some c kept before it: an
-    element that splits has an irreducible summand of smaller height.
     Generators of lower rank are first written in a lattice basis of their
-    saturated span and the result is mapped back.
+    saturated span and the result is mapped back, so the cone is
+    full-dimensional.  The facets are the adjugate rows that are >= 0 on
+    every generator, so membership in the cone is a few dot products, and
+    the cone is pointed exactly when the facet normals have full rank.
+    Candidates are sorted by the sum of the facet normals, which is positive
+    on the cone minus 0, and h is kept unless h - c lies in the cone for
+    some c kept before it: an element that splits has an irreducible summand
+    of smaller height.
 
     The cost is one closure per nonsingular n-subset, so the number of
-    candidates is at most the sum of |det S| over those subsets.  The only
-    Fourier-Motzkin elimination left is the pointedness check.
+    candidates is at most the sum of |det S| over those subsets.  No
+    Fourier-Motzkin elimination is involved.
     """
     ambient = _common_length(generators)
     gens = sorted({primitive(g) for g in generators if any(g)})
     if not gens:
         return []
-    if not cone_is_pointed(gens):
-        raise NonPointedConeError("cone contains a line; Hilbert basis undefined")
     span = _saturated_span(gens)
     if span is not None:
         span, gens = span
@@ -869,6 +840,8 @@ def hilbert_basis(generators: Sequence[Sequence[int]]) -> list[Vec]:
         candidates.update(
             tuple(sum(g[i] * c for g, c in zip(sub, mu)) // d for i in range(n)) for mu in seen
         )
+    if int_rank(list(facets)) < n:
+        raise NonPointedConeError("cone contains a line; Hilbert basis undefined")
 
     # h - c lies in the cone iff every facet is at least as high on h as on c
     heights = {x: tuple(sum(a * b for a, b in zip(f, x)) for f in facets) for x in candidates}

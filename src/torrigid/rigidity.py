@@ -81,6 +81,18 @@ def _codim_hypothesis(name: str, value, threshold: int) -> Hypothesis:
     )
 
 
+def _from_hypotheses(criterion: str, hyps: list[Hypothesis]) -> RigidityCertificate:
+    """RIGID exactly when every hypothesis is satisfied; otherwise the names
+    of the failed ones, joined by "; ", are the reason."""
+    failed = [h.name for h in hyps if h.status != "satisfied"]
+    return RigidityCertificate(
+        criterion=criterion,
+        verdict=Verdict.CONDITION_NOT_SATISFIED if failed else Verdict.RIGID,
+        hypotheses=tuple(hyps),
+        reason="; ".join(failed),
+    )
+
+
 def der_vanishing_gamma(
     cone: Cone, search_bound: int = 8, strict: bool = False
 ) -> RigidityCertificate:
@@ -179,13 +191,7 @@ def qgorenstein_rigidity(cone: Cone) -> RigidityCertificate:
         _codim_hypothesis("smooth_in_codim_2", singular_codim(cone), 3),
         _codim_hypothesis("simplicial_in_codim_3", simplicial_codim(cone), 4),
     ]
-    ok = all(h.status == "satisfied" for h in hyps)
-    return RigidityCertificate(
-        criterion="qgorenstein",
-        verdict=Verdict.RIGID if ok else Verdict.CONDITION_NOT_SATISFIED,
-        hypotheses=tuple(hyps),
-        reason="" if ok else "; ".join(h.name for h in hyps if h.status != "satisfied"),
-    )
+    return _from_hypotheses("qgorenstein", hyps)
 
 
 def quotient_rigidity(cone: Cone) -> RigidityCertificate:
@@ -199,13 +205,7 @@ def quotient_rigidity(cone: Cone) -> RigidityCertificate:
         ),
         _codim_hypothesis("smooth_in_codim_2", singular_codim(cone), 3),
     ]
-    ok = all(h.status == "satisfied" for h in hyps)
-    return RigidityCertificate(
-        criterion="quotient",
-        verdict=Verdict.RIGID if ok else Verdict.CONDITION_NOT_SATISFIED,
-        hypotheses=tuple(hyps),
-        reason="" if ok else "; ".join(h.name for h in hyps if h.status != "satisfied"),
-    )
+    return _from_hypotheses("quotient", hyps)
 
 
 def fano_rigidity(fan: Fan) -> RigidityCertificate:
@@ -248,13 +248,7 @@ def fano_rigidity(fan: Fan) -> RigidityCertificate:
                 local.reason or "Q-Gorenstein, smooth in codim 2, simplicial in codim 3",
             )
         )
-    ok = all(h.status == "satisfied" for h in hyps)
-    return RigidityCertificate(
-        criterion="fano",
-        verdict=Verdict.RIGID if ok else Verdict.CONDITION_NOT_SATISFIED,
-        hypotheses=tuple(hyps),
-        reason="" if ok else "; ".join(h.name for h in hyps if h.status != "satisfied"),
-    )
+    return _from_hypotheses("fano", hyps)
 
 
 def wps_rigidity(q: WeightSystem) -> RigidityCertificate:

@@ -41,7 +41,6 @@ from .lattice import (
 from .localcoh import _degree, _restriction
 from .rigidity import (
     Hypothesis,
-    RigidityCertificate,
     Verdict,
     der_vanishing_gamma,
 )
@@ -386,23 +385,14 @@ def der_part_exact(cone: Cone) -> tuple[int | None, Completeness]:
     return _chamber_characters(rays, shifts, kernel)[0], Completeness.GUARANTEED
 
 
-def der_part_sufficient(cone: Cone, search_bound: int = 8) -> RigidityCertificate:
-    """Sufficient vanishing of the derivation part: the Q-Gorenstein
-    criterion when available, otherwise the connectivity test."""
-    codim = singular_codim(cone)
-    if codim >= 3 and q_gorenstein(cone) is not None:
-        return RigidityCertificate(
-            criterion="qgorenstein_der",
-            verdict=Verdict.DER_PART_VANISHES,
-            hypotheses=(
-                Hypothesis("q_gorenstein", "satisfied", "interpolating covector exists"),
-                Hypothesis(
-                    "smooth_in_codim_2", "satisfied", f"singular codimension {codim}"
-                ),
-            ),
-            reason="all ray generators lie on one hyperplane",
-        )
-    return der_vanishing_gamma(cone, search_bound=search_bound)
+def _der_part_vanishes(cone: Cone) -> bool:
+    """Sufficient vanishing of the derivation part of a cone smooth in
+    codimension 2: the Q-Gorenstein criterion, otherwise the connectivity
+    test."""
+    return (
+        q_gorenstein(cone) is not None
+        or der_vanishing_gamma(cone).verdict is Verdict.DER_PART_VANISHES
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +428,12 @@ def t1_affine(cone: Cone, bound: int | None = None) -> T1Report:
     if witness is not None:
         return T1Report(mode="non_rigid_face", hypotheses=tuple(hyps), witness_face=witness)
 
-    if codim >= 3 and der_part_sufficient(cone).verdict is Verdict.DER_PART_VANISHES:
+    if codim >= 3 and _der_part_vanishes(cone):
         der_dim = 0
     else:
         der_dim, _ = der_part_exact(cone)
 
     if simplicial:
-        assert class_group(cone.fan).free_rank == 0
         homq_dim, contributions, mode = 0, (), "simplicial"
     else:
         homq_dim, contributions = hom_q_h3(cone)
@@ -579,10 +568,11 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
     four (the computable stand-in for the hypersurface meeting the singular
     locus in codimension three); the polynomial must have anticanonical
     degree.  Hypothesis failures produce a report without a dimension.
-    The monomial enumerations are finite because the fan is complete, so no
-    search window is involved.  The rank of the Jacobian system is exact:
-    the coefficients are cleared of denominators and the integer rows are
-    ranked by ``int_rank``.
+    The anticanonical monomials are enumerated once, finitely because the fan
+    is complete, so no search window is involved; the rows of the Jacobian
+    system, the multiples x^g * df/dx_k of anticanonical degree, are read
+    off that enumeration.  Their rank is exact: the coefficients are cleared
+    of denominators and the integer rows are ranked by ``int_rank``.
     """
     cox = class_group(fan)
     m, n = cox.num_rays, cox.ambient_rank
@@ -651,27 +641,22 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
     # a nonzero multiple of f has the same Jacobian ideal
     scale = lcm(*(c.denominator for c, _ in poly.terms))
     terms = [(c.numerator * (scale // c.denominator), e) for c, e in poly.terms]
+    # x^g * df/dx_k has anticanonical degree exactly when g = d - 1 + e_k for
+    # a monomial d with d_j >= 1 for every j != k; the term of c * x^e then
+    # lands at d - 1 + e, whatever k is
+    derivatives = [[(c * e[k], e) for c, e in terms if e[k]] for k in range(m)]
     rows = []
-    for k in range(m):
-        # the terms of the partial derivative by x_k, as (c * e_k, e - e_k)
-        derivative = [(c * e[k], tuple(x - (j == k) for j, x in enumerate(e))) for c, e in terms if e[k]]
-        if not derivative:
+    for d in monomials:
+        zeros = [j for j, x in enumerate(d) if not x]
+        if len(zeros) > 1:
             continue
-        mult_system = AffineSystem(
-            num_vars=n,
-            inequalities=tuple(
-                (v, -1 if j == k else 0) for j, v in enumerate(rays)
-            ),
-        )
-        for u in lattice_points(mult_system):
-            gamma = tuple(
-                (1 if j == k else 0) + sum(a * bb for a, bb in zip(u, v))
-                for j, v in enumerate(rays)
-            )
-            row = [0] * len(monomials)
-            for c, e in derivative:
-                row[index[tuple(map(add, gamma, e))]] += c
-            rows.append(row)
+        shift = [x - 1 for x in d]
+        for k in zeros or range(m):
+            if derivatives[k]:
+                row = [0] * len(monomials)
+                for c, e in derivatives[k]:
+                    row[index[tuple(map(add, shift, e))]] += c
+                rows.append(row)
     rank = int_rank(rows)
     return CyReport(
         dimension=len(monomials) - rank,

@@ -12,8 +12,8 @@ import random
 import time
 from math import gcd
 
+from cone_oracles import cone_contains, cone_is_pointed
 from torrigid.ideals import SquarefreeMonomialIdeal
-from torrigid.lattice import cone_contains, cone_is_pointed
 from torrigid.localcoh import (
     alexander_dual,
     cech_piece,

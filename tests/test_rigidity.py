@@ -46,6 +46,7 @@ class TestQGorensteinRigidity:
     def test_third_cone_rigid(self, third_cone):
         cert = qgorenstein_rigidity(third_cone)
         assert cert.verdict is Verdict.RIGID
+        assert cert.reason == ""
 
     def test_square_cone_not(self, square_cone):
         cert = qgorenstein_rigidity(square_cone)
@@ -56,6 +57,16 @@ class TestQGorensteinRigidity:
     def test_smooth_cone_rigid(self):
         cone = affine_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert qgorenstein_rigidity(cone).verdict is Verdict.RIGID
+
+    def test_every_failed_hypothesis_named(self):
+        # the reason lists the failed hypotheses in the order they are reported
+        cone = affine_cone([(1, 2, -1), (2, 1, -1), (2, -2, 1), (2, 0, 1)])
+        cert = qgorenstein_rigidity(cone)
+        assert cert.verdict is Verdict.CONDITION_NOT_SATISFIED
+        assert cert.reason == "q_gorenstein; smooth_in_codim_2; simplicial_in_codim_3"
+        cert = quotient_rigidity(cone)
+        assert cert.verdict is Verdict.CONDITION_NOT_SATISFIED
+        assert cert.reason == "simplicial; smooth_in_codim_2"
 
 
 class TestQuotientRigidity:
@@ -96,6 +107,7 @@ class TestFanoRigidity:
         assert cert.verdict is Verdict.CONDITION_NOT_SATISFIED
         failing = {h.name for h in cert.hypotheses if h.status == "failed"}
         assert "fano" in failing
+        assert cert.reason == "fano"
 
 
 class TestWpsRigidity:

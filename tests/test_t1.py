@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torrigid import localcoh, t1
-from torrigid.cli import load_fan
+from torrigid.cli import load_fan, load_polynomial
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.lattice import (
     AffineSystem,
@@ -21,21 +22,21 @@ from torrigid.lattice import (
     int_det,
     integer_feasible,
     lattice_points,
+    rational_rank,
     rref,
     solve_diophantine,
 )
 from torrigid.localcoh import _restriction, local_coh_piece, mult_map, negative
-from torrigid.rigidity import Verdict
 from torrigid.t1 import (
     Completeness,
     UnsupportedModeError,
+    _der_part_vanishes,
     _intervals,
     _kernel_dim,
     _translate,
     cox_polynomial,
     cy_t1,
     der_part_exact,
-    der_part_sufficient,
     dual_cone_generators,
     hom_q_h3,
     q_presentation,
@@ -48,6 +49,7 @@ from torrigid.toric import (
     class_group,
     irrelevant_ideal,
     is_simplicial,
+    q_gorenstein,
     singular_codim,
     smooth_subfan,
     validate_fan,
@@ -155,8 +157,28 @@ class TestHomQH3:
 
 class TestDerPart:
     def test_square_sufficient(self, square_cone):
-        cert = der_part_sufficient(square_cone, search_bound=4)
-        assert cert.verdict is Verdict.DER_PART_VANISHES
+        assert _der_part_vanishes(square_cone)
+
+    # cones smooth in codimension 2 that are not Q-Gorenstein: the
+    # connectivity test decides, and only a failed test ranks the part
+    @pytest.mark.parametrize(
+        "rays,vanishes,der_dim",
+        [
+            ([(-1, 1, 1), (-1, 2, 1), (-2, -2, -1), (-1, -2, -2)], True, 0),
+            ([(-1, 1, 1), (-1, 1, -2), (0, 1, 2), (-1, 0, -2)], False, 2),
+        ],
+        ids=["gamma", "exact"],
+    )
+    def test_non_q_gorenstein(self, monkeypatch, rays, vanishes, der_dim):
+        cone = affine_cone(rays)
+        assert singular_codim(cone) >= 3 and q_gorenstein(cone) is None
+        assert _der_part_vanishes(cone) is vanishes
+        calls = []
+        exact = t1.der_part_exact
+        monkeypatch.setattr(t1, "der_part_exact", lambda c: calls.append(c) or exact(c))
+        assert t1_affine(cone).der_dimension == der_dim
+        assert calls == ([] if vanishes else [cone])
+        assert exact(cone) == (der_dim, Completeness.GUARANTEED)
 
     @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 3)])
     def test_a_series(self, n, expected):
@@ -323,7 +345,70 @@ class TestT1Polygon:
             t1_polygon([(0, 0), (2, 0), (1, 2), (1, 1)])
 
 
+def per_derivative_jacobian_rank(fan, poly):
+    """Rank of the Jacobian system of ``cy_t1``, its rows built as they were
+    before they were read off the anticanonical monomials: the multipliers
+    x^g of each nonzero partial derivative are enumerated on their own by
+    ``lattice_points``, from g - e_k in the image of M."""
+    rays = fan.rays
+    n = len(rays[0])
+    target = AffineSystem(num_vars=n, inequalities=tuple((v, -1) for v in rays))
+    monomials = sorted(
+        tuple(1 + sum(a * b for a, b in zip(u, v)) for v in rays) for u in lattice_points(target)
+    )
+    index = {e: k for k, e in enumerate(monomials)}
+    rows = []
+    for k in range(len(rays)):
+        derivative = [
+            (c * e[k], tuple(x - (j == k) for j, x in enumerate(e))) for c, e in poly.terms if e[k]
+        ]
+        if not derivative:
+            continue
+        multipliers = AffineSystem(
+            num_vars=n, inequalities=tuple((v, -(j == k)) for j, v in enumerate(rays))
+        )
+        for u in lattice_points(multipliers):
+            g = tuple((j == k) + sum(a * b for a, b in zip(u, v)) for j, v in enumerate(rays))
+            row = [0] * len(monomials)
+            for c, e in derivative:
+                row[index[tuple(map(add, g, e))]] += c
+            rows.append(row)
+    return rational_rank(rows)
+
+
+def random_fermat_under_change(seed, num_vars):
+    rng = random.Random(seed)
+    while True:
+        a = [[rng.choice((-1, 1)) for _ in range(num_vars)] for _ in range(num_vars)]
+        if int_det(a):
+            return fermat_under_change(a)
+
+
 class TestCyT1:
+    @pytest.mark.parametrize(
+        "num_vars,terms",
+        [
+            (5, None),  # fans/fermat_quintic.json
+            *((5, random_fermat_under_change(seed, 5)) for seed in range(3)),
+            *((6, random_fermat_under_change(seed, 6)) for seed in range(2)),
+            # x5 does not occur, so df/dx5 vanishes identically; in the last
+            # polynomial df/dx4 does too
+            (5, [(1, (5, 0, 0, 0, 0)), (-2, (0, 5, 0, 0, 0)), (1, (0, 0, 5, 0, 0)),
+                 (3, (0, 0, 0, 5, 0)), (1, (2, 1, 0, 2, 0)), (4, (1, 1, 1, 2, 0))]),
+            (5, [(1, (5, 0, 0, 0, 0)), (1, (4, 1, 0, 0, 0)), (1, (3, 0, 2, 0, 0))]),
+        ],
+    )
+    def test_rows_match_per_derivative_enumeration(self, num_vars, terms):
+        fan = projective_fan(num_vars - 1)
+        if terms is None:
+            poly, _ = load_polynomial(str(FANS / "fermat_quintic.json"), fan)
+        else:
+            poly = cox_polynomial(fan, terms)
+        report = cy_t1(fan, poly)
+        assert report.hypotheses_ok
+        assert report.jacobian_rank == per_derivative_jacobian_rank(fan, poly)
+        assert report.dimension == report.monomial_count - report.jacobian_rank
+
     def test_fermat_quintic(self, p4_fan):
         report = cy_t1(p4_fan, fermat_quintic(p4_fan))
         assert report.hypotheses_ok

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cone_oracles import cone_contains
 from torrigid.cli import load_fan
 from torrigid.lattice import (
-    cone_contains,
     content,
     int_rank,
     integer_kernel,
