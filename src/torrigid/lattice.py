@@ -550,14 +550,31 @@ def _fm_eliminate(rows: list[_Row], var: int) -> list[_Row]:
     return sorted(out)
 
 
-def _as_rows(system: AffineSystem) -> list[_Row]:
-    rows: list[_Row] = []
-    for a, c in system.equalities:
-        rows.append((tuple(a), c))
-        rows.append((tuple(-x for x in a), -c))
-    for a, c in system.inequalities:
-        rows.append((tuple(a), c))
-    return rows
+def _substitute(rows: list[_Row], equality: _Row, var: int, strict: bool) -> list[_Row]:
+    """``rows`` with x_var eliminated through the equality <e, x> = d, which
+    involves it: each row scaled by |e_var|, so that an inequality keeps its
+    direction, plus the multiple of the equality that clears x_var.  The
+    rows are inequalities, or equalities when ``strict``; an equality is
+    signed so that its first nonzero coefficient is positive, so parallel
+    ones meet in one row.  Raises _FMContradiction if a row becomes
+    0 >= positive (0 = nonzero)."""
+    e, d = equality
+    s = abs(e[var])
+    sign = 1 if e[var] > 0 else -1
+    out: set[_Row] = set()
+    for a, c in rows:
+        t = sign * a[var]
+        a = tuple(s * x - t * y for x, y in zip(a, e))
+        c = s * c - t * d
+        lead = next((x for x in a if x), 0)
+        if not lead:
+            if c > 0 or strict and c:
+                raise _FMContradiction
+            continue
+        if strict and lead < 0:
+            a, c = tuple(-x for x in a), -c
+        out.add(_normalize_row(a, c))
+    return sorted(out)
 
 
 def rational_feasible(rows: list[_Row], num_vars: int) -> bool:
@@ -612,14 +629,36 @@ def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _fm_chain(rows: list[_Row], num_vars: int) -> list[list[_Row]]:
-    """Entry k constrains x_0..x_k only: the projection of ``rows`` onto those
-    coordinates, by Fourier-Motzkin elimination of x_{num_vars-1}, ...,
-    x_{k+1}.  The last entry is ``rows`` itself.  Raises _FMContradiction
-    when the rows have no rational solution."""
-    chain = [rows]
+def _fm_chain(
+    rows: list[_Row], num_vars: int, equalities: Sequence[_Row] = ()
+) -> list[list[_Row]]:
+    """Entry k constrains x_0..x_k only: the projection of the system onto
+    those coordinates, as inequality rows, by elimination of x_{num_vars-1},
+    ..., x_{k+1}.  The last entry is ``rows`` with each of ``equalities``
+    (<a, x> = c) as two opposite rows.  A variable that an equality involves
+    is eliminated by substituting that equality into the other rows and
+    equalities, which is exact because it fixes the variable once the rest
+    are fixed; Fourier-Motzkin pairing is used only when no equality
+    involves the variable, so pinned coordinates do not multiply the rows.
+    Raises _FMContradiction when the system has no rational solution."""
+    eqs = list(equalities)
+
+    def entry() -> list[_Row]:
+        return rows + [r for a, c in eqs for r in ((a, c), (tuple(-x for x in a), -c))]
+
+    chain = [entry()]
     for var in range(num_vars - 1, -1, -1):
-        chain.append(_fm_eliminate(chain[-1], var))
+        pivot = next((eq for eq in eqs if eq[0][var]), None)
+        if pivot is None:
+            rows = _fm_eliminate(rows, var)
+        else:
+            eqs.remove(pivot)
+            rows = _substitute(rows, pivot, var, False)
+            eqs = _substitute(eqs, pivot, var, True)
+        chain.append(entry())
+    # an equality left over is 0 = c: every variable it involved was pivoted away
+    if any(c for _, c in eqs):
+        raise _FMContradiction
     return chain[-2::-1]  # eliminating x_0 as well only checks feasibility
 
 
@@ -730,17 +769,20 @@ def integer_feasible(system: AffineSystem, search_bound: int) -> FeasibilityResu
 def lattice_points(system: AffineSystem) -> list[Vec]:
     """All integer solutions of a bounded system, in lexicographic order.
 
-    One Fourier-Motzkin chain is descended coordinate by coordinate, so the
-    answer is exact.  Raises UnboundedPolyhedronError when the rational
-    solution set is nonempty and unbounded, whether or not it holds an
-    integer point; an infeasible system yields the empty list.
+    One elimination chain (``_fm_chain``, which substitutes the equalities
+    and pairs inequalities by Fourier-Motzkin only for the variables no
+    equality involves) is descended coordinate by coordinate, so the answer
+    is exact.  Raises UnboundedPolyhedronError when the rational solution
+    set is nonempty and unbounded, whether or not it holds an integer point;
+    an infeasible system yields the empty list.
     """
     n = system.num_vars
-    rows = _as_rows(system)
+    rows = list(system.inequalities)
     if n == 0:
-        return [] if any(c > 0 for _, c in rows) else [()]
+        infeasible = any(c > 0 for _, c in rows) or any(c for _, c in system.equalities)
+        return [] if infeasible else [()]
     try:
-        chain = _fm_chain(rows, n)
+        chain = _fm_chain(rows, n, system.equalities)
     except _FMContradiction:
         return []
     # Entry k is the projection onto x_0..x_k, so x_k is bounded above (below)

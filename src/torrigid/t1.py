@@ -7,7 +7,11 @@ cohomology.  Both split by characters u in M into kernels of block systems
 of multiplication maps, and the system of u depends on u only through the
 sign chamber of p(u) = (<u, v_k>)_k.  So both parts are counted chamber by
 chamber: each kernel is ranked once per sign signature, and only a chamber
-with a nonzero kernel has its characters counted.
+with a nonzero kernel has its characters counted.  A kernel is zero when
+every source piece of its system is, and a source's sign pattern is read
+off the chamber's, so only the chambers whose pattern can carry a source
+are walked: H^3_B nonzero at p for the third-cohomology part, H^2_B
+nonzero at p or at some p + e_j for the derivation part.
 
 Near the orbit of a proper face tau, the variety is the one of tau, taken in
 the lattice its rays span, times a torus, so T^1 is finite exactly when every
@@ -38,7 +42,7 @@ from .lattice import (
     lattice_points,
     rref,
 )
-from .localcoh import _degree, _restriction
+from .localcoh import _degree, _pattern, _restriction
 from .rigidity import (
     Hypothesis,
     Verdict,
@@ -163,6 +167,13 @@ def _record(b, p: Vec, records: dict):
     return found
 
 
+def _scaled(c: int, matrix) -> list[list]:
+    """c times a matrix of ``Fraction``s, in ``int``s when it is integral."""
+    if all(x.denominator == 1 for row in matrix for x in row):
+        return [[c * x.numerator for x in row] for row in matrix]
+    return [[c * x for x in row] for row in matrix]
+
+
 def _kernel_dim(
     b, i: int, key: Vec, source_shifts, target_shifts, coef, kernels: dict, records: dict
 ) -> int:
@@ -185,14 +196,13 @@ def _kernel_dim(
         return 0
     tgt = tuple(_record(b, _translate(key, d), records) for d in target_shifts)
     if (src, tgt) not in kernels:
-        rows: list[list[Fraction]] = []
+        rows: list[list] = []
         for t, record in enumerate(tgt):
             tdim = record.dims.get(i - 2, 0)
             if not tdim:
                 continue
             blocks = [
-                [[coef[t][s] * x for x in row]
-                 for row in _restriction(b, i - 2, src[s].pattern, record.pattern)]
+                _scaled(coef[t][s], _restriction(b, i - 2, src[s].pattern, record.pattern))
                 if coef[t][s] and dims[s]
                 else [[0] * dims[s]] * tdim
                 for s in range(len(src))
@@ -213,30 +223,50 @@ def _intervals(shifts: Sequence[int]) -> list[tuple[int, int | None, int | None]
 
 
 def _chamber_characters(
-    rays: Sequence[Vec], shifts: Sequence[Sequence[int]], kernel
+    rays: Sequence[Vec], shifts: Sequence[Sequence[int]], patterns, kernel
 ) -> tuple[int, list[tuple[Vec, int]]]:
     """The sum of the kernels of all characters u, and the pairs (u, kernel)
     with a nonzero kernel in lexicographic order.
 
     A chamber is a product over k of ``_intervals`` of the shifts added to
-    x_k = <u, v_k>.  ``kernel`` gets the key of each chamber, and only a
-    chamber with a nonzero kernel has its characters counted.  Unbounded
-    chambers are skipped: the callers have found every proper face rigid, so
-    T^1 is finite, while an unbounded chamber that held one character would
-    hold infinitely many, all with its kernel."""
+    x_k = <u, v_k>; the negative coordinates of its key are its sign
+    pattern.  Only the chambers whose pattern is one of ``patterns``, the
+    caller's list of the patterns that can carry a nonzero kernel, are
+    walked.  ``kernel`` gets the key of each, and only a chamber with a
+    nonzero kernel has its characters counted; a one-point interval enters
+    the chamber's system as an equality.  Unbounded chambers are skipped:
+    the callers have found every proper face rigid, so T^1 is finite, while
+    an unbounded chamber that held one character would hold infinitely many,
+    all with its kernel."""
     n = len(rays[0])
+    intervals = [_intervals(s) for s in shifts]
     found: list[tuple[Vec, int]] = []
-    for chamber in itertools.product(*map(_intervals, shifts)):
-        ker = kernel(tuple(key for key, _, _ in chamber))
-        if not ker:
-            continue
-        rows = [(v, lo) for v, (_, lo, _) in zip(rays, chamber) if lo is not None]
-        rows += [(tuple(-c for c in v), -hi) for v, (_, _, hi) in zip(rays, chamber) if hi is not None]
-        try:
-            found += [(u, ker) for u in lattice_points(AffineSystem(n, inequalities=tuple(rows)))]
-        except UnboundedPolyhedronError:
-            continue
+    for pattern in patterns:
+        # the first interval is x_k >= 0, the others negative
+        choices = [ivs[1:] if k in pattern else ivs[:1] for k, ivs in enumerate(intervals)]
+        for chamber in itertools.product(*choices):
+            ker = kernel(tuple(key for key, _, _ in chamber))
+            if not ker:
+                continue
+            eqs, rows = [], []
+            for v, (_, lo, hi) in zip(rays, chamber):
+                if lo == hi:
+                    eqs.append((v, lo))
+                    continue
+                if lo is not None:
+                    rows.append((v, lo))
+                if hi is not None:
+                    rows.append((tuple(-c for c in v), -hi))
+            try:
+                found += [(u, ker) for u in lattice_points(AffineSystem(n, tuple(eqs), tuple(rows)))]
+            except UnboundedPolyhedronError:
+                continue
     return sum(ker for _, ker in found), sorted(found)
+
+
+def _pattern_records(b, m: int) -> list:
+    """The record of every sign pattern of a degree in Z^m."""
+    return [_pattern(b, frozenset(c)) for r in range(m + 1) for c in itertools.combinations(range(m), r)]
 
 
 # the last (cone, witness) that _non_rigid_face returned
@@ -316,12 +346,11 @@ def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
     records: dict = {}
 
     def kernel(key: Vec) -> int:
-        # most chambers have no third cohomology: skip them
-        if not _record(b, key, records).dims.get(3 - 2):
-            return 0
         return _kernel_dim(b, 3, key, [(0,) * m] * r, units, coef, kernels, records)
 
-    total, found = _chamber_characters(rays, [[1]] * m, kernel)
+    # the sources are the pieces at p itself: most patterns have none
+    patterns = [s.pattern for s in _pattern_records(b, m) if s.dims.get(3 - 2)]
+    total, found = _chamber_characters(rays, [[1]] * m, patterns, kernel)
     return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found)
 
 
@@ -381,8 +410,12 @@ def der_part_exact(cone: Cone) -> tuple[int | None, Completeness]:
     def kernel(key: Vec) -> int:
         return _kernel_dim(b, 2, key, units, exponents, exponents, kernels, records)
 
+    # the source p + e_j has the pattern N of p, or N - {j} when p_j = -1
+    every = _pattern_records(b, m)
+    h2 = {s.pattern for s in every if s.dims.get(2 - 2)}
+    patterns = [s.pattern for s in every if s.pattern in h2 or any(s.pattern - {j} in h2 for j in s.pattern)]
     shifts = [[1, *(beta[k] for beta in exponents)] for k in range(m)]
-    return _chamber_characters(rays, shifts, kernel)[0], Completeness.GUARANTEED
+    return _chamber_characters(rays, shifts, patterns, kernel)[0], Completeness.GUARANTEED
 
 
 def _der_part_vanishes(cone: Cone) -> bool:

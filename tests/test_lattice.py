@@ -505,8 +505,17 @@ def affine_systems(draw):
     )
 
 
+BOX = (((1, 0), 0), ((-1, 0), -2), ((0, 1), 0), ((0, -1), -2))  # [0, 2]^2
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(affine_systems(), st.integers(1, 4))
+@example(AffineSystem(1, (((0,), 1),), ()), 2)  # 0 = 1 on an unbounded line
+@example(AffineSystem(2, (((0, 0), 1),), BOX), 2)  # 0 = 1 in a box of points
+@example(AffineSystem(2, (((1, 1), 2), ((2, 2), 4)), BOX), 2)  # parallel, consistent
+@example(AffineSystem(2, (((1, 1), 2), ((-1, -1), -3)), ()), 2)  # parallel, inconsistent
+@example(AffineSystem(2, (((2, 0), 1), ((0, 2), 2)), ()), 2)  # pins (1/2, 1)
+@example(AffineSystem(2, (((1, -1), 0),), (((1, 0), 0),)), 2)  # x = y >= 0 is unbounded
 def test_descent_matches_shell_scan(system, search_bound):
     answer, points = shell_scan(system, search_bound)
     assert integer_feasible(system, search_bound) == answer
@@ -519,6 +528,32 @@ def test_descent_matches_shell_scan(system, search_bound):
             lattice_points(system)
     else:  # bounded, so the scan covered every solution
         assert lattice_points(system) == sorted(points)
+
+
+HEXAGON_CONE_RAYS = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
+
+
+@pytest.mark.parametrize("pinned,pairings", [(range(6), 0), (range(3), 0), ((0, 3), 1)])
+def test_equalities_are_substituted(monkeypatch, pinned, pairings):
+    # the chamber of the hexagon cone with <u, v_k> = -1 for the pinned rays
+    # and <= -1 for the others: a variable that an equality involves is
+    # substituted away, and Fourier-Motzkin pairs rows only for the others
+    # (for y, when x and z are pinned)
+    rays = HEXAGON_CONE_RAYS
+    eqs = tuple((v, -1) for k, v in enumerate(rays) if k in pinned)
+    ineqs = tuple((tuple(-x for x in v), 1) for k, v in enumerate(rays) if k not in pinned)
+    as_rows = ineqs + tuple(r for a, c in eqs for r in ((a, c), (tuple(-x for x in a), -c)))
+    assert lattice_points(AffineSystem(3, (), as_rows)) == [(0, 0, -1)]
+    calls = []
+    eliminate = lattice._fm_eliminate
+
+    def counting(rows, var):
+        calls.append(var)
+        return eliminate(rows, var)
+
+    monkeypatch.setattr(lattice, "_fm_eliminate", counting)
+    assert lattice_points(AffineSystem(3, eqs, ineqs)) == [(0, 0, -1)]
+    assert len(calls) == pairings
 
 
 def test_int_rank_matches_fraction_elimination():
