@@ -223,22 +223,24 @@ def int_det(m: Sequence[Sequence[int]]) -> int:
     return det if rank == len(m) else 0
 
 
-# A Mersenne prime: products of two residues stay within a few machine words.
-_P = (1 << 61) - 1
+# The largest prime below 2^30: a residue is one 30-bit digit of a CPython
+# int, and a product of two residues at most two.
+_P = (1 << 30) - 35
 
 
 def int_rank(m: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix.
 
-    A k x k minor that is nonzero modulo the prime P = 2^61 - 1 is a nonzero
+    A k x k minor that is nonzero modulo the prime P = 2^30 - 35 is a nonzero
     integer, so the rank modulo P is at most the rank over Q, which is at
     most k = min(rows, cols).  When the rank modulo P is k it is the exact
-    rank.  That certificate is tried only where fraction-free elimination
-    would outgrow a machine word: k > 4 and the Hadamard-style bound
-    k * (bitlen(max |entry|) + bitlen(k) // 2) on the bit length of the
-    minors exceeds 62.  Every other matrix, and every matrix the modular
-    rank cannot decide (rank-deficient ones among them), is ranked by
-    fraction-free (Bareiss) elimination.
+    rank; a scan of the vectors along the longer side finds such a minor
+    (``_full_rank_mod_p``).  That certificate is tried only where
+    fraction-free elimination would outgrow a machine word: k > 4 and the
+    Hadamard-style bound k * (bitlen(max |entry|) + bitlen(k) // 2) on the
+    bit length of the minors exceeds 62.  Every other matrix, and every
+    matrix the scan cannot certify (rank-deficient ones among them), is
+    ranked by fraction-free (Bareiss) elimination.
 
     Entries must be ``int``: the exact Bareiss divisions floor anything
     else, so a ``Fraction`` entry raises TypeError instead of giving a wrong
@@ -259,25 +261,42 @@ def int_rank(m: Sequence[Sequence[int]]) -> int:
 
 
 def _full_rank_mod_p(a: list[list[int]], k: int) -> bool:
-    """Whether the rank of ``a`` modulo P is k = min(rows, cols), by Gaussian
-    elimination modulo P on the k rows of ``a`` or of its transpose; ``a``
-    itself is not modified."""
-    rows = [[x % _P for x in row] for row in (a if len(a) == k else zip(*a))]
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((i for i in range(rank, k) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, _P)
-        tail = rows[rank][col + 1 :]
-        for row in rows[rank + 1 :]:
-            f = row[col] * inv % _P
+    """Whether the rank of ``a`` modulo P is k = min(rows, cols), by a
+    left-looking scan that stops at the k-th pivot; ``a`` is not modified.
+
+    The n >= k vectors along the longer side of ``a`` (its rows when it is
+    tall, its columns when it is wide) have k entries each.  They are
+    visited in the order 0, s, 2s, ... modulo n, for the least stride
+    s > n / k coprime to n, so every vector is visited once before the scan
+    gives up, and the first k visited are spread over the whole matrix
+    rather than side by side (adjacent columns of a Jacobian are often
+    dependent).  Each vector is reduced modulo P against the pivot vectors
+    found so far, in the order they were found; a nonzero remainder is the
+    next pivot vector.  The scan returns False once fewer vectors are left
+    than pivots missing."""
+    n = max(len(a), len(a[0]))
+    tall = len(a) == n
+    stride = next(s for s in itertools.count(n // k + 1) if gcd(s, n) == 1)
+    # (position of the leading entry, the vector scaled to lead with 1)
+    pivots: list[tuple[int, list[int]]] = []
+    j = 0
+    for left in range(n, 0, -1):
+        if left < k - len(pivots):
+            return False
+        v = a[j] if tall else [row[j] for row in a]
+        j = (j + stride) % n
+        # v stays congruent to the remainder; it is reduced modulo P where read
+        for pos, w in pivots:
+            f = v[pos] % _P
             if f:
-                row[col + 1 :] = [(x - f * y) % _P for x, y in zip(row[col + 1 :], tail)]
-        rank += 1
-        if rank == k:
-            return True
+                v = [x - f * y for x, y in zip(v, w)]
+        v = [x % _P for x in v]
+        pos = next((i for i, x in enumerate(v) if x), None)
+        if pos is not None:
+            inv = pow(v[pos], -1, _P)
+            pivots.append((pos, [x * inv % _P for x in v]))
+            if len(pivots) == k:
+                return True
     return False
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .lattice import (
@@ -188,9 +188,10 @@ def _kernel_dim(
     signature of the degrees: it is ranked once per signature and kept in
     ``kernels``, keyed by the sign-pattern records of the degrees (one record
     per pattern).  The records themselves are looked up through ``records``
-    (``_record``).  The caller owns both dicts and drops them with the
-    computation."""
-    src = tuple(_record(b, _translate(key, d), records) for d in source_shifts)
+    (``_record``), once per distinct shift.  The caller owns both dicts and
+    drops them with the computation."""
+    looked_up = {d: _record(b, _translate(key, d), records) for d in set(source_shifts)}
+    src = tuple(map(looked_up.__getitem__, source_shifts))
     dims = [s.dims.get(i - 2, 0) for s in src]
     if not any(dims):
         return 0
@@ -604,8 +605,10 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
     The anticanonical monomials are enumerated once, finitely because the fan
     is complete, so no search window is involved; the rows of the Jacobian
     system, the multiples x^g * df/dx_k of anticanonical degree, are read
-    off that enumeration.  Their rank is exact: the coefficients are cleared
-    of denominators and the integer rows are ranked by ``int_rank``.
+    off that enumeration, with each monomial coded as one integer in base 1 +
+    its largest entry, so that an entry's column is one addition and one
+    dict lookup.  Their rank is exact: the coefficients are cleared of
+    denominators and the integer rows are ranked by ``int_rank``.
     """
     cox = class_group(fan)
     m, n = cox.num_rays, cox.ambient_rank
@@ -666,29 +669,36 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
         num_vars=n, inequalities=tuple((v, -1) for v in rays)
     )
     monomials = sorted(
-        tuple(1 + sum(a * bb for a, bb in zip(u, v)) for v in rays)
-        for u in lattice_points(target_system)
+        tuple(1 + sum(map(mul, u, v)) for v in rays) for u in lattice_points(target_system)
     )
-    index = {e: k for k, e in enumerate(monomials)}
+    # code(e) = sum_j e_j base^j is injective on the vectors with entries in
+    # [0, base), the anticanonical monomials among them, and additive
+    base = 1 + max(map(max, monomials))
+    weights = [base**j for j in range(m)]
+    codes = [sum(map(mul, d, weights)) for d in monomials]
+    index = {c: k for k, c in enumerate(codes)}
 
     # a nonzero multiple of f has the same Jacobian ideal
     scale = lcm(*(c.denominator for c, _ in poly.terms))
     terms = [(c.numerator * (scale // c.denominator), e) for c, e in poly.terms]
     # x^g * df/dx_k has anticanonical degree exactly when g = d - 1 + e_k for
     # a monomial d with d_j >= 1 for every j != k; the term of c * x^e then
-    # lands at d - 1 + e, whatever k is
-    derivatives = [[(c * e[k], e) for c, e in terms if e[k]] for k in range(m)]
+    # lands at d - 1 + e, whatever k is.  That is an anticanonical monomial,
+    # so its code code(d) + code(e) - code(1, ..., 1) is in ``index``
+    ones = sum(weights)
+    derivatives = [
+        [(c * e[k], sum(map(mul, e, weights)) - ones) for c, e in terms if e[k]] for k in range(m)
+    ]
     rows = []
-    for d in monomials:
+    for d, code in zip(monomials, codes):
         zeros = [j for j, x in enumerate(d) if not x]
         if len(zeros) > 1:
             continue
-        shift = [x - 1 for x in d]
         for k in zeros or range(m):
             if derivatives[k]:
                 row = [0] * len(monomials)
-                for c, e in derivatives[k]:
-                    row[index[tuple(map(add, shift, e))]] += c
+                for c, offset in derivatives[k]:
+                    row[index[code + offset]] += c
                 rows.append(row)
     rank = int_rank(rows)
     return CyReport(

@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import torrigid
 from torrigid import lattice, toric
-from torrigid.cli import build_parser, main
+from torrigid.cli import InputError, build_parser, load_fan, load_polynomial, main
 from torrigid.lattice import SmithDecomposition
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
@@ -288,6 +289,25 @@ class TestCyCommand:
         assert code == 1
         assert not out
         assert "term 0 has a bad exponent vector" in err
+
+    @pytest.mark.parametrize("text", ["1_000", " 7 ", "+3", "1e3", "3/4", "0x10", ""])
+    def test_coefficient_strings(self, tmp_path, text):
+        # the integers are parsed by int first: values and errors stay those
+        # of Fraction(text)
+        poly = json.loads((FANS / "fermat_quintic.json").read_text())
+        poly["terms"][0]["coeff"] = text
+        f = tmp_path / "poly.json"
+        f.write_text(json.dumps(poly))
+        fan, _ = load_fan(str(FANS / "p4.json"))
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(InputError, match=f"term 0 has bad coefficient {text!r}"):
+                load_polynomial(str(f), fan)
+            return
+        parsed, _ = load_polynomial(str(f), fan)
+        coeff = parsed.terms[0][0]
+        assert coeff == expected and type(coeff) is Fraction
 
 
 class TestCheckFan:

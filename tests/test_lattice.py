@@ -1,10 +1,13 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -665,12 +668,21 @@ def _counting_bareiss(monkeypatch):
     return calls
 
 
+def sympy_domain_rank(m):
+    """Rank by sympy's dense integer matrices, much faster than
+    ``sympy_rank`` on matrices with hundreds of columns."""
+    return DomainMatrix.from_list(m, ZZ).rank()
+
+
 def test_int_rank_modular_certificate_skips_bareiss(monkeypatch):
     calls = _counting_bareiss(monkeypatch)
     rng = random.Random(13)
     for nr, nc in ((6, 6), (6, 40), (40, 6)):
         m = [[rng.randint(-(10**4), 10**4) for _ in range(nc)] for _ in range(nr)]
         assert int_rank(m) == 6 == sympy_rank(m)
+    # the shape of the Jacobian of a sextic in P^5
+    m = [[rng.randint(-(10**4), 10**4) for _ in range(462)] for _ in range(36)]
+    assert int_rank(m) == 36 == sympy_domain_rank(m)
     assert calls == []
     # small entries stay on Bareiss, whatever the shape
     assert int_rank([[int(i == j) for j in range(8)] for i in range(8)]) == 8
@@ -697,6 +709,42 @@ def test_int_rank_falls_back_to_bareiss(monkeypatch, m, rank):
     calls = _counting_bareiss(monkeypatch)
     assert int_rank(m) == rank == sympy_rank(m)
     assert len(calls) == 1
+
+
+@st.composite
+def scan_matrices(draw):
+    """Wide and tall matrices whose entries pass the gate of the modular
+    certificate, k = min(rows, cols) from 5 to 40 and the longer side n up
+    to 500: random ones (full rank), products through a smaller inner
+    dimension (rank-deficient), and random ones whose first vectors in the
+    scan's stride order are multiples of the first one or zero.  Entries
+    come from a drawn seed: hypothesis cannot draw 20,000 of them."""
+    k = draw(st.integers(5, 40))
+    # k^2 n bounds the time of the sympy rank
+    n = draw(st.integers(k, max(k, min(500, 300_000 // k**2))))
+    kind = draw(st.sampled_from(("random", "product", "dependent_start")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "product":
+        inner = rng.randint(1, k - 1)
+        b = [[rng.randint(-100, 100) for _ in range(inner)] for _ in range(n)]
+        c = [[rng.randint(-100, 100) for _ in range(k)] for _ in range(inner)]
+        vectors = [[sum(map(operator.mul, row, col)) for col in zip(*c)] for row in b]
+    else:
+        vectors = [[rng.randint(-(10**4), 10**4) for _ in range(k)] for _ in range(n)]
+    if kind == "dependent_start":
+        stride = next(s for s in itertools.count(n // k + 1) if gcd(s, n) == 1)
+        first = vectors[0]
+        for i in range(1, rng.randint(1, n - k + 1)):
+            c = rng.randint(-3, 3)
+            vectors[i * stride % n] = [c * x for x in first]
+    # the vectors are the rows of a tall matrix, the columns of a wide one
+    return vectors if draw(st.booleans()) else [list(col) for col in zip(*vectors)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scan_matrices())
+def test_int_rank_scan_matches_sympy(m):
+    assert int_rank(m) == sympy_domain_rank(m)
 
 
 @st.composite

@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add
 from pathlib import Path
 
@@ -18,11 +18,11 @@ from torrigid.lattice import (
     BoundExceeded,
     UnboundedPolyhedronError,
     Witness,
+    _bareiss_rank,
     hilbert_basis,
     int_det,
     integer_feasible,
     lattice_points,
-    rational_rank,
     rref,
     solve_diophantine,
 )
@@ -33,6 +33,7 @@ from torrigid.t1 import (
     _der_part_vanishes,
     _intervals,
     _kernel_dim,
+    _record,
     _scaled,
     _translate,
     cox_polynomial,
@@ -375,7 +376,10 @@ def per_derivative_jacobian_rank(fan, poly):
             for c, e in derivative:
                 row[index[tuple(map(add, g, e))]] += c
             rows.append(row)
-    return rational_rank(rows)
+    # ranked by Bareiss elimination alone, not by the modular certificate
+    # that cy_t1's int_rank tries first
+    scale = lcm(*(c.denominator for c, _ in poly.terms))
+    return _bareiss_rank([[int(x * scale) for x in row] for row in rows])[0]
 
 
 def random_fermat_under_change(seed, num_vars):
@@ -398,6 +402,9 @@ class TestCyT1:
             (5, [(1, (5, 0, 0, 0, 0)), (-2, (0, 5, 0, 0, 0)), (1, (0, 0, 5, 0, 0)),
                  (3, (0, 0, 0, 5, 0)), (1, (2, 1, 0, 2, 0)), (4, (1, 1, 1, 2, 0))]),
             (5, [(1, (5, 0, 0, 0, 0)), (1, (4, 1, 0, 0, 0)), (1, (3, 0, 2, 0, 0))]),
+            # x0^5 alone: its exponent 5 is the largest entry of an
+            # anticanonical monomial, base - 1 for cy_t1's monomial codes
+            (5, [(3, (5, 0, 0, 0, 0))]),
         ],
     )
     def test_rows_match_per_derivative_enumeration(self, num_vars, terms):
@@ -844,6 +851,31 @@ def test_targets_only_behind_nonzero_sources(monkeypatch):
     cone = affine_cone([(-3, 3, -1), (-2, 0, -3), (-1, -3, 2)])
     assert der_part_exact(cone) == (0, Completeness.GUARANTEED)
     assert counts == {"kernels": 0, "degrees": 0}
+
+
+def test_one_record_lookup_per_distinct_source_shift(monkeypatch):
+    # hom_q_h3 gives each of the hexagon's r = 3 Euler components the source
+    # shift 0: a kernel looks up its chamber's own degree once, then its 6
+    # targets, where looking up every source shift took 3 + 6
+    lookups, per_kernel = [], []
+
+    def counting_record(b, p, records):
+        lookups.append(p)
+        return _record(b, p, records)
+
+    def counting_kernel(b, i, key, *args):
+        start = len(lookups)
+        answer = _kernel_dim(b, i, key, *args)
+        per_kernel.append((key, lookups[start:]))
+        return answer
+
+    monkeypatch.setattr("torrigid.t1._record", counting_record)
+    monkeypatch.setattr("torrigid.t1._kernel_dim", counting_kernel)
+    hom_q_h3(affine_cone(SHIPPED_CONES[-1]))
+    assert len(per_kernel) == 64
+    for key, made in per_kernel:
+        targets = [tuple(x + (j == k) for k, x in enumerate(key)) for j in range(6)]
+        assert made == [key, *targets]
 
 
 # ---------------------------------------------------------------------------
