@@ -144,7 +144,9 @@ def load_polynomial(path: str, fan: Fan):
 
 def _resolve_bound(args) -> int:
     """The gamma criterion's search bound from --bound, else TORRIGID_BOUND,
-    else 8; a bound below 1 is an input error."""
+    else 8; a bound below 1 is an input error.  ``cmd_rigidity`` reads it
+    only when the gamma criterion runs, and checks an explicit --bound
+    first whatever runs."""
     if args.bound is not None:
         bound, source = args.bound, "--bound"
     else:
@@ -295,7 +297,8 @@ _CONE_CRITERIA = ("qgorenstein", "quotient", "gamma")
 def cmd_rigidity(args) -> int:
     if (args.wps is None) == (args.fanfile is None):
         raise InputError("provide exactly one of a fan file or --wps weights")
-    bound = _resolve_bound(args)
+    if args.bound is not None:
+        _resolve_bound(args)  # an explicit bound below 1 is an error whatever runs
     certificates: list[RigidityCertificate] = []
     if args.wps is not None:
         try:
@@ -326,7 +329,7 @@ def cmd_rigidity(args) -> int:
                 elif crit == "quotient":
                     certificates.append(quotient_rigidity(cone))
                 else:
-                    certificates.append(der_vanishing_gamma(cone, search_bound=bound))
+                    certificates.append(der_vanishing_gamma(cone, search_bound=_resolve_bound(args)))
             elif crit == "fano":
                 certificates.append(fano_rigidity(fan))
             elif crit == "wps":

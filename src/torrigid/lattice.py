@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import ge
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -240,27 +241,26 @@ def int_rank(m: Sequence[Sequence[int]]) -> int:
     Hadamard-style bound k * (bitlen(max |entry|) + bitlen(k) // 2) on the
     bit length of the minors exceeds 62.  Every other matrix, and every
     matrix the scan cannot certify (rank-deficient ones among them), is
-    ranked by fraction-free (Bareiss) elimination.
+    ranked by fraction-free (Bareiss) elimination, on a copy of the rows.
 
     Entries must be ``int``: the exact Bareiss divisions floor anything
     else, so a ``Fraction`` entry raises TypeError instead of giving a wrong
     rank.
     """
-    a = [list(row) for row in m]
     entries = itertools.chain.from_iterable
-    if not all(map(isinstance, entries(a), itertools.repeat(int))):
+    if not all(map(isinstance, entries(m), itertools.repeat(int))):
         raise TypeError("int_rank needs integer entries")
-    k = min(len(a), len(a[0])) if a else 0
-    if (
-        k > 4
-        and k * (max(map(abs, entries(a))).bit_length() + k.bit_length() // 2) > 62
-        and _full_rank_mod_p(a, k)
-    ):
-        return k
-    return _bareiss_rank(a)[0]
+    k = min(len(m), len(m[0])) if m else 0
+    if k > 4:
+        # the bound exceeds 62 exactly when some entry has more bits than this
+        bits = 62 // k - k.bit_length() // 2
+        large = bits < 0 or any(map(ge, map(abs, entries(m)), itertools.repeat(1 << bits)))
+        if large and _full_rank_mod_p(m, k):
+            return k
+    return _bareiss_rank([list(row) for row in m])[0]
 
 
-def _full_rank_mod_p(a: list[list[int]], k: int) -> bool:
+def _full_rank_mod_p(a: Sequence[Sequence[int]], k: int) -> bool:
     """Whether the rank of ``a`` modulo P is k = min(rows, cols), by a
     left-looking scan that stops at the k-th pivot; ``a`` is not modified.
 

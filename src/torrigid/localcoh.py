@@ -17,8 +17,9 @@ and restriction maps (``_basis``, ``_restriction``).  A sweep that asks for
 every piece of one degree in turn computes its pattern once:
 ``local_coh_piece`` and ``cech_piece`` test ``_last`` themselves, so every
 other lookup of the degree is one identity test and one tuple comparison,
-with no further call.  A computation that revisits many degrees (the
-chamber walks of ``t1``) keeps its own records by degree.
+with no further call.  The chamber walks of ``t1``, which revisit many
+degrees, look up no degree here: they read their records off the records
+of all sign patterns.
 
 All cohomology is over the exact rationals.
 """

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .lattice import (
@@ -42,7 +42,7 @@ from .lattice import (
     lattice_points,
     rref,
 )
-from .localcoh import _degree, _pattern, _restriction
+from .localcoh import _pattern, _restriction
 from .rigidity import (
     Hypothesis,
     Verdict,
@@ -153,20 +153,6 @@ def _units(m: int) -> list[Vec]:
     return [tuple(int(k == j) for k in range(m)) for j in range(m)]
 
 
-def _translate(p: Vec, shift: Vec) -> Vec:
-    return tuple(map(add, p, shift))
-
-
-def _record(b, p: Vec, records: dict):
-    """The sign-pattern record of degree p, kept in ``records`` by degree:
-    the chambers of one walk share many degrees, and ``_degree`` remembers
-    only the last one."""
-    found = records.get(p)
-    if found is None:
-        found = records[p] = _degree(b, p)
-    return found
-
-
 def _scaled(c: int, matrix) -> list[list]:
     """c times a matrix of ``Fraction``s, in ``int``s when it is integral."""
     if all(x.denominator == 1 for row in matrix for x in row):
@@ -174,31 +160,39 @@ def _scaled(c: int, matrix) -> list[list]:
     return [[c * x for x in row] for row in matrix]
 
 
-def _kernel_dim(
-    b, i: int, key: Vec, source_shifts, target_shifts, coef, kernels: dict, records: dict
-) -> int:
-    """Kernel dimension of the block matrix whose block (t, s) is coef[t][s]
-    times multiplication from the degree key + source_shifts[s] piece of
-    H^i_B to the degree key + target_shifts[t] piece; the block is zero where
-    coef[t][s] is 0.  The target degrees are formed only when some source
-    piece is nonzero.
+def _kernels(b, i: int, records, source_shifts, target_shifts, coef):
+    """The kernel of a chamber by its key, for one computation: the kernel
+    dimension of the block matrix whose block (t, s) is coef[t][s] times
+    multiplication from the degree key + source_shifts[s] piece of H^i_B to
+    the degree key + target_shifts[t] piece; the block is zero where
+    coef[t][s] is 0.
 
     A multiplication map depends on its two degrees only through their sign
     patterns, so for fixed coefficients the kernel depends only on the sign
-    signature of the degrees: it is ranked once per signature and kept in
-    ``kernels``, keyed by the sign-pattern records of the degrees (one record
-    per pattern).  The records themselves are looked up through ``records``
-    (``_record``), once per distinct shift.  The caller owns both dicts and
-    drops them with the computation."""
-    looked_up = {d: _record(b, _translate(key, d), records) for d in set(source_shifts)}
-    src = tuple(map(looked_up.__getitem__, source_shifts))
-    dims = [s.dims.get(i - 2, 0) for s in src]
-    if not any(dims):
-        return 0
-    tgt = tuple(_record(b, _translate(key, d), records) for d in target_shifts)
-    if (src, tgt) not in kernels:
+    signature of the degrees, one int: with m coordinates and the shifts
+    numbered sources first, bit t*m + k is set when key_k + shift_t[k] <= -1.
+    Each coordinate's bits for a key value are computed once, so a key's
+    signature is the OR of one lookup per coordinate, and each signature is
+    ranked once.  A new signature is cut into the masks of its degrees'
+    patterns, which index ``records``, the records of all 2^m patterns
+    (``_pattern_records``); the targets only once some source piece is
+    nonzero.  The tables live as long as the returned function."""
+    m = len(source_shifts[0])
+    shifts = [*source_shifts, *target_shifts]
+    # for coordinate k, the (shift, bit) of every degree
+    columns = [[(d[k], 1 << (t * m + k)) for t, d in enumerate(shifts)] for k in range(m)]
+    bits: list[dict] = [{} for _ in range(m)]
+    full = (1 << m) - 1
+    kernels: dict = {}
+
+    def rank(signature: int) -> int:
+        src = [records[signature >> (s * m) & full] for s in range(len(source_shifts))]
+        dims = [s.dims.get(i - 2, 0) for s in src]
+        if not any(dims):
+            return 0
         rows: list[list] = []
-        for t, record in enumerate(tgt):
+        for t in range(len(target_shifts)):
+            record = records[signature >> ((len(src) + t) * m) & full]
             tdim = record.dims.get(i - 2, 0)
             if not tdim:
                 continue
@@ -209,8 +203,21 @@ def _kernel_dim(
                 for s in range(len(src))
             ]
             rows.extend([x for blk in blocks for x in blk[rr]] for rr in range(tdim))
-        kernels[src, tgt] = sum(dims) - len(rref(rows)[1])
-    return kernels[src, tgt]
+        return sum(dims) - len(rref(rows)[1])
+
+    def kernel(key: Vec) -> int:
+        signature = 0
+        for table, column, x in zip(bits, columns, key):
+            found = table.get(x)
+            if found is None:
+                found = table[x] = sum(bit for d, bit in column if x + d <= -1)
+            signature |= found
+        found = kernels.get(signature)
+        if found is None:
+            found = kernels[signature] = rank(signature)
+        return found
+
+    return kernel
 
 
 def _intervals(shifts: Sequence[int]) -> list[tuple[int, int | None, int | None]]:
@@ -234,40 +241,47 @@ def _chamber_characters(
     pattern.  Only the chambers whose pattern is one of ``patterns``, the
     caller's list of the patterns that can carry a nonzero kernel, are
     walked.  ``kernel`` gets the key of each, and only a chamber with a
-    nonzero kernel has its characters counted; a one-point interval enters
-    the chamber's system as an equality.  Unbounded chambers are skipped:
-    the callers have found every proper face rigid, so T^1 is finite, while
-    an unbounded chamber that held one character would hold infinitely many,
-    all with its kernel."""
+    nonzero kernel has its characters counted.  Each interval carries its
+    rows, a one-point interval an equality and the others their
+    inequalities, so a chamber's system is their concatenation.  Unbounded
+    chambers are skipped: the callers have found every proper face rigid,
+    so T^1 is finite, while an unbounded chamber that held one character
+    would hold infinitely many, all with its kernel."""
     n = len(rays[0])
-    intervals = [_intervals(s) for s in shifts]
+    # the intervals of each coordinate as (key, equalities, inequalities)
+    intervals = []
+    for v, s in zip(rays, shifts):
+        below = tuple(-c for c in v)
+        ivs = []
+        for key, lo, hi in _intervals(s):
+            if lo == hi:
+                ivs.append((key, ((v, lo),), ()))
+            else:
+                rows = () if lo is None else ((v, lo),)
+                ivs.append((key, (), rows if hi is None else (*rows, (below, -hi))))
+        intervals.append(ivs)
+    concat = itertools.chain.from_iterable
     found: list[tuple[Vec, int]] = []
     for pattern in patterns:
         # the first interval is x_k >= 0, the others negative
         choices = [ivs[1:] if k in pattern else ivs[:1] for k, ivs in enumerate(intervals)]
         for chamber in itertools.product(*choices):
-            ker = kernel(tuple(key for key, _, _ in chamber))
+            ker = kernel(tuple([key for key, _, _ in chamber]))
             if not ker:
                 continue
-            eqs, rows = [], []
-            for v, (_, lo, hi) in zip(rays, chamber):
-                if lo == hi:
-                    eqs.append((v, lo))
-                    continue
-                if lo is not None:
-                    rows.append((v, lo))
-                if hi is not None:
-                    rows.append((tuple(-c for c in v), -hi))
+            eqs = tuple(concat([e for _, e, _ in chamber]))
+            rows = tuple(concat([r for _, _, r in chamber]))
             try:
-                found += [(u, ker) for u in lattice_points(AffineSystem(n, tuple(eqs), tuple(rows)))]
+                found += [(u, ker) for u in lattice_points(AffineSystem(n, eqs, rows))]
             except UnboundedPolyhedronError:
                 continue
     return sum(ker for _, ker in found), sorted(found)
 
 
 def _pattern_records(b, m: int) -> list:
-    """The record of every sign pattern of a degree in Z^m."""
-    return [_pattern(b, frozenset(c)) for r in range(m + 1) for c in itertools.combinations(range(m), r)]
+    """The record of every sign pattern of a degree in Z^m, the pattern N at
+    its mask, the sum of 2^k over k in N."""
+    return [_pattern(b, frozenset(k for k in range(m) if mask >> k & 1)) for mask in range(1 << m)]
 
 
 # the last (cone, witness) that _non_rigid_face returned
@@ -342,15 +356,11 @@ def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
 
     # coef[j][i] = a_ij: the i-th Euler component maps to x_j with weight a_ij
     coef = list(zip(*cox.grading_matrix))
-    units = _units(m)
-    kernels: dict = {}
-    records: dict = {}
-
-    def kernel(key: Vec) -> int:
-        return _kernel_dim(b, 3, key, [(0,) * m] * r, units, coef, kernels, records)
+    every = _pattern_records(b, m)
+    kernel = _kernels(b, 3, every, [(0,) * m] * r, _units(m), coef)
 
     # the sources are the pieces at p itself: most patterns have none
-    patterns = [s.pattern for s in _pattern_records(b, m) if s.dims.get(3 - 2)]
+    patterns = [s.pattern for s in every if s.dims.get(3 - 2)]
     total, found = _chamber_characters(rays, [[1]] * m, patterns, kernel)
     return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found)
 
@@ -404,15 +414,10 @@ def der_part_exact(cone: Cone) -> tuple[int | None, Completeness]:
         assert all(x >= 0 for x in beta)
 
     # block (t, j): x_j's image in p(u) + e_j, times x^(beta_t - e_j), times beta_t[j]
-    units = _units(m)
-    kernels: dict = {}
-    records: dict = {}
-
-    def kernel(key: Vec) -> int:
-        return _kernel_dim(b, 2, key, units, exponents, exponents, kernels, records)
+    every = _pattern_records(b, m)
+    kernel = _kernels(b, 2, every, _units(m), exponents, exponents)
 
     # the source p + e_j has the pattern N of p, or N - {j} when p_j = -1
-    every = _pattern_records(b, m)
     h2 = {s.pattern for s in every if s.dims.get(2 - 2)}
     patterns = [s.pattern for s in every if s.pattern in h2 or any(s.pattern - {j} in h2 for j in s.pattern)]
     shifts = [[1, *(beta[k] for beta in exponents)] for k in range(m)]

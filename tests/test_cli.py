@@ -169,6 +169,24 @@ class TestRigidityCommand:
         assert (code, out) == (1, "")
         assert "--bound must be at least 1, got 0" in err
 
+    @pytest.mark.parametrize("env", ["abc", "0"])
+    @pytest.mark.parametrize(
+        "args",
+        [("--wps", "1,1,2"), (str(FANS / "p2.json"),)],
+        ids=["wps", "fano"],
+    )
+    def test_env_bound_read_only_for_gamma(self, capsys, monkeypatch, env, args):
+        # neither command runs the gamma criterion, so a bad TORRIGID_BOUND
+        # changes nothing; an explicit bound below 1 is still an error
+        monkeypatch.delenv("TORRIGID_BOUND", raising=False)
+        expected = run(capsys, "rigidity", *args, "--format", "json")
+        assert expected[0] in (0, 3)
+        monkeypatch.setenv("TORRIGID_BOUND", env)
+        assert run(capsys, "rigidity", *args, "--format", "json") == expected
+        code, out, err = run(capsys, "rigidity", *args, "--bound", "0")
+        assert (code, out) == (1, "")
+        assert "--bound must be at least 1, got 0" in err
+
     def test_default_gamma_bound(self, capsys, monkeypatch):
         monkeypatch.delenv("TORRIGID_BOUND", raising=False)
         code, out, _ = run(

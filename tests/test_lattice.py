@@ -590,6 +590,13 @@ def test_int_rank_rejects_non_integers():
         int_rank([[1, 0], [0, Fraction(2)]])
     with pytest.raises(TypeError):
         int_rank([[1.0]])
+    # past the first large entry, where the size gate stops, of a matrix the
+    # modular scan would certify
+    wide = [[(i + 1) ** j for j in range(40)] for i in range(36)]
+    assert int_rank(wide) == 36
+    wide[-1][-1] = Fraction(wide[-1][-1])
+    with pytest.raises(TypeError):
+        int_rank(wide)
 
 
 @st.composite

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from operator import add
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,16 +27,15 @@ from torrigid.lattice import (
     rref,
     solve_diophantine,
 )
-from torrigid.localcoh import _restriction, local_coh_piece, mult_map, negative
+from torrigid.localcoh import _pattern, _restriction, local_coh_piece, mult_map, negative
 from torrigid.t1 import (
     Completeness,
     UnsupportedModeError,
     _der_part_vanishes,
     _intervals,
-    _kernel_dim,
-    _record,
+    _kernels,
+    _pattern_records,
     _scaled,
-    _translate,
     cox_polynomial,
     cy_t1,
     der_part_exact,
@@ -153,9 +153,10 @@ class TestHomQH3:
         sources = [(0,) * 5] * cox.free_rank
         targets = [tuple(int(k == j) for k in range(5)) for j in range(5)]
         chamber = (-1, -1, -1, -1, 0)
-        assert _kernel_dim(b, 3, chamber, sources, targets, coef, {}, {}) == 1
+        records = _pattern_records(b, 5)
+        assert _kernels(b, 3, records, sources, targets, coef)(chamber) == 1
         shifted = targets[1:] + targets[:1]  # a_ij paired with p + e_(j+1)
-        assert _kernel_dim(b, 3, chamber, sources, shifted, coef, {}, {}) == 0
+        assert _kernels(b, 3, records, sources, shifted, coef)(chamber) == 0
 
 
 class TestDerPart:
@@ -779,9 +780,10 @@ def test_blocks_in_ints_when_integral():
 
 
 @st.composite
-def chamber_points(draw):
+def chamber_points(draw, count=1):
     """Shifts per coordinate, the key of one chamber of them, two degrees x
-    and y in that chamber, and a shift s with s_k = 0 or a shift of k."""
+    and y in that chamber, and ``count`` shifts s with s_k = 0 or a shift of
+    k."""
     shifts = draw(st.lists(st.lists(st.integers(0, 6), max_size=4), min_size=1, max_size=5))
     key, x, y, s = [], [], [], []
     for ks in shifts:
@@ -795,15 +797,46 @@ def chamber_points(draw):
         key.append(c)
         x.append(x_k)
         y.append(draw(st.integers(-12 if lo is None else lo, 12 if hi is None else hi)))
-        s.append(draw(st.sampled_from([0, *ks])))
-    return key, x, y, s
+        s.append(draw(st.lists(st.sampled_from([0, *ks]), min_size=count, max_size=count)))
+    return key, x, y, list(zip(*s))
 
 
 @given(chamber_points())
 def test_chamber_fixes_sign_patterns(case):
-    key, x, y, s = case
+    key, x, y, [s] = case
     patterns = {negative([a + d for a, d in zip(z, s)]) for z in (key, x, y)}
     assert len(patterns) == 1
+
+
+@settings(max_examples=300)
+@given(chamber_points(count=5), st.integers(1, 4))
+def test_sign_signature_packs_every_degree(case, sources):
+    # every pattern carries a piece, so a kernel decodes every source and
+    # target mask of its signature and builds one block per pair: each block
+    # joins the patterns of key + source and key + target, and the other
+    # degrees of the chamber have the key's signature, so they rank nothing
+    key, x, y, shifts = case
+    src, tgt = shifts[:sources], shifts[sources:]
+    m = len(key)
+    records = [
+        SimpleNamespace(pattern=frozenset(k for k in range(m) if mask >> k & 1), dims={0: 1})
+        for mask in range(1 << m)
+    ]
+    blocks = []
+
+    def restriction(b, q, src_pattern, tgt_pattern):
+        blocks.append((src_pattern, tgt_pattern))
+        return ((Fraction(1),),)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(t1, "_restriction", restriction)
+        kernel = _kernels(None, 2, records, src, tgt, [[1] * len(src)] * len(tgt))
+        kernel(tuple(key))
+        degree = [[negative([a + d for a, d in zip(key, s)]) for s in side] for side in (src, tgt)]
+        assert blocks == [(p, q) for q in degree[1] for p in degree[0]]
+        kernel(tuple(x))
+        kernel(tuple(y))
+    assert len(blocks) == len(src) * len(tgt)
 
 
 @pytest.mark.parametrize(
@@ -822,60 +855,64 @@ def test_one_kernel_per_chamber(monkeypatch, run, calls):
     # 729 on the hexagon, and every chamber 81 on the square and 25 on X(7, 3)
     count = 0
 
-    def counting(*args):
-        nonlocal count
-        count += 1
-        return _kernel_dim(*args)
+    def counting_kernels(*args):
+        kernel = _kernels(*args)
 
-    monkeypatch.setattr("torrigid.t1._kernel_dim", counting)
+        def counting(key):
+            nonlocal count
+            count += 1
+            return kernel(key)
+
+        return counting
+
+    monkeypatch.setattr("torrigid.t1._kernels", counting_kernels)
     run()
     assert count == calls
 
 
 def test_targets_only_behind_nonzero_sources(monkeypatch):
     # no sign pattern of the index-42 cone carries H^2, so none of its 2,340
-    # chambers is walked: ranking each of them formed its 3 source degrees
-    # (7,020), and forming its 25 target degrees too built 65,520
-    counts = {"kernels": 0, "degrees": 0}
+    # chambers is walked and no block of a multiplication map is built:
+    # ranking each of them formed its 3 source degrees (7,020), and forming
+    # its 25 target degrees too built 65,520
+    counts = {"kernels": 0, "restrictions": 0}
 
-    def counting_kernel(*args):
-        counts["kernels"] += 1
-        return _kernel_dim(*args)
+    def counting_kernels(*args):
+        kernel = _kernels(*args)
 
-    def counting_translate(*args):
-        counts["degrees"] += 1
-        return _translate(*args)
+        def counting(key):
+            counts["kernels"] += 1
+            return kernel(key)
 
-    monkeypatch.setattr("torrigid.t1._kernel_dim", counting_kernel)
-    monkeypatch.setattr("torrigid.t1._translate", counting_translate)
+        return counting
+
+    def counting_restriction(*args):
+        counts["restrictions"] += 1
+        return _restriction(*args)
+
+    monkeypatch.setattr("torrigid.t1._kernels", counting_kernels)
+    monkeypatch.setattr("torrigid.t1._restriction", counting_restriction)
     cone = affine_cone([(-3, 3, -1), (-2, 0, -3), (-1, -3, 2)])
     assert der_part_exact(cone) == (0, Completeness.GUARANTEED)
-    assert counts == {"kernels": 0, "degrees": 0}
+    assert counts == {"kernels": 0, "restrictions": 0}
 
 
 def test_one_record_lookup_per_distinct_source_shift(monkeypatch):
     # hom_q_h3 gives each of the hexagon's r = 3 Euler components the source
-    # shift 0: a kernel looks up its chamber's own degree once, then its 6
-    # targets, where looking up every source shift took 3 + 6
-    lookups, per_kernel = [], []
+    # shift 0: its 64 kernels read their records off the 2^6 pattern
+    # records, and look up none of their own, where looking up each degree
+    # took 1 + 6 per kernel, and every source shift 3 + 6
+    lookups = []
 
-    def counting_record(b, p, records):
-        lookups.append(p)
-        return _record(b, p, records)
+    def counting(b, pattern):
+        lookups.append(pattern)
+        return _pattern(b, pattern)
 
-    def counting_kernel(b, i, key, *args):
-        start = len(lookups)
-        answer = _kernel_dim(b, i, key, *args)
-        per_kernel.append((key, lookups[start:]))
-        return answer
-
-    monkeypatch.setattr("torrigid.t1._record", counting_record)
-    monkeypatch.setattr("torrigid.t1._kernel_dim", counting_kernel)
+    monkeypatch.setattr("torrigid.t1._pattern", counting)
     hom_q_h3(affine_cone(SHIPPED_CONES[-1]))
-    assert len(per_kernel) == 64
-    for key, made in per_kernel:
-        targets = [tuple(x + (j == k) for k, x in enumerate(key)) for j in range(6)]
-        assert made == [key, *targets]
+    assert sorted(map(sorted, lookups)) == sorted(
+        sorted(c) for r in range(7) for c in itertools.combinations(range(6), r)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -979,20 +1016,20 @@ def test_pattern_walk_matches_product_walk(monkeypatch, n, m, radius, count):
     ids=["der_part_exact", "hom_q_h3"],
 )
 def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, run):
-    # the chambers share degrees, and the one-degree memo of localcoh._degree
-    # only remembers the last: the walk keeps its records by degree, so each
-    # distinct degree takes at most one sign pattern, and nothing of them
-    # outlives the call at module level
-    degrees, patterns = set(), 0
+    # the walk keeps its own records: a chamber's degrees are read off the
+    # records of all sign patterns through the chamber's sign signature, so
+    # no degree is looked up in localcoh (whose one-degree memo
+    # localcoh._degree only remembers the last), and nothing of the walk's
+    # tables outlives the call at module level
+    calls = {"_degree": 0, "negative": 0}
     degree, sign_pattern = localcoh._degree, localcoh.negative
 
     def recording(b, p):
-        degrees.add(p)
+        calls["_degree"] += 1
         return degree(b, p)
 
     def counting(p):
-        nonlocal patterns
-        patterns += 1
+        calls["negative"] += 1
         return sign_pattern(p)
 
     def sizes():
@@ -1004,12 +1041,11 @@ def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, run):
         }
 
     monkeypatch.setattr(localcoh, "_degree", recording)
-    monkeypatch.setattr("torrigid.t1._degree", recording)
     monkeypatch.setattr(localcoh, "negative", counting)
     monkeypatch.setattr(localcoh, "_last", (None, None, None))
     before = sizes()
     run()
-    assert 0 < patterns <= len(degrees)
+    assert calls == {"_degree": 0, "negative": 0}
     assert sizes() == before
 
 
