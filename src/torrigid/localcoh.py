@@ -8,18 +8,21 @@ the same dimensions from the fine strand of a Cech complex on the ideal
 generators, with no simplicial conventions involved; the two must always
 agree, and the test suite enforces that on randomized inputs.
 
-Every piece is looked up the same way: ``_degree`` gives the record of the
-degree's sign pattern (``_pattern``) and remembers the last (ideal, degree)
-it was asked in ``_last``.  The record holds the complex, its cohomology
-dimensions, its pieces by local-cohomology index and, once the oracle has
-asked for it, the Cech strand.  The pattern also keys the caches of bases
+Every piece is looked up the same way: ``_degree`` reads the record of the
+degree's sign pattern off the ideal's one table of records (``_records``),
+keyed by the packed sign mask of the pattern N, the sum of 2^k over k in N,
+and remembers the last (ideal, degree) it was asked in ``_last``.  The record
+holds the complex, its cohomology dimensions, its pieces by
+local-cohomology index and, once the oracle has asked for it, the Cech
+strand.  ``_pattern`` reads the same table by pattern, so every pattern of
+an ideal value has one record.  The pattern also keys the caches of bases
 and restriction maps (``_basis``, ``_restriction``).  A sweep that asks for
-every piece of one degree in turn computes its pattern once:
+every piece of one degree in turn computes its mask once:
 ``local_coh_piece`` and ``cech_piece`` test ``_last`` themselves, so every
 other lookup of the degree is one identity test and one tuple comparison,
 with no further call.  The chamber walks of ``t1``, which revisit many
-degrees, look up no degree here: they read their records off the records
-of all sign patterns.
+degrees, look up no degree here: they read their records off the table by
+mask.
 
 All cohomology is over the exact rationals.
 """
@@ -58,24 +61,34 @@ def negative(p: Sequence[int]) -> frozenset[int]:
     return frozenset([i for i, x in enumerate(p) if x <= -1])
 
 
-# the last (ideal, degree, record) that _degree returned
-_last: tuple = (None, None, None)
+# the last (ideal, degree, record) that _degree returned, and the ideal's
+# table of records
+_last: tuple = (None, None, None, None)
 
 
 def _degree(b: SquarefreeMonomialIdeal, p: tuple[int, ...]) -> _SignPattern:
     """The record of a degree's sign pattern, remembered in ``_last``: the
     miss path of the one-slot memo that ``local_coh_piece`` and
     ``cech_piece`` test themselves (the same ideal object, an equal degree).
-    An equal ideal that is another object misses, and gets the same record
-    because ``_pattern`` is keyed by value.  The degree is checked here; a
-    bad degree or a degenerate ideal is never remembered, so it raises on
-    every call."""
+    The record is read off the ideal's table by the degree's sign mask; the
+    table comes from ``_last`` when the ideal is the same object, else from
+    ``_records``, so an equal ideal that is another object gets the same
+    record.  ``negative`` runs only when the record is built.  The degree is
+    checked here; a bad degree or a degenerate ideal is never remembered, so
+    it raises on every call."""
     global _last
     if len(p) != b.num_vars:
         _check_proper(b)  # a degenerate ideal takes precedence
         raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
-    record = _pattern(b, negative(p))
-    _last = (b, p, record)
+    table = _last[3] if _last[0] is b else _records(b)
+    mask = 0
+    for k, x in enumerate(p):
+        if x <= -1:  # as in negative
+            mask |= 1 << k
+    record = table.get(mask)
+    if record is None:
+        record = table[mask] = _SignPattern(b, negative(p))
+    _last = (b, p, record, table)
     return record
 
 
@@ -143,21 +156,34 @@ def t_complex(b: SquarefreeMonomialIdeal, i_set) -> SimplicialComplex:
     Generators j_1..j_k span a face when some variable in the set divides
     none of them.  The empty variable set gives the void complex.
     """
-    return _pattern(b, frozenset(i_set)).complex
+    pattern = frozenset(i_set)
+    outside = pattern.difference(range(b.num_vars))
+    if outside:
+        _check_proper(b)  # a degenerate ideal takes precedence
+        raise ValueError(f"variable {min(outside)} out of range for {b.num_vars} variables")
+    return _pattern(b, pattern).complex
 
 
 @lru_cache(maxsize=None)
-def _pattern(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> _SignPattern:
-    """The record of a sign pattern: everything a graded piece depends on.
-    A degenerate ideal raises here, on every call, because exceptions are
-    not cached."""
+def _records(b: SquarefreeMonomialIdeal) -> dict[int, _SignPattern]:
+    """The ideal's table of sign-pattern records, the pattern N at its mask,
+    the sum of 2^k over k in N; ``_pattern`` and ``_degree`` read it and add
+    a record only when its mask is missing.  Keyed by the ideal's value.  A
+    degenerate ideal raises here, on every call, because exceptions are not
+    cached."""
     _check_proper(b)
-    facets = [
-        frozenset(j for j, g in enumerate(b.generators) if var not in g)
-        for var in sorted(pattern)
-    ]
-    kompl = SimplicialComplex(tuple(range(len(b.generators))), tuple(facets))
-    return _SignPattern(pattern, kompl, _cohomology_dims(kompl))
+    return {}
+
+
+def _pattern(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> _SignPattern:
+    """The record of a sign pattern: everything a graded piece depends on,
+    read off the ideal's table (``_records``) by the pattern's mask."""
+    table = _records(b)
+    mask = sum(1 << k for k in pattern)
+    record = table.get(mask)
+    if record is None:
+        record = table[mask] = _SignPattern(b, pattern)
+    return record
 
 
 def _coboundary(kompl: SimplicialComplex, q: int) -> tuple[list[frozenset[int]], list[list[int]]]:
@@ -254,18 +280,24 @@ class GradedPiece:
 
 
 class _SignPattern:
-    """The complex of a sign pattern, its reduced cohomology dimensions by
-    cochain degree, its pieces of local cohomology by index i (cochain
-    degree i - 2), and the Cech strand dimensions, None until ``cech_piece``
-    first asks for them.  ``pieces`` ends at the top cochain degree; every
-    zero piece, and the piece at every index past the end, is ``zero``."""
+    """The record of a sign pattern of an ideal: the complex, its reduced
+    cohomology dimensions by cochain degree, its pieces of local cohomology
+    by index i (cochain degree i - 2), and the Cech strand dimensions, None
+    until ``cech_piece`` first asks for them.  ``pieces`` ends at the top
+    cochain degree; every zero piece, and the piece at every index past the
+    end, is ``zero``."""
 
     __slots__ = ("pattern", "complex", "dims", "pieces", "zero", "strand")
 
-    def __init__(self, pattern: frozenset[int], kompl: SimplicialComplex, dims: dict) -> None:
+    def __init__(self, b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> None:
+        facets = [
+            frozenset(j for j, g in enumerate(b.generators) if var not in g)
+            for var in sorted(pattern)
+        ]
+        kompl = SimplicialComplex(tuple(range(len(b.generators))), tuple(facets))
         self.pattern = pattern
         self.complex = kompl
-        self.dims = dims
+        self.dims = dims = _cohomology_dims(kompl)
         self.zero = zero = GradedPiece(kompl, 0)
         self.pieces = tuple(
             GradedPiece(kompl, dims[q]) if dims.get(q) else zero

@@ -42,7 +42,7 @@ from .lattice import (
     lattice_points,
     rref,
 )
-from .localcoh import _pattern, _restriction
+from .localcoh import _pattern, _records, _restriction
 from .rigidity import (
     Hypothesis,
     Verdict,
@@ -280,8 +280,13 @@ def _chamber_characters(
 
 def _pattern_records(b, m: int) -> list:
     """The record of every sign pattern of a degree in Z^m, the pattern N at
-    its mask, the sum of 2^k over k in N."""
-    return [_pattern(b, frozenset(k for k in range(m) if mask >> k & 1)) for mask in range(1 << m)]
+    its mask, the sum of 2^k over k in N: read off the ideal's table of
+    records, where ``_pattern`` builds only the missing ones."""
+    table = _records(b)
+    return [
+        table.get(mask) or _pattern(b, frozenset(k for k in range(m) if mask >> k & 1))
+        for mask in range(1 << m)
+    ]
 
 
 # the last (cone, witness) that _non_rigid_face returned

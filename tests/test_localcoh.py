@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torrigid import localcoh
+from torrigid import localcoh, t1
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.localcoh import (
     DegenerateIdealError,
@@ -15,6 +15,7 @@ from torrigid.localcoh import (
     SimplicialComplex,
     _degree,
     _pattern,
+    _records,
     _restriction,
     alexander_dual,
     cech_piece,
@@ -66,6 +67,17 @@ class TestTComplex:
             t_complex(SquarefreeMonomialIdeal(2, ()), {0})
         with pytest.raises(DegenerateIdealError):
             t_complex(SquarefreeMonomialIdeal(2, (frozenset(),)), {0})
+
+    def test_variable_outside_the_ideal_rejected(self):
+        # a variable the ideal does not have is named, not read as one that
+        # divides no generator; a degenerate ideal takes precedence
+        b = ideal(3, {0, 1}, {2})
+        for var in (7, 3, -1):
+            with pytest.raises(ValueError, match=f"variable {var} out of range for 3 variables"):
+                t_complex(b, {0, var})
+        for degenerate in (ideal(3), ideal(3, set())):
+            with pytest.raises(DegenerateIdealError):
+                t_complex(degenerate, {7})
 
 
 class TestReducedCohomology:
@@ -499,32 +511,47 @@ def test_degree_checks_fire_on_every_call(call):
 
 def test_one_lookup_per_degree_and_pattern(monkeypatch):
     # a sweep that asks for every piece of a degree in turn takes the degree's
-    # sign pattern once and hits the one-degree memo after that, builds each
-    # sign pattern's record once and computes each Cech strand once
+    # sign mask once and hits the one-degree memo after that, builds each
+    # sign pattern's record once, in the ideal's one table, takes the
+    # negative coordinates only to build one, and computes each Cech strand
+    # once
     b = ideal(4, {0, 1}, {1, 2, 3}, {0, 3})
-    strands, lookups = [], []
-    cech_strand, sign_pattern = localcoh._cech_strand, localcoh.negative
+    strands, misses, built, lookups = [], [], [], []
+    cech_strand, degree = localcoh._cech_strand, localcoh._degree
+    record, sign_pattern = localcoh._SignPattern, localcoh.negative
 
     def counted(b, pattern):
         strands.append(pattern)
         return cech_strand(b, pattern)
+
+    def missed(b, p):
+        misses.append(p)
+        return degree(b, p)
+
+    def building(b, pattern):
+        built.append(pattern)
+        return record(b, pattern)
 
     def counting(p):
         lookups.append(p)
         return sign_pattern(p)
 
     monkeypatch.setattr(localcoh, "_cech_strand", counted)
+    monkeypatch.setattr(localcoh, "_degree", missed)
+    monkeypatch.setattr(localcoh, "_SignPattern", building)
     monkeypatch.setattr(localcoh, "negative", counting)
-    monkeypatch.setattr(localcoh, "_last", (None, None, None))
-    _pattern.cache_clear()
+    monkeypatch.setattr(localcoh, "_last", (None, None, None, None))
+    _records.cache_clear()
     degrees = list(itertools.product(range(-2, 3), repeat=4))
     for p in degrees:
         for i in range(5):
             assert local_coh_piece(b, i, p).dimension == cech_piece(b, i, p)
-    assert lookups == degrees  # one per degree, not one per piece
+    assert misses == degrees  # one per degree, not one per piece
     assert not hasattr(_degree, "cache_info")
-    assert _pattern.cache_info().misses == 2**4
-    assert _pattern.cache_info().hits == len(degrees) - 2**4
+    assert len(built) == len(set(built)) == 2**4
+    assert [sign_pattern(p) for p in lookups] == built  # only to build
+    assert _records.cache_info().misses == 1
+    assert len(_records(b)) == 2**4
     assert len(strands) == len(set(strands)) == 2**4
 
 
@@ -622,3 +649,33 @@ def test_sign_pattern_pieces_by_index(case):
             p = tuple(-1 if k in pattern else 0 for k in range(m))
             for i in range(len(pieces), len(pieces) + 3):
                 assert local_coh_piece(b, i, p) is record.zero
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=5),
+        st.lists(st.tuples(*[st.integers(-3, 2)] * m), min_size=1, max_size=6),
+    )
+))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_one_record_per_ideal_value_and_pattern(case):
+    # an ideal value has one record per sign pattern: the degree route of
+    # local_coh_piece, the pattern route of _pattern and the chamber walks'
+    # read by mask all give the same record, for an equal but distinct copy
+    # of the ideal too, whatever type the degree comes as
+    m, gens, degrees = case
+    b = SquarefreeMonomialIdeal(m, tuple(gens))
+    twin = SquarefreeMonomialIdeal(m, b.generators)
+    assert twin == b and twin is not b
+    for degree in degrees:
+        pattern = negative(degree)
+        mask = sum(1 << k for k in pattern)
+        for c in (b, twin):
+            for p in (degree, list(degree), array("b", degree)):
+                kompl = local_coh_piece(c, 0, p).complex
+                record = _pattern(c, negative(p))
+                assert record.pattern == pattern
+                assert kompl is record.complex
+                assert t1._pattern_records(c, m)[mask].complex is kompl
+            assert local_coh_piece(b, 0, degree).complex is kompl

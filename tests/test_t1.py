@@ -27,7 +27,7 @@ from torrigid.lattice import (
     rref,
     solve_diophantine,
 )
-from torrigid.localcoh import _pattern, _restriction, local_coh_piece, mult_map, negative
+from torrigid.localcoh import _records, _restriction, local_coh_piece, mult_map, negative
 from torrigid.t1 import (
     Completeness,
     UnsupportedModeError,
@@ -901,18 +901,21 @@ def test_one_record_lookup_per_distinct_source_shift(monkeypatch):
     # hom_q_h3 gives each of the hexagon's r = 3 Euler components the source
     # shift 0: its 64 kernels read their records off the 2^6 pattern
     # records, and look up none of their own, where looking up each degree
-    # took 1 + 6 per kernel, and every source shift 3 + 6
-    lookups = []
+    # took 1 + 6 per kernel, and every source shift 3 + 6.  Each pattern's
+    # record is read off the ideal's table, or built, once
+    reads = []
 
-    def counting(b, pattern):
-        lookups.append(pattern)
-        return _pattern(b, pattern)
+    class Reading:
+        def __init__(self, table):
+            self.table = table
 
-    monkeypatch.setattr("torrigid.t1._pattern", counting)
+        def get(self, mask):
+            reads.append(mask)
+            return self.table.get(mask)
+
+    monkeypatch.setattr("torrigid.t1._records", lambda b: Reading(_records(b)))
     hom_q_h3(affine_cone(SHIPPED_CONES[-1]))
-    assert sorted(map(sorted, lookups)) == sorted(
-        sorted(c) for r in range(7) for c in itertools.combinations(range(6), r)
-    )
+    assert sorted(reads) == list(range(2**6))
 
 
 # ---------------------------------------------------------------------------
