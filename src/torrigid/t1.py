@@ -27,9 +27,11 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .lattice import (
     AffineSystem,
@@ -574,7 +576,9 @@ class CoxPolynomial:
 
 
 def cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
-    """Build a polynomial and check all terms share one class degree."""
+    """Build a polynomial, terms of equal exponents combined, and check all
+    terms share one class degree.  Terms that cancel are dropped; a
+    polynomial with no term left is zero and defines no hypersurface."""
     poly = CoxPolynomial(
         tuple((c if isinstance(c, Fraction) else Fraction(c), tuple(e)) for c, e in terms)
     )
@@ -582,6 +586,13 @@ def cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
         raise ValueError(
             f"exponents have length {poly.num_vars}, fan has {fan.num_rays} rays"
         )
+    combined: dict[Vec, Fraction] = {}
+    for c, e in poly.terms:
+        combined[e] = combined.get(e, 0) + c
+    kept = tuple((c, e) for e, c in combined.items() if c)
+    if not kept:
+        raise ValueError("polynomial is zero")
+    poly = CoxPolynomial(kept)
     cox = class_group(fan)
     ref = poly.terms[0][1]
     degree = cox.class_of(ref)
@@ -603,25 +614,31 @@ class CyReport:
         return all(h.status == "satisfied" for h in self.hypotheses)
 
 
-def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
-    """Tangent dimension of an anticanonical hypersurface: the anticanonical
-    graded piece of the quotient by the partial derivatives.
+class _Anticanonical(NamedTuple):
+    """The anticanonical monomials of a fan, and the slots of the Jacobian
+    rows of any anticanonical polynomial on it.
 
-    The ambient fan must be simplicial, complete, Fano and Gorenstein, of
-    dimension at least four, with singular locus of codimension at least
-    four (the computable stand-in for the hypersurface meeting the singular
-    locus in codimension three); the polynomial must have anticanonical
-    degree.  Hypothesis failures produce a report without a dimension.
-    The anticanonical monomials are enumerated once, finitely because the fan
-    is complete, so no search window is involved; the rows of the Jacobian
-    system, the multiples x^g * df/dx_k of anticanonical degree, are read
-    off that enumeration, with each monomial coded as one integer in base 1 +
-    its largest entry, so that an entry's column is one addition and one
-    dict lookup.  Their rank is exact: the coefficients are cleared of
-    denominators and the integer rows are ranked by ``int_rank``.
+    ``members`` is the set of the monomials.  Each monomial d is coded as
+    one integer, the sum of d_j * weights[j], and ``index`` sends the codes
+    of the sorted monomials to their columns.  ``slots`` holds (code(d), k)
+    for each row x^(d - 1 + e_k) * df/dx_k, in the order of the rows.
     """
-    cox = class_group(fan)
-    m, n = cox.num_rays, cox.ambient_rank
+
+    members: frozenset[Vec]
+    weights: tuple[int, ...]
+    index: Mapping[int, int]
+    slots: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=8)
+def _cy_fan(
+    rays: tuple[Vec, ...], max_cones: tuple[frozenset[int], ...]
+) -> tuple[tuple[Hypothesis, ...], _Anticanonical | None]:
+    """The hypotheses of ``cy_t1`` on the fan, and its anticanonical table
+    when they all pass (None otherwise).  Keyed by the fan's rays and cones,
+    so equal fans of different names share one entry."""
+    fan = Fan(rays, max_cones)
+    m, n = fan.num_rays, fan.ambient_rank
     complete = is_complete(fan)
     hyps = [
         Hypothesis(
@@ -635,7 +652,7 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
         Hypothesis(
             "simplicial",
             "satisfied"
-            if all(is_simplicial(fan.cone(c)) for c in fan.max_cones)
+            if all(is_simplicial(fan.cone(c)) for c in max_cones)
             else "failed",
             "",
         ),
@@ -644,7 +661,7 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
         ),
     ]
     if complete:
-        gor = all(gorenstein(fan.cone(c)) for c in fan.max_cones)
+        gor = all(gorenstein(fan.cone(c)) for c in max_cones)
         hyps.append(
             Hypothesis(
                 "gorenstein",
@@ -660,21 +677,9 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
                 f"singular codimension {codim} (stand-in for the hypersurface cut)",
             )
         )
-    if poly.num_vars != m:
-        raise ValueError("polynomial does not match the fan")
-    anticanonical = cox.class_of((1,) * m)
-    bad_exp = next((e for _, e in poly.terms if cox.class_of(e) != anticanonical), None)
-    hyps.append(
-        Hypothesis(
-            "degree_anticanonical",
-            "satisfied" if bad_exp is None else "failed",
-            "" if bad_exp is None else f"offending exponent {bad_exp}",
-        )
-    )
     if any(h.status != "satisfied" for h in hyps):
-        return CyReport(dimension=None, hypotheses=tuple(hyps))
+        return tuple(hyps), None
 
-    rays = fan.rays
     target_system = AffineSystem(
         num_vars=n, inequalities=tuple((v, -1) for v in rays)
     )
@@ -684,36 +689,89 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
     # code(e) = sum_j e_j base^j is injective on the vectors with entries in
     # [0, base), the anticanonical monomials among them, and additive
     base = 1 + max(map(max, monomials))
-    weights = [base**j for j in range(m)]
+    weights = tuple(base**j for j in range(m))
     codes = [sum(map(mul, d, weights)) for d in monomials]
-    index = {c: k for k, c in enumerate(codes)}
+    # x^g * df/dx_k has anticanonical degree exactly when g = d - 1 + e_k for
+    # a monomial d with d_j >= 1 for every j != k
+    slots = []
+    for d, code in zip(monomials, codes):
+        zeros = [j for j, x in enumerate(d) if not x]
+        if len(zeros) <= 1:
+            slots.extend((code, k) for k in zeros or range(m))
+    table = _Anticanonical(
+        members=frozenset(monomials),
+        weights=weights,
+        index=MappingProxyType({c: k for k, c in enumerate(codes)}),
+        slots=tuple(slots),
+    )
+    return tuple(hyps), table
+
+
+def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
+    """Tangent dimension of an anticanonical hypersurface: the anticanonical
+    graded piece of the quotient by the partial derivatives.
+
+    The ambient fan must be simplicial, complete, Fano and Gorenstein, of
+    dimension at least four, with singular locus of codimension at least
+    four (the computable stand-in for the hypersurface meeting the singular
+    locus in codimension three); the polynomial must have anticanonical
+    degree.  Hypothesis failures produce a report without a dimension.
+    The fan's hypotheses and its anticanonical monomials come from
+    ``_cy_fan``, once per fan; the monomials are finitely many because the
+    fan is complete, so no search window is involved.  Its rays span, so an
+    exponent e >= 0 has the anticanonical class, torsion included, exactly
+    when e - 1 lies in the image of M, that is, when x^e is one of those
+    monomials.  The rows of the Jacobian system, the multiples
+    x^g * df/dx_k of anticanonical degree, are read off the monomials, each
+    coded as one integer in base 1 + its largest entry, so that an entry's
+    column is one addition and one dict lookup.  Their rank is exact: the
+    coefficients are cleared of denominators and the integer rows are
+    ranked by ``int_rank``.
+    """
+    hyps, table = _cy_fan(fan.rays, fan.max_cones)
+    m = fan.num_rays
+    if table is None:
+        cox = class_group(fan)
+        anticanonical = cox.class_of((1,) * m)
+    if poly.num_vars != m:
+        raise ValueError("polynomial does not match the fan")
+    if table is None:
+        bad_exp = next((e for _, e in poly.terms if cox.class_of(e) != anticanonical), None)
+    else:
+        bad_exp = next((e for _, e in poly.terms if e not in table.members), None)
+    hyps += (
+        Hypothesis(
+            "degree_anticanonical",
+            "satisfied" if bad_exp is None else "failed",
+            "" if bad_exp is None else f"offending exponent {bad_exp}",
+        ),
+    )
+    if table is None or bad_exp is not None:
+        return CyReport(dimension=None, hypotheses=hyps)
 
     # a nonzero multiple of f has the same Jacobian ideal
     scale = lcm(*(c.denominator for c, _ in poly.terms))
     terms = [(c.numerator * (scale // c.denominator), e) for c, e in poly.terms]
-    # x^g * df/dx_k has anticanonical degree exactly when g = d - 1 + e_k for
-    # a monomial d with d_j >= 1 for every j != k; the term of c * x^e then
-    # lands at d - 1 + e, whatever k is.  That is an anticanonical monomial,
-    # so its code code(d) + code(e) - code(1, ..., 1) is in ``index``
+    # the term of c * x^e in x^(d - 1 + e_k) * df/dx_k lands at d - 1 + e,
+    # whatever k is.  That is an anticanonical monomial, so its code
+    # code(d) + code(e) - code(1, ..., 1) is in ``index``
+    weights, index = table.weights, table.index
     ones = sum(weights)
     derivatives = [
         [(c * e[k], sum(map(mul, e, weights)) - ones) for c, e in terms if e[k]] for k in range(m)
     ]
+    count = len(index)
     rows = []
-    for d, code in zip(monomials, codes):
-        zeros = [j for j, x in enumerate(d) if not x]
-        if len(zeros) > 1:
-            continue
-        for k in zeros or range(m):
-            if derivatives[k]:
-                row = [0] * len(monomials)
-                for c, offset in derivatives[k]:
-                    row[index[code + offset]] += c
-                rows.append(row)
+    for code, k in table.slots:
+        if derivatives[k]:
+            row = [0] * count
+            for c, offset in derivatives[k]:
+                row[index[code + offset]] += c
+            rows.append(row)
     rank = int_rank(rows)
     return CyReport(
-        dimension=len(monomials) - rank,
-        hypotheses=tuple(hyps),
-        monomial_count=len(monomials),
+        dimension=count - rank,
+        hypotheses=hyps,
+        monomial_count=count,
         jacobian_rank=rank,
     )

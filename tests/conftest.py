@@ -1,12 +1,23 @@
 import pytest
 from hypothesis import settings
 
+from torrigid.t1 import _cy_fan
 from torrigid.toric import affine_cone, validate_fan
 
 # Property tests draw the same examples on every run and have no deadline:
 # a slow host must not turn a correct result into a failure.
 settings.register_profile("torrigid", derandomize=True, deadline=None)
 settings.load_profile("torrigid")
+
+
+@pytest.fixture
+def cold_cy_cache():
+    """An empty per-fan cache of ``cy_t1``, so that calls counted inside it
+    include the fan-only work."""
+    _cy_fan.cache_clear()
+    yield
+    _cy_fan.cache_clear()
+
 
 SQUARE_RAYS = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
 HEXAGON_RAYS = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]

@@ -308,6 +308,18 @@ class TestCyCommand:
         assert not out
         assert "term 0 has a bad exponent vector" in err
 
+    def test_zero_polynomial_rejected(self, tmp_path, capsys):
+        # x0^5 - x0^5 is zero and defines no hypersurface
+        f = tmp_path / "z.json"
+        f.write_text(json.dumps({"terms": [
+            {"coeff": "1", "exp": [5, 0, 0, 0, 0]},
+            {"coeff": "-1", "exp": [5, 0, 0, 0, 0]},
+        ]}))
+        code, out, err = run(capsys, "cy", FANS / "p4.json", f, "--format", "json")
+        assert code == 1
+        assert not out
+        assert err == f"error: {f}: polynomial is zero\n"
+
     @pytest.mark.parametrize("text", ["1_000", " 7 ", "+3", "1e3", "3/4", "0x10", ""])
     def test_coefficient_strings(self, tmp_path, text):
         # the integers are parsed by int first: values and errors stay those
@@ -391,7 +403,7 @@ class TestToricPredicateCalls:
         )
         return counts
 
-    def test_cy(self, capsys, calls):
+    def test_cy(self, capsys, calls, cold_cy_cache):
         code, _, _ = run(capsys, "cy", FANS / "p4.json", FANS / "fermat_quintic.json")
         assert code == 0
         assert calls == {"solve": 0, "rational_feasible": 0}

@@ -28,9 +28,12 @@ from torrigid.lattice import (
     solve_diophantine,
 )
 from torrigid.localcoh import _records, _restriction, local_coh_piece, mult_map, negative
+from torrigid.rigidity import Hypothesis
 from torrigid.t1 import (
     Completeness,
+    CoxPolynomial,
     UnsupportedModeError,
+    _cy_fan,
     _der_part_vanishes,
     _intervals,
     _kernels,
@@ -620,6 +623,166 @@ def test_cox_polynomial_compares_torsion():
     with pytest.raises(ValueError, match="different class degrees"):
         cox_polynomial(fan, [(1, x1), (1, x4)])
     cox_polynomial(fan, [(1, (2, 0, 0, 0)), (1, (0, 0, 0, 2))])  # 2 p(1/2, 1/2) is integral
+
+
+class TestZeroPolynomial:
+    X0 = (5, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "coeffs", [(1, -1), (Fraction(1, 2), Fraction(1, 2), -1), (3, -1, -2)]
+    )
+    def test_cancelling_terms_rejected(self, p4_fan, coeffs):
+        with pytest.raises(ValueError, match="polynomial is zero"):
+            cox_polynomial(p4_fan, [(c, self.X0) for c in coeffs])
+
+    def test_equal_exponents_combined(self, p4_fan):
+        fermat = fermat_quintic(p4_fan)
+        ones = (1, 1, 1, 1, 1)
+        terms = [
+            (Fraction(1, 3), self.X0), (2, ones), *fermat.terms[1:], (Fraction(2, 3), self.X0), (-2, ones)
+        ]
+        poly = cox_polynomial(p4_fan, terms)
+        assert poly == fermat
+        assert cy_t1(p4_fan, poly) == cy_t1(p4_fan, fermat)
+
+    def test_cancelled_term_leaves_no_degree(self, p4_fan):
+        # x0^4 cancels, so the rest is one polynomial of one class degree
+        poly = cox_polynomial(p4_fan, [(1, (4, 0, 0, 0, 0)), (1, self.X0), (-1, (4, 0, 0, 0, 0))])
+        assert poly.terms == ((1, self.X0),)
+
+
+def relabelled_p4():
+    perm = [2, 0, 4, 1, 3]
+    p4 = projective_fan(4)
+    rays = [p4.rays[i] for i in perm]
+    return validate_fan(rays, [frozenset(perm.index(i) for i in c) for c in p4.max_cones])
+
+
+def fake_p4():
+    """P^4 / (Z/5): the rays span a sublattice of index 5 and sum to zero.
+    The class group is Z + Z/5, and the fan passes every ``cy`` hypothesis."""
+    rays = [(-2, -3, -4, -5), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)]
+    return validate_fan(rays, [tuple(j for j in range(5) if j != i) for i in range(5)])
+
+
+CY_FANS = {
+    "P4": projective_fan(4),
+    "P5": projective_fan(5),
+    "P4 relabelled": relabelled_p4(),
+    "P4/Z5": fake_p4(),
+}
+
+
+@st.composite
+def exponents(draw, m):
+    """Exponent vectors e >= 0 of length m: of total degree m half the time
+    (the free degree of -K on the fans of ``CY_FANS``), small otherwise."""
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, m), min_size=m - 1, max_size=m - 1)))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, m]))
+    return tuple(draw(st.lists(st.integers(0, m + 1), min_size=m, max_size=m)))
+
+
+@pytest.mark.parametrize("name", CY_FANS)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_anticanonical_membership_matches_class_of(name, data):
+    # an exponent e >= 0 is an anticanonical monomial exactly when it has
+    # the class of (1, ..., 1), torsion part included
+    fan = CY_FANS[name]
+    hyps, table = _cy_fan(fan.rays, fan.max_cones)
+    assert all(h.status == "satisfied" for h in hyps)
+    cox = class_group(fan)
+    e = data.draw(exponents(fan.num_rays))
+    assert (e in table.members) == (cox.class_of(e) == cox.class_of((1,) * fan.num_rays))
+
+
+def test_torsion_splits_the_anticanonical_degree():
+    # of the 126 quintic monomials on P^4 / (Z/5), those with sum_j j e_j
+    # divisible by 5 are anticanonical
+    fan = fake_p4()
+    _, table = _cy_fan(fan.rays, fan.max_cones)
+    cox = class_group(fan)
+    assert cox.torsion == (5,)
+    quintics = [e for e in itertools.product(range(6), repeat=5) if sum(e) == 5]
+    members = [e for e in quintics if e in table.members]
+    assert len(quintics) == 126 and len(members) == 26 == len(table.index)
+    assert all(sum(j * x for j, x in enumerate(e)) % 5 == 0 for e in members)
+
+
+@pytest.mark.parametrize(
+    "fan,terms,offending",
+    [
+        # every term is checked, not the first alone
+        (projective_fan(4), [(1, (5, 0, 0, 0, 0)), (1, (4, 0, 0, 0, 0))], (4, 0, 0, 0, 0)),
+        (
+            projective_fan(4),
+            [(1, (0, 0, 0, 0, 5)), (2, (1, 1, 1, 1, 1)), (1, (0, 0, 1, 0, 0))],
+            (0, 0, 1, 0, 0),
+        ),
+        (
+            projective_fan(4),
+            [(1, (4, 0, 0, 0, 0)), (1, (5, 0, 0, 0, 0)), (1, (0, 6, 0, 0, 0))],
+            (4, 0, 0, 0, 0),
+        ),
+        # the same free degree, another torsion class
+        (fake_p4(), [(1, (5, 0, 0, 0, 0)), (1, (4, 1, 0, 0, 0))], (4, 1, 0, 0, 0)),
+    ],
+)
+def test_mixed_classes_report_first_offending_exponent(fan, terms, offending):
+    # built by hand: cox_polynomial would refuse mixed class degrees
+    poly = CoxPolynomial(tuple((Fraction(c), e) for c, e in terms))
+    report = cy_t1(fan, poly)
+    assert report.dimension is None
+    assert report.hypotheses[-1] == Hypothesis(
+        "degree_anticanonical", "failed", f"offending exponent {offending}"
+    )
+
+
+class TestCyFanCache:
+    @staticmethod
+    def counted_lattice_points(monkeypatch):
+        calls = []
+
+        def counting(system):
+            calls.append(system)
+            return lattice_points(system)
+
+        monkeypatch.setattr(t1, "lattice_points", counting)
+        return calls
+
+    def test_one_table_per_fan_value(self, monkeypatch, cold_cy_cache):
+        calls = self.counted_lattice_points(monkeypatch)
+        p4 = projective_fan(4)
+        named = validate_fan(p4.rays, p4.max_cones, name="another name")
+        assert named != p4 and named.name != p4.name
+        first = cy_t1(p4, fermat_quintic(p4))
+        assert cy_t1(named, fermat_quintic(named)) == first
+        assert len(calls) == 1
+        relabelled = relabelled_p4()
+        assert cy_t1(relabelled, fermat_quintic(relabelled)).dimension == 101
+        assert len(calls) == 2
+        info = _cy_fan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+    def test_failed_hypotheses_cached_without_table(self, monkeypatch, cold_cy_cache):
+        calls = self.counted_lattice_points(monkeypatch)
+        fan, _ = load_fan(str(FANS / "p3.json"))
+        hyps, table = _cy_fan(fan.rays, fan.max_cones)
+        assert table is None and not calls
+        assert "dim_at_least_4" in {h.name for h in hyps if h.status == "failed"}
+
+    def test_bounded_and_immutable(self):
+        maxsize = _cy_fan.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize <= 16
+        p4 = projective_fan(4)
+        hyps, table = _cy_fan(p4.rays, p4.max_cones)
+        assert type(hyps) is tuple and type(table.slots) is tuple and type(table.weights) is tuple
+        assert type(table.members) is frozenset
+        with pytest.raises(TypeError):
+            table.index[0] = 0
+        with pytest.raises(AttributeError):
+            table.members = frozenset()
 
 
 # ---------------------------------------------------------------------------
