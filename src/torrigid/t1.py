@@ -37,6 +37,8 @@ from .lattice import (
     AffineSystem,
     UnboundedPolyhedronError,
     Vec,
+    _adjugate,
+    _gauss_jordan,
     _saturated_span,
     hilbert_basis,
     int_det,
@@ -233,7 +235,7 @@ def _intervals(shifts: Sequence[int]) -> list[tuple[int, int | None, int | None]
 
 
 def _chamber_characters(
-    rays: Sequence[Vec], shifts: Sequence[Sequence[int]], patterns, kernel
+    rays: Sequence[Vec], shifts: Sequence[Sequence[int]], patterns, kernel, gale: bool = False
 ) -> tuple[int, list[tuple[Vec, int]]]:
     """The sum of the kernels of all characters u, and the pairs (u, kernel)
     with a nonzero kernel in lexicographic order.
@@ -248,35 +250,84 @@ def _chamber_characters(
     inequalities, so a chamber's system is their concatenation.  Unbounded
     chambers are skipped: the callers have found every proper face rigid,
     so T^1 is finite, while an unbounded chamber that held one character
-    would hold infinitely many, all with its kernel."""
+    would hold infinitely many, all with its kernel.
+
+    A chamber whose one-point intervals pin x_k = c_k, k in E, on rays that
+    span M_Q holds at most u = adj(V_B) c_B / det(V_B), B the first n
+    positions of E with independent rays: it is skipped unranked when u is
+    not integral or p(u) leaves an interval, and otherwise ranked with no
+    ``lattice_points``.  With ``gale`` the kernel lies in K_E (x) H, where
+    dim K_E = |E| - rank(v_k : k in E) (``hom_q_h3``), so a chamber whose
+    pinned rays are independent is skipped unranked.  The rank, B, adj(V_B)
+    and det(V_B) of each pinned set are computed once per call."""
     n = len(rays[0])
-    # the intervals of each coordinate as (key, equalities, inequalities)
+    # the intervals of coordinate k as (key, lo, hi, pinned bit, equalities,
+    # inequalities); the key of a one-point interval is its point
     intervals = []
-    for v, s in zip(rays, shifts):
+    for k, (v, s) in enumerate(zip(rays, shifts)):
         below = tuple(-c for c in v)
         ivs = []
         for key, lo, hi in _intervals(s):
             if lo == hi:
-                ivs.append((key, ((v, lo),), ()))
+                ivs.append((key, lo, hi, 1 << k, ((v, lo),), ()))
             else:
                 rows = () if lo is None else ((v, lo),)
-                ivs.append((key, (), rows if hi is None else (*rows, (below, -hi))))
+                ivs.append((key, lo, hi, 0, (), rows if hi is None else (*rows, (below, -hi))))
         intervals.append(ivs)
+
+    # (rank, B, adj(V_B), det(V_B)) of the pinned set at a mask; B, adj and
+    # det None unless it pins and is not Gale-null, the rank None if unused
+    @lru_cache(maxsize=None)
+    def subset(mask: int) -> tuple:
+        positions = [k for k in range(len(rays)) if mask >> k & 1]
+        if len(positions) < n and not gale:
+            return None, None, None, None
+        basis = [positions[c] for c in _gauss_jordan([[rays[k][i] for k in positions] for i in range(n)])]
+        if len(basis) < n or (gale and len(basis) == len(positions)):
+            return len(basis), None, None, None
+        return n, basis, *inverse(tuple(basis))
+
+    @lru_cache(maxsize=None)
+    def inverse(basis: tuple[int, ...]) -> tuple[list[list[int]], int]:
+        v_b = [rays[k] for k in basis]
+        return _adjugate(v_b), int_det(v_b)
+
     concat = itertools.chain.from_iterable
     found: list[tuple[Vec, int]] = []
     for pattern in patterns:
         # the first interval is x_k >= 0, the others negative
         choices = [ivs[1:] if k in pattern else ivs[:1] for k, ivs in enumerate(intervals)]
         for chamber in itertools.product(*choices):
-            ker = kernel(tuple([key for key, _, _ in chamber]))
+            key = tuple([iv[0] for iv in chamber])
+            mask = sum([iv[3] for iv in chamber])
+            rank, basis, adj, det = subset(mask)
+            if gale and rank == mask.bit_count():
+                continue
+            points = None
+            if basis is not None:
+                # the one character that the pinned coordinates allow
+                c = [key[k] for k in basis]
+                u = [sum(map(mul, row, c)) for row in adj]
+                if any(x % det for x in u):
+                    continue
+                u = tuple([x // det for x in u])
+                if any(
+                    (lo is not None and x < lo) or (hi is not None and x > hi)
+                    for x, (_, lo, hi, *_) in zip(_fine_degree(rays, u), chamber)
+                ):
+                    continue
+                points = [u]
+            ker = kernel(key)
             if not ker:
                 continue
-            eqs = tuple(concat([e for _, e, _ in chamber]))
-            rows = tuple(concat([r for _, _, r in chamber]))
-            try:
-                found += [(u, ker) for u in lattice_points(AffineSystem(n, eqs, rows))]
-            except UnboundedPolyhedronError:
-                continue
+            if points is None:
+                eqs = tuple(concat([iv[4] for iv in chamber]))
+                rows = tuple(concat([iv[5] for iv in chamber]))
+                try:
+                    points = lattice_points(AffineSystem(n, eqs, rows))
+                except UnboundedPolyhedronError:
+                    continue
+            found += [(u, ker) for u in points]
     return sum(ker for _, ker in found), sorted(found)
 
 
@@ -341,11 +392,15 @@ def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
     every coordinate.  A cone with a non-rigid proper face is refused: its
     T^1 is infinite, and this part is not known to be.
 
+    A target with p_j != -1 has the sign pattern N of p, so its blocks are
+    the a_ij times the identity of H^3_B at N, and the kernel lies in
+    K_E (x) H^3_B at N, K_E the c with sum_i c_i a_ij = 0 for j not in
+    E = {k : p_k = -1}.  By Gale duality dim K_E = |E| - rank(v_k : k in E)
+    in any rank, so a chamber with independent rays at E is not ranked.
     No three-dimensional cone shows which target p + e_j goes with a_ij:
     there H^3_B is a line at all-negative p and zero elsewhere, so the
-    kernel is cut out by sum_i a_ij h_i = 0 for p_j <= -2, of dimension
-    |N| - rank(v_k : k in N) for N = {k : p_k = -1} by Gale duality, and no
-    three rays are coplanar.  The cone over a square pyramid shows it.
+    kernel is all of K_E, and no three rays are coplanar.  The cone over a
+    square pyramid shows it.
     """
     _require_full_dim(cone)
     witness = _non_rigid_face(cone)
@@ -368,7 +423,7 @@ def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
 
     # the sources are the pieces at p itself: most patterns have none
     patterns = [s.pattern for s in every if s.dims.get(3 - 2)]
-    total, found = _chamber_characters(rays, [[1]] * m, patterns, kernel)
+    total, found = _chamber_characters(rays, [[1]] * m, patterns, kernel, gale=True)
     return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found)
 
 
@@ -578,17 +633,23 @@ class CoxPolynomial:
 def cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
     """Build a polynomial, terms of equal exponents combined, and check all
     terms share one class degree.  Terms that cancel are dropped; a
-    polynomial with no term left is zero and defines no hypersurface."""
-    poly = CoxPolynomial(
-        tuple((c if isinstance(c, Fraction) else Fraction(c), tuple(e)) for c, e in terms)
-    )
-    if poly.num_vars != fan.num_rays:
-        raise ValueError(
-            f"exponents have length {poly.num_vars}, fan has {fan.num_rays} rays"
-        )
+    polynomial with no term left is zero and defines no hypersurface.  The
+    given terms are checked as ``CoxPolynomial`` checks them, in the pass
+    that combines them, so only the combined polynomial is built."""
     combined: dict[Vec, Fraction] = {}
-    for c, e in poly.terms:
-        combined[e] = combined.get(e, 0) + c
+    width = None
+    for c, e in terms:
+        e = tuple(e)
+        width = len(e) if width is None else width
+        if c == 0:
+            raise ValueError("zero coefficient")
+        if len(e) != width or any(x < 0 for x in e):
+            raise ValueError(f"bad exponent {e}")
+        combined[e] = combined.get(e, 0) + (c if isinstance(c, Fraction) else Fraction(c))
+    if width is None:
+        raise ValueError("polynomial must have at least one term")
+    if width != fan.num_rays:
+        raise ValueError(f"exponents have length {width}, fan has {fan.num_rays} rays")
     kept = tuple((c, e) for e, c in combined.items() if c)
     if not kept:
         raise ValueError("polynomial is zero")

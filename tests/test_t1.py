@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from operator import add
@@ -22,6 +23,7 @@ from torrigid.lattice import (
     _bareiss_rank,
     hilbert_basis,
     int_det,
+    int_rank,
     integer_feasible,
     lattice_points,
     rref,
@@ -911,15 +913,21 @@ def test_per_character_oracle(bound, max_n):
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 24),  # the square
+        (lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 20),  # the square
         (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 15),
-        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 64),  # the hexagon
+        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 1),  # the hexagon
+        (lambda: der_part_exact(affine_cone([(0, 1), (30, -1)])), 91),
     ],
 )
 def test_one_rank_per_sign_signature(monkeypatch, run, calls):
     # one rref per distinct (source patterns, target patterns) signature
-    # among the chambers; ranking every character of a window separately
-    # took 157 calls on X(7, 3) and 64 on the hexagon
+    # among the chambers that can hold a character; ranking every character
+    # of a window separately took 157 calls on X(7, 3) and 64 on the
+    # hexagon.  A chamber whose pinned coordinates span holds at most one
+    # character and is ranked only when it holds it: 24 -> 20 calls on the
+    # square and 960 -> 91 on X(30, 1).  On the hexagon every chamber of
+    # hom_q_h3 but one has independent rays at its -1 coordinates (Gale
+    # null) or no character, and only x = (-1, ..., -1) is ranked: 64 -> 1
     count = 0
 
     def counting(*args):
@@ -1005,17 +1013,19 @@ def test_sign_signature_packs_every_degree(case, sources):
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 40),  # the square
-        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 16),
-        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 64),  # the hexagon
+        (lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 36),  # the square
+        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 15),
+        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 1),  # the hexagon
     ],
 )
 def test_one_kernel_per_chamber(monkeypatch, run, calls):
-    # one kernel lookup per chamber whose sign pattern can carry a kernel:
-    # 40 of the square's 3^4 chambers, 16 of X(7, 3)'s 25, and for hom_q_h3
-    # the 64 of the hexagon's 729 where the third cohomology is nonzero;
-    # looking up every character of a window took 841 calls on X(7, 3) and
-    # 729 on the hexagon, and every chamber 81 on the square and 25 on X(7, 3)
+    # one kernel lookup per chamber whose sign pattern can carry a kernel,
+    # less the pinned chambers with no character and, for hom_q_h3, the
+    # Gale-null ones: 36 of the square's 3^4 chambers (40 before the
+    # pinned gate), 15 of X(7, 3)'s 25 (16), and for hom_q_h3 1 of the
+    # hexagon's 729 (64, where the third cohomology is nonzero); looking
+    # up every character of a window took 841 calls on X(7, 3) and 729 on
+    # the hexagon, and every chamber 81 on the square and 25 on X(7, 3)
     count = 0
 
     def counting_kernels(*args):
@@ -1147,10 +1157,10 @@ def test_pattern_walk_matches_product_walk(monkeypatch, n, m, radius, count):
 
     walk = t1._chamber_characters
     walks = {
-        "patterns": lambda rays, shifts, patterns, kernel: walk(
-            rays, shifts, patterns, counted("patterns", kernel)
+        "patterns": lambda rays, shifts, patterns, kernel, **gates: walk(
+            rays, shifts, patterns, counted("patterns", kernel), **gates
         ),
-        "product": lambda rays, shifts, patterns, kernel: product_chambers(
+        "product": lambda rays, shifts, patterns, kernel, **gates: product_chambers(
             rays, shifts, counted("product", kernel)
         ),
     }
@@ -1171,6 +1181,173 @@ def test_pattern_walk_matches_product_walk(monkeypatch, n, m, radius, count):
     # Schlessinger: simplicial cones of dimension >= 3 with rigid faces are
     # rigid, so only there is every part zero
     assert (nonzero > 0) == (n == 2 or m > n)
+
+
+# ---------------------------------------------------------------------------
+# The gates of the chamber walk: a chamber pinned by rays that span holds at
+# most one character, and a Gale-null chamber of hom_q_h3 has no kernel
+
+
+def chamber_system(rays, chamber):
+    """The system of a chamber of ``_intervals``: a one-point interval as an
+    equality, the others as inequalities."""
+    eqs = [(v, lo) for v, (_, lo, hi) in zip(rays, chamber) if lo == hi]
+    rows = [(v, lo) for v, (_, lo, hi) in zip(rays, chamber) if lo is not None and lo != hi]
+    rows += [(tuple(-c for c in v), -hi) for v, (_, lo, hi) in zip(rays, chamber) if hi is not None and lo != hi]
+    return AffineSystem(len(rays[0]), tuple(eqs), tuple(rows))
+
+
+def pinned_outcomes(rays, shifts):
+    """How the chambers whose one-point intervals pin rays of full rank end,
+    counted by an exact solve of all their equalities: 'non-integral' (one
+    rational solution, not integral), 'outside' (no rational solution, or
+    an integral one that leaves an interval) or 'holds'."""
+    n = len(rays[0])
+    outcomes = Counter()
+    for chamber in itertools.product(*map(_intervals, shifts)):
+        eqs = chamber_system(rays, chamber).equalities
+        if not eqs or int_rank([v for v, _ in eqs]) < n:
+            continue
+        reduced, pivots = rref([[*v, c] for v, c in eqs])
+        if n in pivots:
+            outcomes["outside"] += 1
+        elif any(row[n].denominator != 1 for row in reduced):
+            outcomes["non-integral"] += 1
+        else:
+            outcomes["holds" if lattice_points(chamber_system(rays, chamber)) else "outside"] += 1
+    return outcomes
+
+
+@st.composite
+def pinned_walks(draw):
+    """Rays of rank n = 2, 3 or 4 with coordinates in [-3, 3], n or n + 1 of
+    them, and one or two shifts in 1..3 per ray, so that one-point
+    intervals are common; at most 400 chambers."""
+    n = draw(st.integers(2, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n + 1))
+    assume(int_rank(rays) == n)
+    shifts = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=2), min_size=len(rays), max_size=len(rays)))
+    assume(prod(len(_intervals(s)) for s in shifts) <= 400)
+    return rays, shifts
+
+
+# a non-integral pinned character: 2a + b = a + 2b = -1
+NON_INTEGRAL = ([(2, 1), (1, 2)], [[1], [1]])
+# x_0 = x_1 = -1 pin u = (-1, -1), so x_2 = -2 is outside x_2 >= 0 and
+# x_2 = -1; x_2 = -1 and x_0 or x_1 = -1 pin the other one at 0, outside <= -2
+OUTSIDE = ([(1, 0), (0, 1), (1, 1)], [[1], [1], [1]])
+
+
+@pytest.mark.parametrize(
+    "case,outcomes",
+    [
+        (NON_INTEGRAL, {"non-integral": 1}),
+        (OUTSIDE, {"outside": 4, "holds": 3}),
+    ],
+    ids=["non-integral", "outside"],
+)
+def test_pinned_examples(case, outcomes):
+    # the explicit examples of the test below hold both kinds of pinned
+    # chambers that the gate skips
+    assert pinned_outcomes(*case) == outcomes
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(pinned_walks())
+@example(NON_INTEGRAL)
+@example(OUTSIDE)
+def test_pinned_gate_matches_lattice_points(case):
+    # a kernel that is nonzero on every key, and every sign pattern, so every
+    # chamber of the product is counted: the gated walk gives what
+    # lattice_points gives on every chamber (``product_chambers``), and calls
+    # it only on the chambers that are not pinned
+    rays, shifts = case
+    m, n = len(rays), len(rays[0])
+    patterns = [frozenset(k for k in range(m) if mask >> k & 1) for mask in range(1 << m)]
+
+    def kernel(key):
+        return 1 + sum(x * x for x in key) % 3
+
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return lattice_points(system)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(t1, "lattice_points", counting)
+        got = t1._chamber_characters(rays, shifts, patterns, kernel)
+    assert got == product_chambers(rays, shifts, kernel)
+    unpinned = sum(
+        int_rank([v for v, _ in chamber_system(rays, chamber).equalities] or [(0,) * n]) < n
+        for chamber in itertools.product(*map(_intervals, shifts))
+    )
+    assert len(calls) == unpinned
+
+
+def random_homq_cones(n, count):
+    """``count`` non-simplicial cones on n + 1 to n + 3 rays in Z^n with
+    coordinates in [-2, 2], drawn by a generator seeded with n:
+    full-dimensional, smooth in codimension 2, every proper face rigid."""
+    rng = random.Random(f"gale {n}")
+    out = []
+    while len(out) < count:
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 3))]
+        try:
+            cone = affine_cone(rays)
+        except FanValidationError:
+            continue
+        if cone.dim != n or is_simplicial(cone) or singular_codim(cone) < 3:
+            continue
+        if t1._non_rigid_face(cone) is None:
+            out.append(rays)
+    return out
+
+
+POLYGON_CONES = [
+    SHIPPED_CONES[-2],  # the square
+    SHIPPED_CONES[-1],  # the hexagon
+    *(
+        [(x, y, 1) for x, y in json.loads((FANS / f"{name}.json").read_text())["vertices"]]
+        for name in ("square_polygon", "hexagon_polygon")
+    ),
+    [(2, -1, 1), (1, 1, 1), (2, -2, 1), (-2, 2, 1), (-1, 2, 1), (-1, -1, 1)],  # asymmetric hexagon
+]
+
+
+@pytest.mark.parametrize(
+    "cones",
+    [POLYGON_CONES, random_homq_cones(3, 6), random_homq_cones(4, 12)],
+    ids=["polygons", "random-3d", "random-4d"],
+)
+def test_gale_bound_matches_ungated_kernel(cones):
+    # hom_q_h3's kernel at a key lies in K_E (x) H(N), dim K_E = |E| - rank of
+    # the rays at the -1 coordinates E: wherever that is 0 the ungated
+    # kernel of _kernels is 0, on every key of the product, walked or not
+    gated = nonzero = 0
+    for rays in cones:
+        walks = []
+        walk = t1._chamber_characters
+
+        def capture(rays, shifts, patterns, kernel, **gates):
+            walks.append((kernel, gates))
+            return walk(rays, shifts, patterns, kernel, **gates)
+
+        cone = affine_cone([tuple(v) for v in rays])
+        t1._non_rigid_face(cone)  # walks the faces' chambers first
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(t1, "_chamber_characters", capture)
+            hom_q_h3(cone)
+        [(kernel, gates)] = walks
+        assert gates == {"gale": True}
+        for key in itertools.product((0, -1, -2), repeat=len(rays)):
+            pinned = [v for v, x in zip(cone.ray_vectors, key) if x == -1]
+            if len(pinned) == (int_rank(pinned) if pinned else 0):
+                assert kernel(key) == 0, (rays, key)
+                gated += 1
+            else:
+                nonzero += kernel(key) > 0
+    assert gated and nonzero
 
 
 @pytest.mark.parametrize(
@@ -1312,8 +1489,8 @@ def searched_t1(cone):
     bound = 2 * max(abs(c) for v in cone.ray_vectors for c in v)
     outcomes = []
 
-    def walk(rays, shifts, patterns, kernel):
-        # every chamber of the product, whatever the patterns
+    def walk(rays, shifts, patterns, kernel, **gates):
+        # every chamber of the product, whatever the patterns and gates
         total, found, outcome = searched_chambers(rays, shifts, kernel, bound)
         outcomes.append(outcome)
         return total or 0, found
