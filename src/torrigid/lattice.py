@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import ge
+from operator import ge, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -717,67 +718,107 @@ def _descend(chain: list[list[_Row]], radius: int | None = None) -> list[Vec]:
     return out
 
 
+@lru_cache(maxsize=64)
+def _parametrization(equalities: tuple[_Row, ...]) -> tuple[Vec, tuple[Vec, ...]] | None:
+    """(origin, basis) with {u : <a, u> = c for (a, c) in equalities} =
+    origin + Z-span(basis), or None when there is no integer solution."""
+    sol = solve_diophantine([a for a, _ in equalities], [c for _, c in equalities])
+    if sol is None:
+        return None
+    origin, basis = sol
+    return origin, tuple(basis)
+
+
+def _bounded(chain: list[list[_Row]]) -> bool:
+    """Whether the nonempty polyhedron of a chain from ``_fm_chain`` is
+    bounded.  Entry k is the projection onto x_0..x_k, so x_k is bounded
+    above (below) over a prefix exactly when entry k has a row with a
+    negative (positive) coefficient on it, whatever the prefix."""
+    return all({a[k] > 0 for a, _ in entry if a[k]} == {True, False} for k, entry in enumerate(chain))
+
+
+def _extent(chain: list[list[_Row]]) -> int:
+    """A radius r with |x_k| <= r at every integer point over a bounded
+    chain from ``_fm_chain``: entry k bounds x_k over the integer box that
+    the entries before it give x_0..x_{k-1}."""
+    box: list[tuple[int, int]] = []
+    for k, rows in enumerate(chain):
+        lo = hi = None
+        for a, c in rows:
+            coef = a[k]
+            if coef:
+                # c - <a[:k], x> over the box is least where <a[:k], x> is largest
+                resid = c - sum(x * (h if x > 0 else l) for x, (l, h) in zip(a, box))
+                if coef > 0:
+                    b = -(-resid // coef)
+                    lo = b if lo is None else max(lo, b)
+                else:
+                    b = resid // coef
+                    hi = b if hi is None else min(hi, b)
+        box.append((lo, hi))
+    return max(0, *(max(-lo, hi) for lo, hi in box))
+
+
 def integer_feasible(system: AffineSystem, search_bound: int) -> FeasibilityResult:
     """Decide whether the system has an integer solution.
 
     Equalities are absorbed by a lattice parametrization u = origin + B*t,
-    leaving inequalities in the free coordinates t.  Fourier-Motzkin bounds
-    give each t_i an integer range, cut to [-search_bound, search_bound] on
-    an unbounded side.  The answer is exact (Witness or Infeasible) when
-    every t_i is bounded, or when one bounded on both sides has an empty
-    range.  Otherwise only |t|_inf <= ``search_bound`` is searched, and an
-    empty search, or an empty cut range, gives BoundExceeded.
+    leaving inequalities in the free coordinates t; the parametrizations of
+    the last 64 equality sets are cached.  One Fourier-Motzkin chain over t
+    decides rational feasibility and boundedness.  A bounded system is
+    decided exactly, whatever ``search_bound``: its chain is searched up to
+    a radius that holds every solution.  Only on an unbounded system do
+    per-variable Fourier-Motzkin bounds give each t_i an integer range, cut
+    to [-search_bound, search_bound] on an unbounded side; the answer is
+    Infeasible when one bounded on both sides has an empty range, and
+    otherwise only |t|_inf <= ``search_bound`` is searched, so an empty
+    search, or an empty cut range, gives BoundExceeded.
 
     The witness is the image of the least t in the order (max |t_i|, then t
-    lexicographic).  It is found by descending one Fourier-Motzkin chain
-    over the boxes |t|_inf <= 0, 1, 3, 7, ..., capped at the search radius:
-    the first box that holds a point also holds the least one.
+    lexicographic).  It is found by descending the chain over the boxes
+    |t|_inf <= 0, 1, 3, 7, ..., capped at the search radius (the bounded
+    system's radius, or ``search_bound``): the first box that holds a point
+    also holds the least one.
     """
     if search_bound < 1:
         raise ValueError("search_bound must be >= 1")
     n = system.num_vars
     if system.equalities:
-        eq_mat = [list(a) for a, _ in system.equalities]
-        eq_rhs = [c for _, c in system.equalities]
-        sol = solve_diophantine(eq_mat, eq_rhs)
+        sol = _parametrization(tuple((tuple(a), c) for a, c in system.equalities))
         if sol is None:
             return Infeasible()
         origin, basis = sol
     else:
-        origin, basis = tuple([0] * n), [tuple(row) for row in _identity(n)]
+        origin, basis = tuple([0] * n), tuple(tuple(row) for row in _identity(n))
 
     k = len(basis)
     if k == 0:
         return Witness(origin) if system.satisfied_by(origin) else Infeasible()
 
-    rows: list[_Row] = []
-    for a, c in system.inequalities:
-        coeffs = tuple(
-            sum(a[i] * basis[j][i] for i in range(n)) for j in range(k)
-        )
-        rows.append(_normalize_row(coeffs, c - sum(x * y for x, y in zip(a, origin))))
-
-    bounds = variable_bounds(rows, k)
-    if bounds is None:
+    rows = [
+        _normalize_row(tuple(sum(map(mul, a, b)) for b in basis), c - sum(map(mul, a, origin)))
+        for a, c in system.inequalities
+    ]
+    try:
+        chain = _fm_chain(rows, k)
+    except _FMContradiction:
         return Infeasible()
 
-    bounded = all(lo is not None and hi is not None for lo, hi in bounds)
-    radius_cap = 0 if bounded else search_bound
-    for lo, hi in bounds:
-        ilo = _ceil(lo) if lo is not None else -search_bound
-        ihi = _floor(hi) if hi is not None else search_bound
-        if ilo > ihi:
-            if lo is not None and hi is not None:
-                return Infeasible()
-            return BoundExceeded(search_bound)
-        if bounded:
-            radius_cap = max(radius_cap, -ilo, ihi)
-
-    chain = _fm_chain(rows, k)
+    if _bounded(chain):
+        radius_cap, exhausted = _extent(chain), Infeasible()
+    else:
+        for lo, hi in variable_bounds(rows, k):
+            ilo = _ceil(lo) if lo is not None else -search_bound
+            ihi = _floor(hi) if hi is not None else search_bound
+            if ilo > ihi:
+                if lo is not None and hi is not None:
+                    return Infeasible()
+                return BoundExceeded(search_bound)
+        radius_cap, exhausted = search_bound, BoundExceeded(search_bound)
     radius = 0
     while not (points := _descend(chain, radius)):
         if radius == radius_cap:
-            return Infeasible() if bounded else BoundExceeded(search_bound)
+            return exhausted
         radius = min(2 * radius + 1, radius_cap)
     t = min(points, key=lambda p: (max(map(abs, p)), p))
     u = tuple(o + sum(b[i] * x for b, x in zip(basis, t)) for i, o in enumerate(origin))
@@ -804,11 +845,7 @@ def lattice_points(system: AffineSystem) -> list[Vec]:
         chain = _fm_chain(rows, n, system.equalities)
     except _FMContradiction:
         return []
-    # Entry k is the projection onto x_0..x_k, so x_k is bounded above (below)
-    # over a prefix exactly when entry k has a row with a negative (positive)
-    # coefficient on it, whatever the prefix: a nonempty polyhedron is bounded
-    # iff every entry has both.
-    if not all({a[k] > 0 for a, _ in entry if a[k]} == {True, False} for k, entry in enumerate(chain)):
+    if not _bounded(chain):
         raise UnboundedPolyhedronError("polyhedron has an unbounded direction")
     return _descend(chain)
 

@@ -106,6 +106,8 @@ def der_vanishing_gamma(
     submitted to the integer search, and an exhausted search is reported as
     INCONCLUSIVE, never as a verdict.
     """
+    if search_bound < 1:
+        raise ValueError("search_bound must be >= 1")
     m = len(cone.indices)
     if m > 20:
         raise ValueError(
@@ -126,12 +128,15 @@ def der_vanishing_gamma(
         exceeded = None
         rays = cone.fan.rays
         n = cone.fan.ambient_rank
+        connected: dict[frozenset[int], bool] = {}  # a pattern J recurs for each ray not in J
         for i in sorted(cone.indices):
             others = sorted(cone.indices - {i})
             for r in range(len(others) + 1):
                 for combo in itertools.combinations(others, r):
                     j_set = frozenset(combo)
-                    if graph.induced(j_set).is_connected():
+                    if j_set not in connected:
+                        connected[j_set] = graph.induced(j_set).is_connected()
+                    if connected[j_set]:
                         continue
                     rest = [j for j in others if j not in j_set]
                     system = AffineSystem(

@@ -2,7 +2,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 import pytest
 import sympy
@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cone_oracles import cone_contains, cone_is_pointed
+from search_oracles import shell_scan
 from torrigid import lattice
 from torrigid.lattice import (
     AffineSystem,
@@ -439,63 +440,6 @@ def test_unbounded_without_integer_points():
         lattice_points(sys)
 
 
-def shell_scan(system, search_bound):
-    """The shell scan that integer_feasible used before the shared descent,
-    kept as an oracle for it: (answer, points).
-
-    The free coordinates t of u = origin + B*t get their integer ranges from
-    the Fourier-Motzkin bounds, cut to [-search_bound, search_bound] on an
-    unbounded side.  ``points`` lists every solution u in those ranges by the
-    shells |t|_inf = 0, 1, 2, ... up to the search radius, each shell scanned
-    over the whole clipped box in lexicographic order; ``answer`` is what
-    integer_feasible returns.
-    """
-    n = system.num_vars
-    if system.equalities:
-        sol = solve_diophantine(
-            [a for a, _ in system.equalities], [c for _, c in system.equalities]
-        )
-        if sol is None:
-            return Infeasible(), []
-        origin, basis = sol
-    else:
-        origin, basis = (0,) * n, [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    if not basis:
-        return (Witness(origin), [origin]) if system.satisfied_by(origin) else (Infeasible(), [])
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    rows = [
-        (tuple(dot(a, b) for b in basis), c - dot(a, origin)) for a, c in system.inequalities
-    ]
-    bounds = variable_bounds(rows, len(basis))
-    if bounds is None:
-        return Infeasible(), []
-    ranges = []
-    for lo, hi in bounds:
-        ilo = ceil(lo) if lo is not None else -search_bound
-        ihi = floor(hi) if hi is not None else search_bound
-        if ilo > ihi:
-            if lo is not None and hi is not None:
-                return Infeasible(), []
-            return BoundExceeded(search_bound), []
-        ranges.append((ilo, ihi))
-    bounded = all(lo is not None and hi is not None for lo, hi in bounds)
-    radius_cap = max(max(abs(lo), abs(hi)) for lo, hi in ranges) if bounded else search_bound
-    points = []
-    for radius in range(radius_cap + 1):
-        box = [range(max(lo, -radius), min(hi, radius) + 1) for lo, hi in ranges]
-        for t in itertools.product(*box):
-            if max(map(abs, t)) == radius and all(dot(a, t) >= c for a, c in rows):
-                points.append(
-                    tuple(o + sum(b[i] * x for b, x in zip(basis, t)) for i, o in enumerate(origin))
-                )
-    if points:
-        return Witness(points[0]), points
-    return (Infeasible() if bounded else BoundExceeded(search_bound)), []
-
-
 @st.composite
 def affine_systems(draw):
     """1-4 variables, coefficients in [-3, 3], 0-2 equalities, 0-5 inequalities."""
@@ -531,6 +475,47 @@ def test_descent_matches_shell_scan(system, search_bound):
             lattice_points(system)
     else:  # bounded, so the scan covered every solution
         assert lattice_points(system) == sorted(points)
+
+
+def test_bounded_system_never_projects_per_variable(monkeypatch):
+    # one descent of the chain decides a bounded system, whatever the
+    # search bound; only an unbounded one still needs the per-variable
+    # ranges that the search bound cuts
+    calls = []
+    bounds = lattice.variable_bounds
+
+    def counting(rows, num_vars):
+        calls.append(num_vars)
+        return bounds(rows, num_vars)
+
+    monkeypatch.setattr(lattice, "variable_bounds", counting)
+    assert integer_feasible(AffineSystem(2, (), BOX), 1) == Witness((0, 0))
+    far = AffineSystem(1, (), (((1,), 3), ((-1,), -5)))  # 3 <= x <= 5
+    assert integer_feasible(far, 1) == Witness((3,))
+    half = AffineSystem(1, (), (((2,), 1), ((-2,), -1)))  # x = 1/2
+    assert integer_feasible(half, 1) == Infeasible()
+    segment = AffineSystem(2, (((1, 1), 2),), (((1, 0), 0), ((0, 1), 0)))
+    assert isinstance(integer_feasible(segment, 1), Witness)
+    # the least point lies in the first box that holds one, so the 10^12
+    # other points of this cube are never listed
+    axes = [tuple(int(i == k) for i in range(3)) for k in range(3)]
+    cube = tuple(r for e in axes for r in ((e, 1), (tuple(-x for x in e), -(10**4))))
+    assert integer_feasible(AffineSystem(3, (), cube), 1) == Witness((1, 1, 1))
+    assert calls == []
+    assert integer_feasible(AffineSystem(2, (), (((1, 0), 0),)), 1) == Witness((0, 0))
+    assert calls == [2]
+
+
+def test_rows_may_be_lists():
+    # the parametrization cache keys the equalities by tuples
+    system = AffineSystem(3, [([1, 1, 1], 4)], [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)])
+    as_tuples = AffineSystem(
+        3, (((1, 1, 1), 4),), (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0))
+    )
+    answer = integer_feasible(as_tuples, 2)
+    assert isinstance(answer, Witness)
+    assert integer_feasible(system, 2) == answer == shell_scan(system, 2)[0]
+    assert integer_feasible(AffineSystem(1, [([2], 1)], []), 2) == Infeasible()
 
 
 HEXAGON_CONE_RAYS = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]

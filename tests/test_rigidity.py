@@ -1,7 +1,13 @@
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from search_oracles import shell_scan
+from torrigid import lattice
+from torrigid.lattice import AffineSystem, BoundExceeded, Witness
 from torrigid.rigidity import (
     Connected,
     Verdict,
@@ -13,7 +19,16 @@ from torrigid.rigidity import (
     quotient_rigidity,
     wps_rigidity,
 )
-from torrigid.toric import WeightSystem, affine_cone, proper_faces_fan, validate_fan
+from torrigid.toric import (
+    WeightSystem,
+    affine_cone,
+    graph_gamma_f,
+    proper_faces_fan,
+    singular_codim,
+    validate_fan,
+)
+
+FANS = Path(__file__).resolve().parent.parent / "fans"
 
 
 class TestDerVanishingGamma:
@@ -40,6 +55,105 @@ class TestDerVanishingGamma:
         big = [(i, 1, 1) for i in range(21)]
         with pytest.raises(ValueError, match="20"):
             der_vanishing_gamma(affine_cone(big), search_bound=2)
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_refuses_bound_below_one(self, square_cone, bound):
+        # also where no pattern needs a search: every pattern of this
+        # simplicial cone has a connected graph
+        for cone in (affine_cone([(1, 0, 0), (0, 1, 0), (1, 1, 3)]), square_cone):
+            with pytest.raises(ValueError, match="search_bound must be >= 1"):
+                der_vanishing_gamma(cone, search_bound=bound)
+
+    def test_one_smith_form_per_ray(self, monkeypatch):
+        # every pattern of ray i shares the equality <u, v_i> = -1, whose
+        # lattice parametrization is computed once; the hexagon searches
+        # 96 patterns, and every search is bounded, so none projects the
+        # system variable by variable
+        lattice._parametrization.cache_clear()
+        calls = []
+        smith = lattice.smith_normal_form
+
+        def counting(m):
+            calls.append(m)
+            return smith(m)
+
+        def refuse(rows, num_vars):
+            raise AssertionError("variable_bounds on a bounded system")
+
+        monkeypatch.setattr(lattice, "smith_normal_form", counting)
+        monkeypatch.setattr(lattice, "variable_bounds", refuse)
+        rays = json.loads((FANS / "hexagon_cone.json").read_text())["rays"]
+        cert = der_vanishing_gamma(affine_cone([tuple(v) for v in rays]))
+        assert cert.verdict is Verdict.DER_PART_VANISHES
+        assert 0 < len(calls) <= len(rays)
+
+
+def gamma_reference(cone, search_bound):
+    """(verdict, reason) of the gamma criterion from its definition, with
+    every disconnected pattern decided by the shell scan."""
+    if singular_codim(cone) < 3:
+        return Verdict.INCONCLUSIVE, "cone is not smooth in codimension 2"
+    graph = graph_gamma_f(cone)
+    rays = cone.fan.rays
+    exceeded = None
+    for i in sorted(cone.indices):
+        others = sorted(cone.indices - {i})
+        for r in range(len(others) + 1):
+            for pattern in itertools.combinations(others, r):
+                if graph.induced(frozenset(pattern)).is_connected():
+                    continue
+                system = AffineSystem(
+                    cone.fan.ambient_rank,
+                    ((rays[i], -1),),
+                    tuple((tuple(-c for c in rays[j]), 1) for j in pattern)
+                    + tuple((rays[j], 0) for j in others if j not in pattern),
+                )
+                answer, _ = shell_scan(system, search_bound)
+                if isinstance(answer, Witness):
+                    return (
+                        Verdict.CONDITION_NOT_SATISFIED,
+                        f"ray {i}, pattern {list(pattern)}, covector {answer.point}"
+                        " realizes a disconnected graph",
+                    )
+                if isinstance(answer, BoundExceeded):
+                    exceeded = f"ray {i}, pattern {list(pattern)}"
+    if exceeded is not None:
+        return Verdict.INCONCLUSIVE, f"search bound exhausted at {exceeded}"
+    return Verdict.DER_PART_VANISHES, ""
+
+
+def random_cones(seed, count):
+    """Full cones on 3-6 random rays in Z^3 or Z^4 that are smooth in
+    codimension 2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.choice((3, 4))
+        rays = {
+            tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.randint(1, 2),)
+            for _ in range(rng.randint(d, d + 2))
+        }
+        try:
+            cone = affine_cone(sorted(rays))
+        except ValueError:  # a ray inside the cone of the others
+            continue
+        if cone.dim == d and singular_codim(cone) >= 3:
+            out.append(cone)
+    return out
+
+
+def test_gamma_matches_shell_scan_reference():
+    shipped = [
+        affine_cone([tuple(v) for v in json.loads(path.read_text())["rays"]])
+        for path in sorted(FANS.glob("*_cone.json"))
+    ]
+    verdicts = []
+    for cone in shipped + random_cones(2901, 60):
+        for bound in (1, 3):
+            cert = der_vanishing_gamma(cone, search_bound=bound)
+            assert (cert.verdict, cert.reason) == gamma_reference(cone, bound), cone.fan.rays
+            verdicts.append(cert.verdict)
+    assert verdicts.count(Verdict.CONDITION_NOT_SATISFIED) >= 4
 
 
 class TestQGorensteinRigidity:

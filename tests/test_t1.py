@@ -913,10 +913,10 @@ def test_per_character_oracle(bound, max_n):
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 20),  # the square
-        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 15),
-        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 1),  # the hexagon
-        (lambda: der_part_exact(affine_cone([(0, 1), (30, -1)])), 91),
+        pytest.param(lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 20, id="square"),
+        pytest.param(lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 15, id="X(7,3)"),
+        pytest.param(lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 1, id="hexagon"),
+        pytest.param(lambda: der_part_exact(affine_cone([(0, 1), (30, -1)])), 91, id="X(30,1)"),
     ],
 )
 def test_one_rank_per_sign_signature(monkeypatch, run, calls):
@@ -1013,9 +1013,9 @@ def test_sign_signature_packs_every_degree(case, sources):
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 36),  # the square
-        (lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 15),
-        (lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 1),  # the hexagon
+        pytest.param(lambda: der_part_exact(affine_cone(SHIPPED_CONES[-2])), 36, id="square"),
+        pytest.param(lambda: der_part_exact(affine_cone([(0, 1), (7, -3)])), 15, id="X(7,3)"),
+        pytest.param(lambda: hom_q_h3(affine_cone(SHIPPED_CONES[-1])), 1, id="hexagon"),
     ],
 )
 def test_one_kernel_per_chamber(monkeypatch, run, calls):
