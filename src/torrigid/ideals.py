@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
+
+from ._record import frozen
 
 
 def minimalize(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
@@ -17,7 +18,7 @@ def minimalize(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class SquarefreeMonomialIdeal:
     """An ideal generated by squarefree monomials in variables 0..num_vars-1.
 
@@ -28,7 +29,6 @@ class SquarefreeMonomialIdeal:
 
     num_vars: int
     generators: tuple[frozenset[int], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for g in self.generators:

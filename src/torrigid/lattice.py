@@ -9,12 +9,13 @@ with lexicographic tie-breaking wherever an order has to be chosen.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import ge, mul
 from typing import Iterable, Sequence
+
+from ._record import frozen
 
 Vec = tuple[int, ...]
 
@@ -71,7 +72,7 @@ def normalize_sign(v: Sequence[int]) -> Vec:
 # Smith normal form
 
 
-@dataclass(frozen=True)
+@frozen
 class SmithDecomposition:
     """Unimodular U, V and diagonal D with U * M * V = D.
 
@@ -475,7 +476,7 @@ def rational_solve(
 # Affine systems over the integers and Fourier-Motzkin elimination
 
 
-@dataclass(frozen=True)
+@frozen
 class AffineSystem:
     """Integer constraints on u in Z^num_vars.
 
@@ -506,17 +507,17 @@ class AffineSystem:
         return True
 
 
-@dataclass(frozen=True)
+@frozen
 class Witness:
     point: Vec
 
 
-@dataclass(frozen=True)
+@frozen
 class Infeasible:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundExceeded:
     search_bound: int
 

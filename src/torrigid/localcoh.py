@@ -30,11 +30,11 @@ All cohomology is over the exact rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NoReturn, Sequence
 
+from ._record import frozen
 from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import int_rank, rational_kernel, rational_rank, rref
 from .toric import Fan, Graph, graph_gamma
@@ -96,7 +96,7 @@ def _degree(b: SquarefreeMonomialIdeal, p: tuple[int, ...]) -> _SignPattern:
 # Simplicial complexes
 
 
-@dataclass(frozen=True)
+@frozen
 class SimplicialComplex:
     """Finite simplicial complex given by its facets.
 
@@ -326,7 +326,7 @@ def local_coh_piece(
     return pieces[i] if i < len(pieces) else record.zero
 
 
-@dataclass(frozen=True)
+@frozen
 class MultMap:
     """Multiplication by one variable between two graded pieces, as a matrix
     in the canonical cocycle bases (target dimension x source dimension)."""

@@ -10,9 +10,9 @@ criteria are sufficient, not necessary).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import frozen
 from .lattice import (
     AffineSystem,
     BoundExceeded,
@@ -48,14 +48,14 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@frozen
 class Hypothesis:
     name: str
     status: str  # satisfied | failed | unknown
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class RigidityCertificate:
     criterion: str
     verdict: Verdict
@@ -65,7 +65,12 @@ class RigidityCertificate:
 
     def __post_init__(self) -> None:
         if self.verdict in (Verdict.RIGID, Verdict.DER_PART_VANISHES):
-            assert all(h.status == "satisfied" for h in self.hypotheses)
+            for h in self.hypotheses:
+                if h.status != "satisfied":
+                    raise ValueError(
+                        f"verdict {self.verdict.value} needs every hypothesis "
+                        f"satisfied; {h.name!r} is {h.status}"
+                    )
 
     @property
     def is_rigid(self) -> bool:
@@ -283,12 +288,12 @@ def wps_rigidity(q: WeightSystem) -> RigidityCertificate:
 # Edge-graph connectivity of polytope halfspace slices
 
 
-@dataclass(frozen=True)
+@frozen
 class Connected:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Disconnected:
     components: tuple[tuple[Vec, ...], ...]
 

@@ -24,7 +24,6 @@ the bounded chambers give the exact, ``guaranteed`` dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +32,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
+from ._record import frozen
 from .lattice import (
     AffineSystem,
     UnboundedPolyhedronError,
@@ -84,13 +84,13 @@ class Completeness(Enum):
     INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
+@frozen
 class DegreeContribution:
     fine_degree: Vec
     dimension: int
 
 
-@dataclass(frozen=True)
+@frozen
 class QPresentation:
     """Presentation of the Euler-derivation cokernel: the map sending the
     j-th generator to (a_1j x_j, ..., a_rj x_j)."""
@@ -120,7 +120,7 @@ def q_presentation(cox: CoxData) -> QPresentation:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class T1Report:
     """Both parts of T^1 when it is finite; otherwise (mode ``non_rigid_face``)
     no part, and the first non-rigid proper face with its T^1."""
@@ -552,7 +552,7 @@ def t1_affine(cone: Cone, bound: int | None = None) -> T1Report:
 # Polygon cones
 
 
-@dataclass(frozen=True)
+@frozen
 class PolygonReport:
     dimension: int
     vertex_count: int
@@ -609,7 +609,7 @@ def t1_polygon(vertices: Sequence[Sequence[int]]) -> PolygonReport:
 # Anticanonical hypersurfaces
 
 
-@dataclass(frozen=True)
+@frozen
 class CoxPolynomial:
     """Polynomial in the total coordinate ring, all terms of one degree."""
 
@@ -663,7 +663,7 @@ def cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
     return poly
 
 
-@dataclass(frozen=True)
+@frozen
 class CyReport:
     dimension: int | None
     hypotheses: tuple[Hypothesis, ...]

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from ._record import frozen
 from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import (
     SmithDecomposition,
@@ -42,7 +42,7 @@ class FanValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Fan:
     """Primitive rays plus maximal cones as frozensets of 0-based ray indices."""
 
@@ -71,7 +71,7 @@ class Fan:
         return [self.cone(s) for s in sorted(seen, key=lambda s: (len(s), sorted(s)))]
 
 
-@dataclass(frozen=True)
+@frozen
 class Cone:
     fan: Fan
     indices: frozenset[int]
@@ -286,7 +286,7 @@ def simplicial_codim(obj: Fan | Cone) -> int | float:
 # Class group and Cox grading
 
 
-@dataclass(frozen=True)
+@frozen(hidden=("smith",))
 class CoxData:
     """Grading data of the total coordinate ring.
 
@@ -302,7 +302,7 @@ class CoxData:
     grading_matrix: tuple[Vec, ...]
     ray_matrix: tuple[Vec, ...]
     torsion: tuple[int, ...]
-    smith: SmithDecomposition = field(compare=False, repr=False)
+    smith: SmithDecomposition
 
     @property
     def free_rank(self) -> int:
@@ -369,7 +369,7 @@ def irrelevant_ideal(fan: Fan) -> SquarefreeMonomialIdeal:
 # Q-Gorenstein / Gorenstein
 
 
-@dataclass(frozen=True)
+@frozen
 class QGorensteinCertificate:
     """Primitive covector evaluating to the same positive integer on all rays."""
 
@@ -492,7 +492,7 @@ def _is_hull_face_fan(fan: Fan) -> bool:
 # Weighted projective space
 
 
-@dataclass(frozen=True)
+@frozen
 class WeightSystem:
     weights: tuple[int, ...]
 
@@ -573,7 +573,7 @@ def wps_rigidity_condition(q: WeightSystem) -> bool:
 # The graphs built from cone membership
 
 
-@dataclass(frozen=True)
+@frozen
 class Graph:
     vertices: frozenset[int]
     edges: frozenset[frozenset[int]]

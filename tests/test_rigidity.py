@@ -1,15 +1,21 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from search_oracles import shell_scan
+import torrigid
 from torrigid import lattice
 from torrigid.lattice import AffineSystem, BoundExceeded, Witness
 from torrigid.rigidity import (
     Connected,
+    Hypothesis,
+    RigidityCertificate,
     Verdict,
     der_vanishing_gamma,
     fano_rigidity,
@@ -298,3 +304,44 @@ class TestPolytopeConnectivity:
             res = polytope_halfspace_connectivity(verts, v, normal, offset)
             assert isinstance(res, Connected), (verts, v, normal, offset)
             checked += 1
+
+
+class TestCertificateInvariant:
+    """A RIGID or DER_PART_VANISHES certificate has every hypothesis
+    satisfied; the check is a ValueError, so ``python -O`` keeps it."""
+
+    HYPS = (
+        Hypothesis("codim", "satisfied"),
+        Hypothesis("gorenstein", "failed", "index 2"),
+        Hypothesis("fano", "unknown"),
+    )
+
+    @pytest.mark.parametrize("verdict", [Verdict.RIGID, Verdict.DER_PART_VANISHES])
+    def test_positive_verdict_rejects_unsatisfied_hypothesis(self, verdict):
+        with pytest.raises(ValueError) as err:
+            RigidityCertificate("c", verdict, self.HYPS)
+        assert str(err.value) == (
+            f"verdict {verdict.value} needs every hypothesis satisfied; 'gorenstein' is failed"
+        )
+        with pytest.raises(ValueError, match="'fano' is unknown"):
+            RigidityCertificate("c", verdict, self.HYPS[2:])
+
+    def test_other_verdicts_accept_any_hypotheses(self):
+        for verdict in (Verdict.CONDITION_NOT_SATISFIED, Verdict.INCONCLUSIVE):
+            assert RigidityCertificate("c", verdict, self.HYPS).hypotheses == self.HYPS
+        assert RigidityCertificate("c", Verdict.RIGID, self.HYPS[:1]).is_rigid
+
+    def test_check_survives_optimized_mode(self):
+        src = str(Path(torrigid.__file__).resolve().parents[1])
+        code = (
+            "from torrigid.rigidity import Hypothesis, RigidityCertificate, Verdict\n"
+            "try:\n"
+            "    RigidityCertificate('c', Verdict.RIGID, (Hypothesis('h', 'failed'),))\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert fresh.stdout == "verdict rigid needs every hypothesis satisfied; 'h' is failed\n"
