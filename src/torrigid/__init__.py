@@ -23,22 +23,16 @@ from .lattice import (
 from .localcoh import (
     GradedPiece,
     SimplicialComplex,
-    alexander_dual,
     cech_piece,
-    clique_complex,
-    codim2_ideal,
     h2_via_graph,
     local_coh_piece,
     mult_map,
-    reduced_cohomology,
-    t_complex,
 )
 from .rigidity import (
     RigidityCertificate,
     Verdict,
     der_vanishing_gamma,
     fano_rigidity,
-    polytope_halfspace_connectivity,
     qgorenstein_rigidity,
     quotient_rigidity,
     wps_rigidity,
@@ -49,7 +43,6 @@ from .t1 import (
     cox_polynomial,
     cy_t1,
     hom_q_h3,
-    q_presentation,
     t1_affine,
     t1_polygon,
 )
@@ -75,8 +68,6 @@ from .toric import (
     validate_fan,
     wps_normalize,
     wps_rigidity_condition,
-    wps_singular_ideal,
-    wps_well_formed,
 )
 
 __version__ = "0.1.0"
@@ -99,11 +90,8 @@ __all__ = [
     "WeightSystem",
     "Witness",
     "affine_cone",
-    "alexander_dual",
     "cech_piece",
     "class_group",
-    "clique_complex",
-    "codim2_ideal",
     "cox_polynomial",
     "cy_t1",
     "der_vanishing_gamma",
@@ -125,22 +113,16 @@ __all__ = [
     "lattice_points",
     "local_coh_piece",
     "mult_map",
-    "polytope_halfspace_connectivity",
     "q_gorenstein",
-    "q_presentation",
     "qgorenstein_rigidity",
     "quotient_rigidity",
-    "reduced_cohomology",
     "simplicial_codim",
     "singular_codim",
     "smith_normal_form",
     "t1_affine",
     "t1_polygon",
-    "t_complex",
     "validate_fan",
     "wps_normalize",
     "wps_rigidity",
     "wps_rigidity_condition",
-    "wps_singular_ideal",
-    "wps_well_formed",
 ]

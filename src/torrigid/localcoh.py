@@ -14,9 +14,10 @@ keyed by the packed sign mask of the pattern N, the sum of 2^k over k in N,
 and remembers the last (ideal, degree) it was asked in ``_last``.  The record
 holds the complex, its cohomology dimensions, its pieces by
 local-cohomology index and, once the oracle has asked for it, the Cech
-strand.  ``_pattern`` reads the same table by pattern, so every pattern of
-an ideal value has one record.  The pattern also keys the caches of bases
-and restriction maps (``_basis``, ``_restriction``).  A sweep that asks for
+strand.  ``_pattern`` and ``_all_records`` read the same table by pattern,
+so every pattern of an ideal value has one record.  The record also keeps
+its cohomology bases by cochain degree (``_basis``) and its restriction maps
+by cochain degree and target pattern (``_restriction``).  A sweep that asks for
 every piece of one degree in turn computes its mask once:
 ``local_coh_piece`` and ``cech_piece`` test ``_last`` themselves, so every
 other lookup of the degree is one identity test and one tuple comparison,
@@ -35,9 +36,9 @@ from functools import lru_cache
 from typing import NoReturn, Sequence
 
 from ._record import frozen
-from .ideals import SquarefreeMonomialIdeal, minimalize
+from .ideals import SquarefreeMonomialIdeal
 from .lattice import int_rank, rational_kernel, rational_rank, rref
-from .toric import Fan, Graph, graph_gamma
+from .toric import Fan, graph_gamma
 
 
 class DegenerateIdealError(ValueError):
@@ -150,25 +151,11 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
 
-def t_complex(b: SquarefreeMonomialIdeal, i_set) -> SimplicialComplex:
-    """Complex on the generator indices attached to a set of variables.
-
-    Generators j_1..j_k span a face when some variable in the set divides
-    none of them.  The empty variable set gives the void complex.
-    """
-    pattern = frozenset(i_set)
-    outside = pattern.difference(range(b.num_vars))
-    if outside:
-        _check_proper(b)  # a degenerate ideal takes precedence
-        raise ValueError(f"variable {min(outside)} out of range for {b.num_vars} variables")
-    return _pattern(b, pattern).complex
-
-
 @lru_cache(maxsize=None)
 def _records(b: SquarefreeMonomialIdeal) -> dict[int, _SignPattern]:
     """The ideal's table of sign-pattern records, the pattern N at its mask,
-    the sum of 2^k over k in N; ``_pattern`` and ``_degree`` read it and add
-    a record only when its mask is missing.  Keyed by the ideal's value.  A
+    the sum of 2^k over k in N; ``_pattern``, ``_all_records`` and
+    ``_degree`` read it and add a record only when its mask is missing.  Keyed by the ideal's value.  A
     degenerate ideal raises here, on every call, because exceptions are not
     cached."""
     _check_proper(b)
@@ -184,6 +171,21 @@ def _pattern(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> _SignPatter
     if record is None:
         record = table[mask] = _SignPattern(b, pattern)
     return record
+
+
+def _all_records(b: SquarefreeMonomialIdeal) -> list[_SignPattern]:
+    """The record of every sign pattern of the ideal's degrees, the pattern N
+    at its mask, the sum of 2^k over k in N: read off the ideal's table,
+    where only the missing records are built."""
+    table = _records(b)
+    records = []
+    for mask in range(1 << b.num_vars):
+        record = table.get(mask)
+        if record is None:
+            pattern = frozenset(k for k in range(b.num_vars) if mask >> k & 1)
+            record = table[mask] = _SignPattern(b, pattern)
+        records.append(record)
+    return records
 
 
 def _coboundary(kompl: SimplicialComplex, q: int) -> tuple[list[frozenset[int]], list[list[int]]]:
@@ -234,9 +236,9 @@ def _reduce(
     return v
 
 
-@lru_cache(maxsize=None)
-def _basis(b: SquarefreeMonomialIdeal, pattern: frozenset[int], q: int):
-    """Canonical basis of H^q of the complex of a sign pattern.
+def _basis(record: _SignPattern, q: int):
+    """Canonical basis of H^q of the complex of a sign pattern, kept in the
+    pattern's record.
 
     Returns (q-faces, reps, bnd, bnd_pivots, rep_pivots).  ``bnd`` is the
     reduced row echelon form of the coboundaries inside C^q, with pivot
@@ -246,8 +248,10 @@ def _basis(b: SquarefreeMonomialIdeal, pattern: frozenset[int], q: int):
     coboundary pivots.  So a cocycle reduced modulo ``bnd`` is a combination
     of the reps whose coefficients are its entries at ``rep_pivots``.
     """
-    record = _pattern(b, pattern)
-    kompl, dims = record.complex, record.dims
+    found = record.bases.get(q)
+    if found is not None:
+        return found
+    kompl = record.complex
     lower, rows = _coboundary(kompl, q)
     # rows of the (q-1)-coboundary matrix are indexed by q-faces, so its
     # columns are the coboundary vectors inside C^q
@@ -255,8 +259,9 @@ def _basis(b: SquarefreeMonomialIdeal, pattern: frozenset[int], q: int):
     reps, rep_pivots = rref(
         [_reduce(z, bnd, bnd_pivots) for z in rational_kernel(rows, len(lower))]
     )
-    assert len(reps) == dims.get(q, 0)
-    return lower, reps, bnd, bnd_pivots, rep_pivots
+    assert len(reps) == record.dims.get(q, 0)
+    found = record.bases[q] = (lower, reps, bnd, bnd_pivots, rep_pivots)
+    return found
 
 
 class GradedPiece:
@@ -285,9 +290,11 @@ class _SignPattern:
     by index i (cochain degree i - 2), and the Cech strand dimensions, None
     until ``cech_piece`` first asks for them.  ``pieces`` ends at the top
     cochain degree; every zero piece, and the piece at every index past the
-    end, is ``zero``."""
+    end, is ``zero``.  ``bases`` holds the cohomology bases of ``_basis`` by
+    cochain degree, and ``maps`` the matrices of ``_restriction`` from this
+    pattern by (cochain degree, target pattern)."""
 
-    __slots__ = ("pattern", "complex", "dims", "pieces", "zero", "strand")
+    __slots__ = ("pattern", "complex", "dims", "pieces", "zero", "strand", "bases", "maps")
 
     def __init__(self, b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> None:
         facets = [
@@ -304,11 +311,8 @@ class _SignPattern:
             for q in range(-2, max(dims, default=-2) + 1)
         )
         self.strand: dict | None = None
-
-
-def reduced_cohomology(kompl: SimplicialComplex, degree: int) -> GradedPiece:
-    """Reduced simplicial cohomology over Q at the given cochain degree."""
-    return GradedPiece(kompl, _cohomology_dims(kompl).get(degree, 0))
+        self.bases: dict = {}
+        self.maps: dict = {}
 
 
 def local_coh_piece(
@@ -343,13 +347,11 @@ class MultMap:
         return rational_rank(self.matrix) == self.source_dimension
 
 
-@lru_cache(maxsize=None)
-def _restriction(
-    b: SquarefreeMonomialIdeal, q: int, src_pattern: frozenset[int], tgt_pattern: frozenset[int]
-) -> tuple[tuple[Fraction, ...], ...]:
+def _restriction(q: int, src: _SignPattern, tgt: _SignPattern) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of the restriction map H^q(T_src) -> H^q(T_tgt), for a target
     pattern inside the source pattern, in the canonical bases of ``_basis``
-    (target dimension x source dimension).
+    (target dimension x source dimension).  It is kept in the source record,
+    keyed by q and the target pattern.
 
     A source rep restricted to the target faces is a target cocycle.  Reduced
     modulo the target coboundaries it is a combination of the target reps,
@@ -359,19 +361,26 @@ def _restriction(
     Multiplying by a monomial from degree p to p + a is this map for the
     patterns of p and p + a: restrictions compose, so the matrix depends on
     the two patterns only, not on the path or the degrees."""
-    sdim = _pattern(b, src_pattern).dims.get(q, 0)
-    tdim = _pattern(b, tgt_pattern).dims.get(q, 0)
+    key = (q, tgt.pattern)
+    found = src.maps.get(key)
+    if found is not None:
+        return found
+    sdim = src.dims.get(q, 0)
+    tdim = tgt.dims.get(q, 0)
     if sdim == 0 or tdim == 0:
-        return tuple(tuple(Fraction(0) for _ in range(sdim)) for _ in range(tdim))
-    src_faces, src_reps, *_ = _basis(b, src_pattern, q)
-    tgt_faces, tgt_reps, tgt_bnd, bnd_pivots, rep_pivots = _basis(b, tgt_pattern, q)
-    src_index = {f: k for k, f in enumerate(src_faces)}
-    cols = []
-    for z in src_reps:
-        v = _reduce([z[src_index[f]] for f in tgt_faces], tgt_bnd, bnd_pivots)
-        assert not any(_reduce(v, tgt_reps, rep_pivots)), "restriction must stay a cocycle class"
-        cols.append([v[c] for c in rep_pivots])
-    return tuple(zip(*cols))
+        found = tuple(tuple(Fraction(0) for _ in range(sdim)) for _ in range(tdim))
+    else:
+        src_faces, src_reps, *_ = _basis(src, q)
+        tgt_faces, tgt_reps, tgt_bnd, bnd_pivots, rep_pivots = _basis(tgt, q)
+        src_index = {f: k for k, f in enumerate(src_faces)}
+        cols = []
+        for z in src_reps:
+            v = _reduce([z[src_index[f]] for f in tgt_faces], tgt_bnd, bnd_pivots)
+            assert not any(_reduce(v, tgt_reps, rep_pivots)), "restriction must stay a cocycle class"
+            cols.append([v[c] for c in rep_pivots])
+        found = tuple(zip(*cols))
+    src.maps[key] = found
+    return found
 
 
 def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> MultMap:
@@ -384,8 +393,8 @@ def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> Mu
     if i < 0:
         _reject_index(b)
     src = _degree(b, tuple(p))
-    tgt_pattern = src.pattern - {j} if p[j] == -1 else src.pattern
-    matrix = _restriction(b, i - 2, src.pattern, tgt_pattern)
+    tgt = _pattern(b, src.pattern - {j}) if p[j] == -1 else src
+    matrix = _restriction(i - 2, src, tgt)
     return MultMap(
         source_dimension=src.dims.get(i - 2, 0),
         target_dimension=len(matrix),
@@ -458,66 +467,6 @@ def cech_piece(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # Graph shortcuts for the second cohomology
-
-
-def clique_complex(g: Graph) -> SimplicialComplex:
-    """Faces are the cliques of the graph."""
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        a, bb = sorted(e)
-        adj[a].add(bb)
-        adj[bb].add(a)
-    cliques: list[frozenset[int]] = []
-
-    def extend(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        for v in sorted(p):
-            extend(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    extend(set(), set(g.vertices), set())
-    if not cliques:
-        cliques = [frozenset()]
-    return SimplicialComplex(tuple(sorted(g.vertices)), tuple(cliques))
-
-
-def alexander_dual(kompl: SimplicialComplex) -> SimplicialComplex:
-    """Complex whose faces are complements of the non-faces."""
-    verts = frozenset(kompl.vertices)
-    dual_faces = []
-    for r in range(len(verts) + 1):
-        for combo in itertools.combinations(sorted(verts), r):
-            f = frozenset(combo)
-            if not kompl.has_face(verts - f):
-                dual_faces.append(f)
-    return SimplicialComplex(tuple(sorted(verts)), tuple(dual_faces))
-
-
-def stanley_reisner_complex(b: SquarefreeMonomialIdeal) -> SimplicialComplex:
-    """Faces are the supports of squarefree monomials outside the ideal."""
-    faces = []
-    gens = b.generators
-    for r in range(b.num_vars + 1):
-        for combo in itertools.combinations(range(b.num_vars), r):
-            f = frozenset(combo)
-            if not any(g <= f for g in gens):
-                faces.append(f)
-    return SimplicialComplex(tuple(range(b.num_vars)), tuple(faces))
-
-
-def codim2_ideal(fan: Fan) -> SquarefreeMonomialIdeal:
-    """Intersection of the codimension-two components of the irrelevant
-    ideal: one generator per maximal clique of the ray graph, namely the
-    product of the variables off the clique.  A complete graph yields the
-    unit ideal (no codimension-two components), flagged by ``is_unit``."""
-    g = graph_gamma(fan)
-    cliques = clique_complex(g).facets
-    m = fan.num_rays
-    gens = [frozenset(range(m)) - f for f in cliques]
-    return SquarefreeMonomialIdeal(m, minimalize(gens))
 
 
 def h2_via_graph(fan: Fan, p: Sequence[int]) -> int:

@@ -16,7 +16,6 @@ from ._record import frozen
 from .lattice import (
     AffineSystem,
     BoundExceeded,
-    Vec,
     Witness,
 )
 from .lattice import integer_feasible as _integer_feasible
@@ -26,8 +25,6 @@ from .toric import (
     Graph,
     WeightSystem,
     _is_hull_face_fan,
-    _is_vertex,
-    _lifted_faces,
     graph_gamma,
     graph_gamma_f,
     is_complete,
@@ -281,66 +278,4 @@ def wps_rigidity(q: WeightSystem) -> RigidityCertificate:
         verdict=Verdict.RIGID if ok else Verdict.CONDITION_NOT_SATISFIED,
         hypotheses=tuple(hyps),
         reason="" if ok else hyps[0].detail,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Edge-graph connectivity of polytope halfspace slices
-
-
-@frozen
-class Connected:
-    pass
-
-
-@frozen
-class Disconnected:
-    components: tuple[tuple[Vec, ...], ...]
-
-
-def polytope_edge_graph(points: list[Vec]) -> set[frozenset[int]]:
-    """Edges of the convex hull of the given vertices: the pairs {i, j} on
-    which some covector peaks exactly, that is, the two-element faces of the
-    cone over the points placed at height one."""
-    return {f for f in _lifted_faces(points) if len(f) == 2}
-
-
-def polytope_halfspace_connectivity(
-    points, vertex, normal, offset
-) -> Connected | Disconnected:
-    """Connectivity of the hull edge graph induced on the closed halfspace
-    <normal, x> >= offset, with the distinguished vertex removed.
-
-    The vertex must lie on the bounding hyperplane.  For valid inputs the
-    answer is always Connected; Disconnected signals a precondition
-    violation or an implementation fault, and carries the components.
-    """
-    pts = [tuple(p) for p in points]
-    v = tuple(vertex)
-    if len(pts[0]) > 3:
-        raise ValueError("only ambient dimension <= 3 is supported")
-    if v not in pts:
-        raise ValueError("distinguished point is not among the vertices")
-    if sum(a * x for a, x in zip(normal, v)) != offset:
-        raise ValueError("distinguished vertex does not lie on the hyperplane")
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
-    for i in range(len(pts)):
-        if not _is_vertex(pts, i):
-            raise ValueError(f"point {pts[i]} is not a vertex of the hull")
-
-    edges = polytope_edge_graph(pts)
-    keep = frozenset(
-        i
-        for i, p in enumerate(pts)
-        if sum(a * x for a, x in zip(normal, p)) >= offset and p != v
-    )
-    graph = Graph(keep, frozenset(e for e in edges if e <= keep))
-    comps = graph.connected_components()
-    if len(comps) <= 1:
-        return Connected()
-    return Disconnected(
-        components=tuple(
-            tuple(pts[i] for i in sorted(c)) for c in comps
-        )
     )

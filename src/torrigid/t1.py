@@ -46,7 +46,7 @@ from .lattice import (
     lattice_points,
     rref,
 )
-from .localcoh import _pattern, _records, _restriction
+from .localcoh import _all_records, _restriction
 from .rigidity import (
     Hypothesis,
     Verdict,
@@ -54,7 +54,6 @@ from .rigidity import (
 )
 from .toric import (
     Cone,
-    CoxData,
     Fan,
     _facet_record,
     _is_hull_face_fan,
@@ -88,36 +87,6 @@ class Completeness(Enum):
 class DegreeContribution:
     fine_degree: Vec
     dimension: int
-
-
-@frozen
-class QPresentation:
-    """Presentation of the Euler-derivation cokernel: the map sending the
-    j-th generator to (a_1j x_j, ..., a_rj x_j)."""
-
-    free_rank: int
-    num_vars: int
-    grading_matrix: tuple[Vec, ...]
-    column_degrees: tuple[Vec, ...]
-
-    def entry(self, i: int, j: int) -> str:
-        a = self.grading_matrix[i][j]
-        if a == 0:
-            return "0"
-        if a == 1:
-            return f"x{j + 1}"
-        if a == -1:
-            return f"-x{j + 1}"
-        return f"{a}*x{j + 1}"
-
-
-def q_presentation(cox: CoxData) -> QPresentation:
-    return QPresentation(
-        free_rank=cox.free_rank,
-        num_vars=cox.num_rays,
-        grading_matrix=cox.grading_matrix,
-        column_degrees=tuple(cox.column_degree(j) for j in range(cox.num_rays)),
-    )
 
 
 @frozen
@@ -164,7 +133,7 @@ def _scaled(c: int, matrix) -> list[list]:
     return [[c * x for x in row] for row in matrix]
 
 
-def _kernels(b, i: int, records, source_shifts, target_shifts, coef):
+def _kernels(i: int, records, source_shifts, target_shifts, coef):
     """The kernel of a chamber by its key, for one computation: the kernel
     dimension of the block matrix whose block (t, s) is coef[t][s] times
     multiplication from the degree key + source_shifts[s] piece of H^i_B to
@@ -179,7 +148,7 @@ def _kernels(b, i: int, records, source_shifts, target_shifts, coef):
     signature is the OR of one lookup per coordinate, and each signature is
     ranked once.  A new signature is cut into the masks of its degrees'
     patterns, which index ``records``, the records of all 2^m patterns
-    (``_pattern_records``); the targets only once some source piece is
+    (``localcoh._all_records``); the targets only once some source piece is
     nonzero.  The tables live as long as the returned function."""
     m = len(source_shifts[0])
     shifts = [*source_shifts, *target_shifts]
@@ -201,7 +170,7 @@ def _kernels(b, i: int, records, source_shifts, target_shifts, coef):
             if not tdim:
                 continue
             blocks = [
-                _scaled(coef[t][s], _restriction(b, i - 2, src[s].pattern, record.pattern))
+                _scaled(coef[t][s], _restriction(i - 2, src[s], record))
                 if coef[t][s] and dims[s]
                 else [[0] * dims[s]] * tdim
                 for s in range(len(src))
@@ -331,17 +300,6 @@ def _chamber_characters(
     return sum(ker for _, ker in found), sorted(found)
 
 
-def _pattern_records(b, m: int) -> list:
-    """The record of every sign pattern of a degree in Z^m, the pattern N at
-    its mask, the sum of 2^k over k in N: read off the ideal's table of
-    records, where ``_pattern`` builds only the missing ones."""
-    table = _records(b)
-    return [
-        table.get(mask) or _pattern(b, frozenset(k for k in range(m) if mask >> k & 1))
-        for mask in range(1 << m)
-    ]
-
-
 # the last (cone, witness) that _non_rigid_face returned
 _last_walk: tuple = (None, None)
 
@@ -418,8 +376,8 @@ def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
 
     # coef[j][i] = a_ij: the i-th Euler component maps to x_j with weight a_ij
     coef = list(zip(*cox.grading_matrix))
-    every = _pattern_records(b, m)
-    kernel = _kernels(b, 3, every, [(0,) * m] * r, _units(m), coef)
+    every = _all_records(b)
+    kernel = _kernels(3, every, [(0,) * m] * r, _units(m), coef)
 
     # the sources are the pieces at p itself: most patterns have none
     patterns = [s.pattern for s in every if s.dims.get(3 - 2)]
@@ -476,8 +434,8 @@ def der_part_exact(cone: Cone) -> tuple[int | None, Completeness]:
         assert all(x >= 0 for x in beta)
 
     # block (t, j): x_j's image in p(u) + e_j, times x^(beta_t - e_j), times beta_t[j]
-    every = _pattern_records(b, m)
-    kernel = _kernels(b, 2, every, _units(m), exponents, exponents)
+    every = _all_records(b)
+    kernel = _kernels(2, every, _units(m), exponents, exponents)
 
     # the source p + e_j has the pattern N of p, or N - {j} when p_j = -1
     h2 = {s.pattern for s in every if s.dims.get(2 - 2)}

@@ -155,16 +155,9 @@ def affine_cone(rays, name: str = "") -> Cone:
 
 
 def _independent(vectors: Sequence[Vec]) -> list[int]:
-    """Indices of the vectors that are independent of the ones before them."""
-    chosen: list[Vec] = []
-    out: list[int] = []
-    for i, v in enumerate(vectors):
-        if int_rank([*chosen, v]) > len(chosen):
-            chosen.append(v)
-            out.append(i)
-            if len(chosen) == len(v):
-                break
-    return out
+    """Indices of the vectors that are independent of the ones before them:
+    the pivot columns of one elimination on the vectors as columns."""
+    return _gauss_jordan([list(row) for row in zip(*vectors)])
 
 
 class _Facets(NamedTuple):
@@ -307,9 +300,6 @@ class CoxData:
     @property
     def free_rank(self) -> int:
         return self.num_rays - self.ambient_rank
-
-    def column_degree(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.grading_matrix)
 
     def class_of(self, e: Sequence[int]) -> tuple[Vec, Vec]:
         """Class of the divisor sum_j e_j D_j as (torsion part, free part).
@@ -505,14 +495,6 @@ class WeightSystem:
         return len(self.weights) - 1
 
 
-def wps_well_formed(q: WeightSystem) -> bool:
-    """No n of the n+1 weights share a common factor."""
-    w = q.weights
-    return all(
-        content(w[:i] + w[i + 1 :]) == 1 for i in range(len(w))
-    )
-
-
 def wps_normalize(q: WeightSystem) -> WeightSystem:
     """Standard reduction: while some n weights share a factor d, divide them
     out; the result is well formed and defines the same space."""
@@ -528,28 +510,6 @@ def wps_normalize(q: WeightSystem) -> WeightSystem:
                         w[j] //= d
                 changed = True
     return WeightSystem(tuple(w))
-
-
-def wps_singular_ideal(q: WeightSystem) -> SquarefreeMonomialIdeal:
-    """Intersection over primes p | lcm(q) of the ideals (x_i : p does not
-    divide q_i); its vanishing locus is the singular locus."""
-    w = q.weights
-    primes = []
-    rest = lcm(*w)
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    ideal = SquarefreeMonomialIdeal(len(w), (frozenset(),))  # unit ideal
-    for p in primes:
-        gens = tuple(frozenset([i]) for i, qi in enumerate(w) if qi % p != 0)
-        ideal = ideal.intersect(SquarefreeMonomialIdeal(len(w), gens))
-    return ideal
 
 
 def wps_shared_factor(q: WeightSystem) -> tuple[tuple[int, ...], int] | None:
@@ -634,13 +594,5 @@ def smooth_subfan(cone: Cone) -> Fan:
     """Fan of all smooth faces of the cone (maximal ones listed)."""
     smooth = [f for f in faces(cone) if is_smooth(cone.fan.cone(f))]
     maximal = [f for f in smooth if not any(f < g for g in smooth)]
-    maximal.sort(key=lambda s: (len(s), sorted(s)))
-    return Fan(cone.fan.rays, tuple(maximal), name=cone.fan.name)
-
-
-def proper_faces_fan(cone: Cone) -> Fan:
-    """Fan of all proper faces of the cone."""
-    proper = [f for f in faces(cone) if f != cone.indices]
-    maximal = [f for f in proper if not any(f < g for g in proper)]
     maximal.sort(key=lambda s: (len(s), sorted(s)))
     return Fan(cone.fan.rays, tuple(maximal), name=cone.fan.name)

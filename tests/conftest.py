@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from torrigid import localcoh
 from torrigid.t1 import _cy_fan
 from torrigid.toric import affine_cone, validate_fan
 
@@ -17,6 +18,19 @@ def cold_cy_cache():
     _cy_fan.cache_clear()
     yield
     _cy_fan.cache_clear()
+
+
+@pytest.fixture
+def cold_localcoh():
+    """An empty one-degree memo and no sign-pattern records in ``localcoh``,
+    so that lookups counted inside it include every record built.  Both are
+    emptied again afterwards: a memo left pointing at a dropped table would
+    give an ideal two records of one pattern."""
+    localcoh._last = (None, None, None, None)
+    localcoh._records.cache_clear()
+    yield
+    localcoh._last = (None, None, None, None)
+    localcoh._records.cache_clear()
 
 
 SQUARE_RAYS = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]

@@ -62,3 +62,20 @@ def test_polygon_consistency(polygon):
     report = t1_polygon(polygon)
     assert report.dimension == len(polygon) - 3
     assert report.minor_condition
+
+
+def test_all_lists_exactly_the_public_names_the_package_binds():
+    import types
+
+    import torrigid
+
+    bound = {
+        name
+        for name, value in vars(torrigid).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(torrigid.__all__) == len(set(torrigid.__all__))
+    assert set(torrigid.__all__) == bound
+    namespace: dict = {}
+    exec("from torrigid import *", namespace)
+    assert all(namespace[name] is getattr(torrigid, name) for name in torrigid.__all__)

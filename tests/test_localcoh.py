@@ -7,7 +7,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torrigid import localcoh, t1
+from toric_oracles import clique_complex, codim2_ideal, proper_faces_fan
+from torrigid import localcoh
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.localcoh import (
     DegenerateIdealError,
@@ -17,19 +18,13 @@ from torrigid.localcoh import (
     _pattern,
     _records,
     _restriction,
-    alexander_dual,
     cech_piece,
-    clique_complex,
-    codim2_ideal,
     h2_via_graph,
     local_coh_piece,
     mult_map,
     negative,
-    reduced_cohomology,
-    stanley_reisner_complex,
-    t_complex,
 )
-from torrigid.toric import Graph, graph_gamma, proper_faces_fan, validate_fan
+from torrigid.toric import graph_gamma, validate_fan
 
 
 def ideal(m, *gens):
@@ -50,6 +45,11 @@ def square_ideal(square_cone):
     return irrelevant_ideal(proper_faces_fan(square_cone))
 
 
+def t_complex(b, pattern):
+    """The complex of a sign pattern, read off the ideal's record of it."""
+    return _pattern(b, frozenset(pattern)).complex
+
+
 class TestTComplex:
     def test_two_variables_full_pattern(self):
         k = t_complex(XY, {0, 1})
@@ -68,17 +68,6 @@ class TestTComplex:
         with pytest.raises(DegenerateIdealError):
             t_complex(SquarefreeMonomialIdeal(2, (frozenset(),)), {0})
 
-    def test_variable_outside_the_ideal_rejected(self):
-        # a variable the ideal does not have is named, not read as one that
-        # divides no generator; a degenerate ideal takes precedence
-        b = ideal(3, {0, 1}, {2})
-        for var in (7, 3, -1):
-            with pytest.raises(ValueError, match=f"variable {var} out of range for 3 variables"):
-                t_complex(b, {0, var})
-        for degenerate in (ideal(3), ideal(3, set())):
-            with pytest.raises(DegenerateIdealError):
-                t_complex(degenerate, {7})
-
 
 class TestReducedCohomology:
     def test_four_cycle(self):
@@ -86,24 +75,21 @@ class TestReducedCohomology:
             (0, 1, 2, 3),
             tuple(frozenset(e) for e in [(0, 1), (1, 2), (2, 3), (0, 3)]),
         )
-        assert reduced_cohomology(cycle, 1).dimension == 1
-        assert reduced_cohomology(cycle, 0).dimension == 0
+        assert localcoh._cohomology_dims(cycle) == {-1: 0, 0: 0, 1: 1}
 
     def test_two_points(self):
         two = SimplicialComplex((0, 1), (frozenset({0}), frozenset({1})))
-        assert reduced_cohomology(two, 0).dimension == 1
+        assert localcoh._cohomology_dims(two) == {-1: 0, 0: 1}
 
     def test_full_simplex(self):
         full = SimplicialComplex((0, 1, 2), (frozenset({0, 1, 2}),))
-        for q in range(-1, 4):
-            assert reduced_cohomology(full, q).dimension == 0
+        assert localcoh._cohomology_dims(full) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
     def test_void_and_irrelevant(self):
         void = SimplicialComplex((0, 1), ())
-        assert all(reduced_cohomology(void, q).dimension == 0 for q in range(-1, 3))
+        assert localcoh._cohomology_dims(void) == {}
         irrelevant = SimplicialComplex((0, 1), (frozenset(),))
-        assert reduced_cohomology(irrelevant, -1).dimension == 1
-        assert reduced_cohomology(irrelevant, 0).dimension == 0
+        assert localcoh._cohomology_dims(irrelevant) == {-1: 1}
 
 
 class TestLocalCohPiece:
@@ -237,7 +223,7 @@ class TestPatternPairMaps:
     def test_matches_stepwise_product(self, case):
         b, i, start, exponent = case
         end = [s + e for s, e in zip(start, exponent)]
-        matrix = _restriction(b, i - 2, negative(start), negative(end))
+        matrix = _restriction(i - 2, _pattern(b, negative(start)), _pattern(b, negative(end)))
         assert [list(row) for row in matrix] == stepwise_product(b, i, start, exponent)
 
 
@@ -304,7 +290,7 @@ class TestRestrictionOracle:
                 for tgt in patterns:
                     if not tgt <= src:
                         continue
-                    matrix = _restriction(b, q, src, tgt)
+                    matrix = _restriction(q, _pattern(b, src), _pattern(b, tgt))
                     assert len(matrix) == dims[tgt] and all(len(row) == dims[src] for row in matrix)
                     if dims[src] and dims[tgt]:
                         rank = sympy.Matrix(matrix).rank()
@@ -312,7 +298,7 @@ class TestRestrictionOracle:
 
     def test_rank_deficient_case(self):
         src, tgt = frozenset({0, 1, 3, 4}), frozenset({0, 1})
-        assert [len(row) for row in _restriction(RANK_DEFICIENT, 0, src, tgt)] == [1]
+        assert [len(row) for row in _restriction(0, _pattern(RANK_DEFICIENT, src), _pattern(RANK_DEFICIENT, tgt))] == [1]
         assert self.oracle_rank(RANK_DEFICIENT, 0, src, tgt) == 0
 
 
@@ -395,20 +381,19 @@ class TestGraphFormulas:
         assert set(b2.generators) == {frozenset({2}), frozenset({0})}
 
     def test_alexander_dual_square(self, square_cone):
+        # the codimension-two ideal is Alexander dual to the clique complex of
+        # the ray graph (here the 4-cycle): each piece at negative set N is the
+        # clique complex's reduced cohomology on N, in degree i - 2
         fan = proper_faces_fan(square_cone)
-        dual = alexander_dual(clique_complex(graph_gamma(fan)))
-        sr = stanley_reisner_complex(codim2_ideal(fan))
-        assert dual == sr
-
-    def test_dual_of_full_simplex_is_void(self):
-        g = Graph(frozenset({0, 1, 2}), frozenset(frozenset(e) for e in [(0, 1), (1, 2), (0, 2)]))
-        assert alexander_dual(clique_complex(g)).is_void
-
-    def test_dual_edgeless_two_vertices(self):
-        g = Graph(frozenset({0, 1}), frozenset())
-        k = clique_complex(g)
-        assert set(k.facets) == {frozenset({0}), frozenset({1})}
-        assert alexander_dual(k).is_irrelevant
+        b2 = codim2_ideal(fan)
+        cycle = graph_gamma(fan)
+        for r in range(1, 5):
+            for negative_set in itertools.combinations(range(4), r):
+                p = [-(k in negative_set) for k in range(4)]
+                dims = localcoh._cohomology_dims(clique_complex(cycle.induced(negative_set)))
+                for i in range(6):
+                    assert local_coh_piece(b2, i, p).dimension == dims.get(i - 2, 0), (negative_set, i)
+        assert local_coh_piece(b2, 3, (-1, -1, -1, -1)).dimension == 1  # the 4-cycle's H^1
 
     def test_h2_square(self, square_cone):
         fan = proper_faces_fan(square_cone)
@@ -509,7 +494,7 @@ def test_degree_checks_fire_on_every_call(call):
         assert _value(call(b3, i, list(p))) == _value(call(b3, i, p))
 
 
-def test_one_lookup_per_degree_and_pattern(monkeypatch):
+def test_one_lookup_per_degree_and_pattern(monkeypatch, cold_localcoh):
     # a sweep that asks for every piece of a degree in turn takes the degree's
     # sign mask once and hits the one-degree memo after that, builds each
     # sign pattern's record once, in the ideal's one table, takes the
@@ -540,8 +525,6 @@ def test_one_lookup_per_degree_and_pattern(monkeypatch):
     monkeypatch.setattr(localcoh, "_degree", missed)
     monkeypatch.setattr(localcoh, "_SignPattern", building)
     monkeypatch.setattr(localcoh, "negative", counting)
-    monkeypatch.setattr(localcoh, "_last", (None, None, None, None))
-    _records.cache_clear()
     degrees = list(itertools.product(range(-2, 3), repeat=4))
     for p in degrees:
         for i in range(5):
@@ -677,5 +660,23 @@ def test_one_record_per_ideal_value_and_pattern(case):
                 record = _pattern(c, negative(p))
                 assert record.pattern == pattern
                 assert kompl is record.complex
-                assert t1._pattern_records(c, m)[mask].complex is kompl
+                assert localcoh._all_records(c)[mask] is record
             assert local_coh_piece(b, 0, degree).complex is kompl
+
+
+def test_module_caches_are_the_record_tables_and_cohomology_dims():
+    # every other piece of per-pattern data lives in the pattern's record
+    caches = {name for name, value in vars(localcoh).items() if hasattr(value, "cache_info")}
+    assert caches == {"_records", "_cohomology_dims"}
+    assert not hasattr(localcoh._basis, "cache_info")
+    assert not hasattr(localcoh._restriction, "cache_info")
+
+
+def test_restriction_through_an_equal_ideal_is_the_same_object():
+    b = ideal(4, {0, 1}, {1, 2, 3}, {0, 3})
+    twin = SquarefreeMonomialIdeal(4, b.generators)
+    assert twin == b and twin is not b
+    src, tgt = frozenset({0, 1, 2, 3}), frozenset({0, 2})
+    matrix = _restriction(0, _pattern(b, src), _pattern(b, tgt))
+    assert matrix and _restriction(0, _pattern(twin, src), _pattern(twin, tgt)) is matrix
+    assert mult_map(twin, 2, (-1, -1, -1, -1), 1).matrix is _restriction(0, _pattern(b, src), _pattern(b, src - {1}))

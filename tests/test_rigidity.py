@@ -9,27 +9,26 @@ from pathlib import Path
 import pytest
 
 from search_oracles import shell_scan
+from toric_oracles import halfspace_slice_connected, proper_faces_fan
 import torrigid
 from torrigid import lattice
 from torrigid.lattice import AffineSystem, BoundExceeded, Witness
 from torrigid.rigidity import (
-    Connected,
     Hypothesis,
     RigidityCertificate,
     Verdict,
     der_vanishing_gamma,
     fano_rigidity,
-    polytope_edge_graph,
-    polytope_halfspace_connectivity,
     qgorenstein_rigidity,
     quotient_rigidity,
     wps_rigidity,
 )
 from torrigid.toric import (
     WeightSystem,
+    _is_vertex,
+    _lifted_faces,
     affine_cone,
     graph_gamma_f,
-    proper_faces_fan,
     singular_codim,
     validate_fan,
 )
@@ -247,37 +246,27 @@ SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
 class TestPolytopeConnectivity:
+    """The hull edges of ``toric._lifted_faces`` on a closed halfspace through
+    a vertex, that vertex left out, form a connected graph."""
+
     def test_unit_square(self):
-        res = polytope_halfspace_connectivity(SQUARE, (0, 0), (1, 0), 0)
-        assert isinstance(res, Connected)
+        assert halfspace_slice_connected(SQUARE, (0, 0), (1, 0))
 
     def test_triangle(self):
-        tri = [(0, 0), (2, 0), (0, 2)]
-        res = polytope_halfspace_connectivity(tri, (0, 0), (1, 1), 0)
-        assert isinstance(res, Connected)
+        assert halfspace_slice_connected([(0, 0), (2, 0), (0, 2)], (0, 0), (1, 1))
 
     def test_cube_interior_cut(self):
         cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-        res = polytope_halfspace_connectivity(cube, (0, 0, 0), (1, 1, -1), 0)
-        assert isinstance(res, Connected)
+        assert halfspace_slice_connected(cube, (0, 0, 0), (1, 1, -1))
 
     def test_edge_graph_of_square(self):
-        edges = polytope_edge_graph([tuple(p) for p in SQUARE])
+        edges = {f for f in _lifted_faces(SQUARE) if len(f) == 2}
         assert edges == {
             frozenset({0, 1}),
             frozenset({1, 2}),
             frozenset({2, 3}),
             frozenset({0, 3}),
         }
-
-    def test_off_hyperplane_rejected(self):
-        with pytest.raises(ValueError, match="hyperplane"):
-            polytope_halfspace_connectivity(SQUARE, (0, 0), (1, 0), 5)
-
-    def test_non_vertex_rejected(self):
-        pts = SQUARE + [(0, 0)]
-        with pytest.raises(ValueError):
-            polytope_halfspace_connectivity(pts, (0, 0), (1, 0), 0)
 
     def test_fuzz_small(self):
         rng = random.Random(31415)
@@ -291,8 +280,6 @@ class TestPolytopeConnectivity:
             pts = sorted(raw)
             if len(pts) < dim + 1:
                 continue
-            from torrigid.rigidity import _is_vertex
-
             verts = [p for i, p in enumerate(pts) if _is_vertex(pts, i)]
             if len(verts) < 3:
                 continue
@@ -300,9 +287,7 @@ class TestPolytopeConnectivity:
             normal = tuple(rng.randint(-3, 3) for _ in range(dim))
             if not any(normal):
                 continue
-            offset = sum(a * x for a, x in zip(normal, v))
-            res = polytope_halfspace_connectivity(verts, v, normal, offset)
-            assert isinstance(res, Connected), (verts, v, normal, offset)
+            assert halfspace_slice_connected(verts, v, normal), (verts, v, normal)
             checked += 1
 
 

@@ -29,7 +29,7 @@ from torrigid.lattice import (
     rref,
     solve_diophantine,
 )
-from torrigid.localcoh import _records, _restriction, local_coh_piece, mult_map, negative
+from torrigid.localcoh import _all_records, _pattern, _records, _restriction, local_coh_piece, mult_map, negative
 from torrigid.rigidity import Hypothesis
 from torrigid.t1 import (
     Completeness,
@@ -39,14 +39,12 @@ from torrigid.t1 import (
     _der_part_vanishes,
     _intervals,
     _kernels,
-    _pattern_records,
     _scaled,
     cox_polynomial,
     cy_t1,
     der_part_exact,
     dual_cone_generators,
     hom_q_h3,
-    q_presentation,
     t1_affine,
     t1_polygon,
 )
@@ -90,28 +88,6 @@ def fermat_under_change(a):
 def projective_fan(n):
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)] + [(-1,) * n]
     return validate_fan(rays, [tuple(j for j in range(n + 1) if j != i) for i in range(n + 1)])
-
-
-class TestQPresentation:
-    def test_square(self, square_cone):
-        pres = q_presentation(class_group(square_cone.fan))
-        assert pres.free_rank == 1
-        row = pres.grading_matrix[0]
-        assert row in ((1, -1, 1, -1), (-1, 1, -1, 1))
-        entries = [pres.entry(0, j) for j in range(4)]
-        assert entries in (
-            ["x1", "-x2", "x3", "-x4"],
-            ["-x1", "x2", "-x3", "x4"],
-        )
-
-    def test_a1_zero_module(self, a1_cone):
-        pres = q_presentation(class_group(a1_cone.fan))
-        assert pres.free_rank == 0
-
-    def test_p2(self, p2_fan):
-        pres = q_presentation(class_group(p2_fan))
-        assert pres.free_rank == 1
-        assert pres.grading_matrix[0] in ((1, 1, 1), (-1, -1, -1))
 
 
 class TestDualCone:
@@ -158,10 +134,10 @@ class TestHomQH3:
         sources = [(0,) * 5] * cox.free_rank
         targets = [tuple(int(k == j) for k in range(5)) for j in range(5)]
         chamber = (-1, -1, -1, -1, 0)
-        records = _pattern_records(b, 5)
-        assert _kernels(b, 3, records, sources, targets, coef)(chamber) == 1
+        records = _all_records(b)
+        assert _kernels(3, records, sources, targets, coef)(chamber) == 1
         shifted = targets[1:] + targets[:1]  # a_ij paired with p + e_(j+1)
-        assert _kernels(b, 3, records, sources, shifted, coef)(chamber) == 0
+        assert _kernels(3, records, sources, shifted, coef)(chamber) == 0
 
 
 class TestDerPart:
@@ -203,7 +179,7 @@ class TestDerPart:
         start = (-1, -1, -1, -1)
         assert local_coh_piece(b, 2, (0, -1, -1, -1)).dimension == 0
         end = (0, -1, -1, 0)
-        assert [list(row) for row in _restriction(b, 0, negative(start), negative(end))] == [[0]]
+        assert [list(row) for row in _restriction(0, _pattern(b, negative(start)), _pattern(b, negative(end)))] == [[0]]
 
     def test_third_cone_exact_zero(self, third_cone):
         dim, _ = der_part_exact(third_cone)
@@ -995,13 +971,13 @@ def test_sign_signature_packs_every_degree(case, sources):
     ]
     blocks = []
 
-    def restriction(b, q, src_pattern, tgt_pattern):
-        blocks.append((src_pattern, tgt_pattern))
+    def restriction(q, src, tgt):
+        blocks.append((src.pattern, tgt.pattern))
         return ((Fraction(1),),)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(t1, "_restriction", restriction)
-        kernel = _kernels(None, 2, records, src, tgt, [[1] * len(src)] * len(tgt))
+        kernel = _kernels(2, records, src, tgt, [[1] * len(src)] * len(tgt))
         kernel(tuple(key))
         degree = [[negative([a + d for a, d in zip(key, s)]) for s in side] for side in (src, tgt)]
         assert blocks == [(p, q) for q in degree[1] for p in degree[0]]
@@ -1086,7 +1062,10 @@ def test_one_record_lookup_per_distinct_source_shift(monkeypatch):
             reads.append(mask)
             return self.table.get(mask)
 
-    monkeypatch.setattr("torrigid.t1._records", lambda b: Reading(_records(b)))
+        def __setitem__(self, mask, record):
+            self.table[mask] = record
+
+    monkeypatch.setattr("torrigid.localcoh._records", lambda b: Reading(_records(b)))
     hom_q_h3(affine_cone(SHIPPED_CONES[-1]))
     assert sorted(reads) == list(range(2**6))
 
@@ -1358,7 +1337,7 @@ def test_gale_bound_matches_ungated_kernel(cones):
     ],
     ids=["der_part_exact", "hom_q_h3"],
 )
-def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, run):
+def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, cold_localcoh, run):
     # the walk keeps its own records: a chamber's degrees are read off the
     # records of all sign patterns through the chamber's sign signature, so
     # no degree is looked up in localcoh (whose one-degree memo
@@ -1385,7 +1364,6 @@ def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, run):
 
     monkeypatch.setattr(localcoh, "_degree", recording)
     monkeypatch.setattr(localcoh, "negative", counting)
-    monkeypatch.setattr(localcoh, "_last", (None, None, None))
     before = sizes()
     run()
     assert calls == {"_degree": 0, "negative": 0}

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cone_oracles import cone_contains
+from toric_oracles import proper_faces_fan, wps_singular_ideal
 from torrigid.cli import load_fan
 from torrigid.lattice import (
     content,
@@ -18,7 +19,6 @@ from torrigid.lattice import (
     rational_solve,
     smith_normal_form,
 )
-from torrigid.rigidity import polytope_edge_graph
 from torrigid.t1 import dual_cone_generators
 from torrigid.toric import (
     Cone,
@@ -28,8 +28,10 @@ from torrigid.toric import (
     WeightSystem,
     _cone_probe,
     _facet_record,
+    _independent,
     _is_hull_face_fan,
     _is_vertex,
+    _lifted_faces,
     affine_cone,
     class_group,
     faces,
@@ -41,7 +43,6 @@ from torrigid.toric import (
     is_fano,
     is_simplicial,
     is_smooth,
-    proper_faces_fan,
     q_gorenstein,
     simplicial_codim,
     singular_codim,
@@ -49,8 +50,6 @@ from torrigid.toric import (
     validate_fan,
     wps_normalize,
     wps_rigidity_condition,
-    wps_singular_ideal,
-    wps_well_formed,
 )
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
@@ -283,7 +282,29 @@ def test_vertices_and_edges_match_fourier_motzkin(points):
     assert [_is_vertex(points, i) for i in range(len(points))] == [
         fm_is_vertex(points, i) for i in range(len(points))
     ]
-    assert polytope_edge_graph(points) == fm_edge_graph(points)
+    assert {f for f in _lifted_faces(points) if len(f) == 2} == fm_edge_graph(points)
+
+
+def greedy_independent(vectors):
+    """Indices of the vectors that raise the rank of the ones chosen before
+    them, one ``int_rank`` per vector."""
+    chosen, out = [], []
+    for i, v in enumerate(vectors):
+        if int_rank([*chosen, v]) > len(chosen):
+            chosen.append(v)
+            out.append(i)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple), max_size=7)
+    )
+)
+@example([(0, 0), (1, 2), (2, 4), (0, 1)])  # a zero vector and a multiple
+def test_independent_is_the_greedy_rank_scan(vectors):
+    assert _independent(vectors) == greedy_independent(vectors)
 
 
 def solve_q_gorenstein(rays):
@@ -560,9 +581,10 @@ def test_adjugate_probe_matches_cone_contains():
 
 class TestWps:
     def test_well_formed(self):
-        assert wps_well_formed(WeightSystem((1, 1, 2, 3)))
-        assert wps_well_formed(WeightSystem((1, 1, 2, 2)))
-        assert not wps_well_formed(WeightSystem((1, 2, 2, 2)))
+        # normalizing leaves exactly the well-formed systems as they are
+        for weights in ((1, 1, 2, 3), (1, 1, 2, 2)):
+            assert wps_normalize(WeightSystem(weights)).weights == weights
+        assert wps_normalize(WeightSystem((1, 2, 2, 2))).weights != (1, 2, 2, 2)
 
     def test_normalize(self):
         assert wps_normalize(WeightSystem((1, 2, 2, 2))).weights == (1, 1, 1, 1)

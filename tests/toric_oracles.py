@@ -1,0 +1,94 @@
+"""Reference constructions on fans, graphs and weights.
+
+torrigid does not need these to compute anything; the tests build second
+ideals, complexes and fans from them and compare torrigid's answers there:
+local cohomology at the codimension-two ideal of a fan (criteria 6 and 7),
+the singular locus of a weighted projective space (criterion 9), and the fan
+of the proper faces of a cone.
+"""
+
+from math import lcm
+
+from torrigid.ideals import SquarefreeMonomialIdeal, minimalize
+from torrigid.localcoh import SimplicialComplex
+from torrigid.toric import Cone, Fan, Graph, WeightSystem, _lifted_faces, faces, graph_gamma
+
+
+def clique_complex(g: Graph) -> SimplicialComplex:
+    """Faces are the cliques of the graph."""
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for e in g.edges:
+        a, bb = sorted(e)
+        adj[a].add(bb)
+        adj[bb].add(a)
+    cliques: list[frozenset[int]] = []
+
+    def extend(r: set[int], p: set[int], x: set[int]) -> None:
+        if not p and not x:
+            cliques.append(frozenset(r))
+            return
+        for v in sorted(p):
+            extend(r | {v}, p & adj[v], x & adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    extend(set(), set(g.vertices), set())
+    if not cliques:
+        cliques = [frozenset()]
+    return SimplicialComplex(tuple(sorted(g.vertices)), tuple(cliques))
+
+
+def codim2_ideal(fan: Fan) -> SquarefreeMonomialIdeal:
+    """Intersection of the codimension-two components of the irrelevant
+    ideal: one generator per maximal clique of the ray graph, namely the
+    product of the variables off the clique.  A complete graph yields the
+    unit ideal (no codimension-two components), flagged by ``is_unit``."""
+    g = graph_gamma(fan)
+    cliques = clique_complex(g).facets
+    m = fan.num_rays
+    gens = [frozenset(range(m)) - f for f in cliques]
+    return SquarefreeMonomialIdeal(m, minimalize(gens))
+
+
+def wps_singular_ideal(q: WeightSystem) -> SquarefreeMonomialIdeal:
+    """Intersection over primes p | lcm(q) of the ideals (x_i : p does not
+    divide q_i); its vanishing locus is the singular locus."""
+    w = q.weights
+    primes = []
+    rest = lcm(*w)
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    ideal = SquarefreeMonomialIdeal(len(w), (frozenset(),))  # unit ideal
+    for p in primes:
+        gens = tuple(frozenset([i]) for i, qi in enumerate(w) if qi % p != 0)
+        ideal = ideal.intersect(SquarefreeMonomialIdeal(len(w), gens))
+    return ideal
+
+
+def proper_faces_fan(cone: Cone) -> Fan:
+    """Fan of all proper faces of the cone."""
+    proper = [f for f in faces(cone) if f != cone.indices]
+    maximal = [f for f in proper if not any(f < g for g in proper)]
+    maximal.sort(key=lambda s: (len(s), sorted(s)))
+    return Fan(cone.fan.rays, tuple(maximal), name=cone.fan.name)
+
+
+def halfspace_slice_connected(vertices, vertex, normal) -> bool:
+    """Whether the hull edges (``toric._lifted_faces``) among the vertices on
+    the closed side <normal, x> >= <normal, vertex>, the given vertex left
+    out, form a connected graph.  For the vertices of a polytope they always
+    do, so a missing hull edge can show up as a disconnected slice."""
+    pts = [tuple(p) for p in vertices]
+    offset = sum(a * x for a, x in zip(normal, vertex))
+    keep = frozenset(
+        i for i, p in enumerate(pts) if sum(a * x for a, x in zip(normal, p)) >= offset and p != tuple(vertex)
+    )
+    edges = frozenset(f for f in _lifted_faces(pts) if len(f) == 2 and f <= keep)
+    return len(Graph(keep, edges).connected_components()) <= 1
