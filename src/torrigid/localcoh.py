@@ -176,16 +176,13 @@ def _pattern(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> _SignPatter
 def _all_records(b: SquarefreeMonomialIdeal) -> list[_SignPattern]:
     """The record of every sign pattern of the ideal's degrees, the pattern N
     at its mask, the sum of 2^k over k in N: read off the ideal's table,
-    where only the missing records are built."""
+    where ``_pattern`` builds only the missing ones."""
     table = _records(b)
-    records = []
-    for mask in range(1 << b.num_vars):
-        record = table.get(mask)
-        if record is None:
-            pattern = frozenset(k for k in range(b.num_vars) if mask >> k & 1)
-            record = table[mask] = _SignPattern(b, pattern)
-        records.append(record)
-    return records
+    n = b.num_vars
+    return [
+        table.get(mask) or _pattern(b, frozenset(k for k in range(n) if mask >> k & 1))
+        for mask in range(1 << n)
+    ]
 
 
 def _coboundary(kompl: SimplicialComplex, q: int) -> tuple[list[frozenset[int]], list[list[int]]]:

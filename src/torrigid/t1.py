@@ -118,6 +118,13 @@ def _require_full_dim(cone: Cone) -> None:
         raise ValueError("cone must be full-dimensional")
 
 
+def _require_own_rays(cone: Cone) -> None:
+    # the irrelevant ideal and the class group have one variable per ray of
+    # the fan, the degrees p(u) one coordinate per ray of the cone
+    if len(cone.indices) != cone.fan.num_rays:
+        raise ValueError("cone must use every ray of its fan")
+
+
 def _fine_degree(rays: Sequence[Vec], u: Sequence[int]) -> Vec:
     return tuple(sum(a * b for a, b in zip(u, v)) for v in rays)
 
@@ -359,8 +366,12 @@ def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
     there H^3_B is a line at all-negative p and zero elsewhere, so the
     kernel is all of K_E, and no three rays are coplanar.  The cone over a
     square pyramid shows it.
+
+    A cone that leaves out a ray of its fan is refused (ValueError), as in
+    ``der_part_exact``.
     """
     _require_full_dim(cone)
+    _require_own_rays(cone)
     witness = _non_rigid_face(cone)
     if witness is not None:
         raise UnsupportedModeError(_infinite_message(witness))
@@ -413,12 +424,15 @@ def der_part_exact(cone: Cone) -> tuple[int | None, Completeness]:
 
     A non-rigid proper face makes T^1 infinite.  On a simplicial cone this
     part is all of T^1, so it is infinite too and has no dimension; on any
-    other cone it is refused."""
+    other cone it is refused.  So is a singular cone that leaves out a ray
+    of its fan (ValueError): the fan's irrelevant ideal would have a
+    variable that no coordinate of p(u) matches."""
     _require_full_dim(cone)
     if is_smooth(cone):
         # the smooth subfan is the whole cone: its irrelevant ideal is the
         # unit ideal and there is no second local cohomology
         return 0, Completeness.GUARANTEED
+    _require_own_rays(cone)
     witness = _non_rigid_face(cone)
     if witness is not None:
         if is_simplicial(cone):

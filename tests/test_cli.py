@@ -62,6 +62,17 @@ class TestT1Command:
         assert code == 1
         assert "one maximal cone" in err
 
+    @pytest.mark.parametrize("first", [False, True], ids=["unused_last", "unused_first"])
+    def test_cone_leaving_out_a_ray_rejected(self, tmp_path, capsys, first):
+        square = [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]]
+        rays = [[0, 0, -1], *square] if first else [*square, [0, 0, -1]]
+        used = [1, 2, 3, 4] if first else [0, 1, 2, 3]
+        path = tmp_path / "square_plus_ray.json"
+        path.write_text(json.dumps({"rays": rays, "max_cones": [used]}))
+        code, out, err = run(capsys, "t1", path)
+        assert (code, out) == (1, "")
+        assert "every ray of its fan" in err
+
     @pytest.mark.parametrize("name,total", [("a2_cone", 2), ("a3_cone", 3)])
     def test_a_series_fans(self, capsys, name, total):
         code, out, _ = run(capsys, "t1", FANS / f"{name}.json", "--format", "json")

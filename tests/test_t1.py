@@ -140,6 +140,30 @@ class TestHomQH3:
         assert _kernels(3, records, sources, shifted, coef)(chamber) == 0
 
 
+class TestConeLeavingOutARay:
+    # the irrelevant ideal and the class group have one variable per ray of
+    # the fan, the degrees p(u) one coordinate per ray of the cone: a cone
+    # that leaves out a ray of its fan is refused before any pattern is built
+    @pytest.mark.parametrize("first", [False, True], ids=["unused_last", "unused_first"])
+    @pytest.mark.parametrize("part", [der_part_exact, hom_q_h3], ids=["der_part_exact", "hom_q_h3"])
+    def test_square_cone_with_an_unused_ray(self, cold_localcoh, square_cone, part, first):
+        square = list(square_cone.ray_vectors)
+        rays = [(0, 0, -1), *square] if first else [*square, (0, 0, -1)]
+        used = frozenset(range(1, 5) if first else range(4))
+        cone = validate_fan(rays, [used]).cone(used)
+        with pytest.raises(ValueError, match="every ray of its fan"):
+            part(cone)
+        assert not any(localcoh._records.cache_info()[:2])
+
+    def test_sub_cone_of_a_larger_fan(self):
+        fan = validate_fan([(0, 1), (1, 0), (-1, -2)], [{0, 1}, {1, 2}])
+        with pytest.raises(ValueError, match="every ray of its fan"):
+            der_part_exact(fan.cone(frozenset({1, 2})))
+        assert der_part_exact(affine_cone([(1, 0), (-1, -2)])) == (1, Completeness.GUARANTEED)
+        # a smooth cone is rigid whatever else its fan holds
+        assert der_part_exact(fan.cone(frozenset({0, 1}))) == (0, Completeness.GUARANTEED)
+
+
 class TestDerPart:
     def test_square_sufficient(self, square_cone):
         assert _der_part_vanishes(square_cone)
