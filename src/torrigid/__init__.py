@@ -67,7 +67,6 @@ from .toric import (
     singular_codim,
     validate_fan,
     wps_normalize,
-    wps_rigidity_condition,
 )
 
 __version__ = "0.1.0"
@@ -124,5 +123,4 @@ __all__ = [
     "validate_fan",
     "wps_normalize",
     "wps_rigidity",
-    "wps_rigidity_condition",
 ]

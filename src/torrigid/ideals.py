@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from ._record import frozen
@@ -50,30 +49,6 @@ class SquarefreeMonomialIdeal:
     @property
     def is_zero(self) -> bool:
         return not self.generators
-
-    def intersect(self, other: "SquarefreeMonomialIdeal") -> "SquarefreeMonomialIdeal":
-        if self.num_vars != other.num_vars:
-            raise ValueError("variable count mismatch")
-        if self.is_zero or other.is_zero:
-            return SquarefreeMonomialIdeal(self.num_vars, ())
-        gens = [g | h for g in self.generators for h in other.generators]
-        return SquarefreeMonomialIdeal(self.num_vars, minimalize(gens))
-
-    def height(self) -> int | float:
-        """Codimension of the vanishing locus: least size of a hitting set
-        meeting every generator support.  The unit ideal has infinite height,
-        the zero ideal height 0."""
-        if self.is_unit:
-            return float("inf")
-        if self.is_zero:
-            return 0
-        supports = self.generators
-        for size in range(1, self.num_vars + 1):
-            for cover in combinations(range(self.num_vars), size):
-                cset = set(cover)
-                if all(cset & g for g in supports):
-                    return size
-        return self.num_vars  # unreachable for nonzero proper ideals
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -571,11 +571,11 @@ def _fm_eliminate(rows: list[_Row], var: int) -> list[_Row]:
     return sorted(out)
 
 
-def _substitute(rows: list[_Row], equality: _Row, var: int, strict: bool) -> list[_Row]:
+def _substitute(rows: list[_Row], equality: _Row, var: int, equal: bool) -> list[_Row]:
     """``rows`` with x_var eliminated through the equality <e, x> = d, which
     involves it: each row scaled by |e_var|, so that an inequality keeps its
     direction, plus the multiple of the equality that clears x_var.  The
-    rows are inequalities, or equalities when ``strict``; an equality is
+    rows are inequalities, or equalities when ``equal``; an equality is
     signed so that its first nonzero coefficient is positive, so parallel
     ones meet in one row.  Raises _FMContradiction if a row becomes
     0 >= positive (0 = nonzero)."""
@@ -589,10 +589,10 @@ def _substitute(rows: list[_Row], equality: _Row, var: int, strict: bool) -> lis
         c = s * c - t * d
         lead = next((x for x in a if x), 0)
         if not lead:
-            if c > 0 or strict and c:
+            if c > 0 or equal and c:
                 raise _FMContradiction
             continue
-        if strict and lead < 0:
+        if equal and lead < 0:
             a, c = tuple(-x for x in a), -c
         out.add(_normalize_row(a, c))
     return sorted(out)
@@ -600,10 +600,8 @@ def _substitute(rows: list[_Row], equality: _Row, var: int, strict: bool) -> lis
 
 def rational_feasible(rows: list[_Row], num_vars: int) -> bool:
     """Exact feasibility of a weak inequality system over the rationals."""
-    cur = list(rows)
     try:
-        for var in range(num_vars):
-            cur = _fm_eliminate(cur, var)
+        _fm_chain(rows, num_vars)
     except _FMContradiction:
         return False
     return True
@@ -615,29 +613,27 @@ def variable_bounds(
     """Per-variable rational bounds of the solution set.
 
     Returns a (lower, upper) pair per variable with None for an unbounded
-    side, or None if the system is infeasible over the rationals.
+    side, or None if the system is infeasible over the rationals.  The
+    bounds of x_var are read off the first entry of the ``_fm_chain`` of the
+    rows with x_var moved to the front: their exact projection onto it.
     """
     bounds: list[tuple[Fraction | None, Fraction | None]] = []
     for var in range(num_vars):
-        cur = list(rows)
+        front = [((a[var], *a[:var], *a[var + 1 :]), c) for a, c in rows]
         try:
-            for other in range(num_vars):
-                if other != var:
-                    cur = _fm_eliminate(cur, other)
+            projection = _fm_chain(front, num_vars)[0]
         except _FMContradiction:
             return None
         lo: Fraction | None = None
         hi: Fraction | None = None
-        for a, c in cur:
-            coef = a[var]
+        for a, c in projection:
+            coef = a[0]
             if coef > 0:
                 val = Fraction(c, coef)
                 lo = val if lo is None else max(lo, val)
             elif coef < 0:
                 val = Fraction(c, coef)
                 hi = val if hi is None else min(hi, val)
-            elif c > 0:
-                return None
         bounds.append((lo, hi))
     return bounds
 

@@ -71,10 +71,11 @@ def _degree(b: SquarefreeMonomialIdeal, p: tuple[int, ...]) -> _SignPattern:
     """The record of a degree's sign pattern, remembered in ``_last``: the
     miss path of the one-slot memo that ``local_coh_piece`` and
     ``cech_piece`` test themselves (the same ideal object, an equal degree).
-    The record is read off the ideal's table by the degree's sign mask; the
-    table comes from ``_last`` when the ideal is the same object, else from
-    ``_records``, so an equal ideal that is another object gets the same
-    record.  ``negative`` runs only when the record is built.  The degree is
+    The record is read off the ideal's table by the degree's sign mask, and
+    a missing one is built by ``_pattern``; the table comes from ``_last``
+    when the ideal is the same object, else from ``_records``, so an equal
+    ideal that is another object gets the same record.  ``negative`` runs
+    only when the record is built.  The degree is
     checked here; a bad degree or a degenerate ideal is never remembered, so
     it raises on every call."""
     global _last
@@ -86,9 +87,7 @@ def _degree(b: SquarefreeMonomialIdeal, p: tuple[int, ...]) -> _SignPattern:
     for k, x in enumerate(p):
         if x <= -1:  # as in negative
             mask |= 1 << k
-    record = table.get(mask)
-    if record is None:
-        record = table[mask] = _SignPattern(b, negative(p))
+    record = table.get(mask) or _pattern(b, negative(p))
     _last = (b, p, record, table)
     return record
 
@@ -126,10 +125,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.facets == (frozenset(),)
-
     def faces_of_dim(self, q: int) -> list[frozenset[int]]:
         """All q-dimensional faces (q + 1 vertices), sorted; q = -1 gives the
         empty face when the complex is nonvoid."""
@@ -142,9 +137,6 @@ class SimplicialComplex:
         }
         return sorted(out, key=sorted)
 
-    def has_face(self, s: frozenset[int]) -> bool:
-        return any(s <= f for f in self.facets)
-
     def dim(self) -> int:
         if self.is_void:
             return -2  # below even the empty face
@@ -155,9 +147,9 @@ class SimplicialComplex:
 def _records(b: SquarefreeMonomialIdeal) -> dict[int, _SignPattern]:
     """The ideal's table of sign-pattern records, the pattern N at its mask,
     the sum of 2^k over k in N; ``_pattern``, ``_all_records`` and
-    ``_degree`` read it and add a record only when its mask is missing.  Keyed by the ideal's value.  A
-    degenerate ideal raises here, on every call, because exceptions are not
-    cached."""
+    ``_degree`` read it, and only ``_pattern`` adds a record, when its mask
+    is missing.  Keyed by the ideal's value.  A degenerate ideal raises
+    here, on every call, because exceptions are not cached."""
     _check_proper(b)
     return {}
 

@@ -22,17 +22,14 @@ from .lattice import integer_feasible as _integer_feasible
 from .toric import (
     Cone,
     Fan,
-    Graph,
     WeightSystem,
     _is_hull_face_fan,
-    graph_gamma,
     graph_gamma_f,
     is_complete,
     is_simplicial,
     q_gorenstein,
     simplicial_codim,
     singular_codim,
-    smooth_subfan,
     wps_normalize,
     wps_shared_factor,
 )
@@ -95,9 +92,7 @@ def _from_hypotheses(criterion: str, hyps: list[Hypothesis]) -> RigidityCertific
     )
 
 
-def der_vanishing_gamma(
-    cone: Cone, search_bound: int = 8, strict: bool = False
-) -> RigidityCertificate:
+def der_vanishing_gamma(cone: Cone, search_bound: int = 8) -> RigidityCertificate:
     """Connectivity test certifying that the derivation part of the tangent
     space vanishes.
 
@@ -126,7 +121,8 @@ def der_vanishing_gamma(
             reason="cone is not smooth in codimension 2",
         )
 
-    def run(graph: Graph) -> tuple[Verdict, str]:
+    def run() -> tuple[Verdict, str]:
+        graph = graph_gamma_f(cone)
         exceeded = None
         rays = cone.fan.rays
         n = cone.fan.ambient_rank
@@ -162,12 +158,7 @@ def der_vanishing_gamma(
             return Verdict.INCONCLUSIVE, f"search bound exhausted at {exceeded}"
         return Verdict.DER_PART_VANISHES, ""
 
-    verdict, reason = run(graph_gamma_f(cone))
-    if strict:
-        strict_verdict, _ = run(graph_gamma(smooth_subfan(cone)))
-        assert strict_verdict == verdict, (
-            "two-face graph test and smooth-subfan graph test disagree"
-        )
+    verdict, reason = run()
     hyps = [_codim_hypothesis("smooth_in_codim_2", codim, 3)]
     if verdict is Verdict.DER_PART_VANISHES:
         hyps.append(Hypothesis("connected_patterns", "satisfied", "all realizable"))

@@ -307,10 +307,7 @@ def _chamber_characters(
     return sum(ker for _, ker in found), sorted(found)
 
 
-# the last (cone, witness) that _non_rigid_face returned
-_last_walk: tuple = (None, None)
-
-
+@lru_cache(maxsize=1)
 def _non_rigid_face(cone: Cone) -> tuple[frozenset[int], int] | None:
     """The first proper face of the cone, by dimension, whose affine toric
     variety has T^1 != 0, with that T^1; None when every proper face is rigid.
@@ -321,21 +318,15 @@ def _non_rigid_face(cone: Cone) -> tuple[frozenset[int], int] | None:
     and skipped; each other face is computed by ``t1_affine`` as tau'.  Every
     face below the one returned was found rigid, so its T^1 is finite.
     ``t1_affine`` and the parts it calls ask in turn for the same cone, so
-    the answer for the last cone object is remembered."""
-    global _last_walk
-    if _last_walk[0] is cone:
-        return _last_walk[1]
+    the answer for the last cone is cached."""
     fan = cone.fan
     singular = [f for f in faces(cone) if f != cone.indices and not is_smooth(fan.cone(f))]
-    witness = None
     for face in sorted(singular, key=lambda f: fan.cone(f).dim):
         _, coordinates = _saturated_span([fan.rays[i] for i in sorted(face)])
         total = t1_affine(affine_cone(coordinates)).total
         if total:
-            witness = face, total
-            break
-    _last_walk = (cone, witness)
-    return witness
+            return face, total
+    return None
 
 
 def _infinite_message(witness: tuple[frozenset[int], int]) -> str:
@@ -568,7 +559,8 @@ def t1_polygon(vertices: Sequence[Sequence[int]]) -> PolygonReport:
                 minor_ok = False
                 break
     report = t1_affine(cone)
-    assert report.total == m - 3, "polygon formula disagrees with the affine computation"
+    if report.total != m - 3:
+        raise RuntimeError("polygon formula disagrees with the affine computation")
     return PolygonReport(
         dimension=m - 3,
         vertex_count=m,

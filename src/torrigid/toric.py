@@ -62,14 +62,6 @@ class Fan:
     def cone(self, indices) -> "Cone":
         return Cone(self, frozenset(indices))
 
-    def cones(self) -> list["Cone"]:
-        """All cones of the fan (faces of the maximal ones), deduplicated."""
-        seen: set[frozenset[int]] = set()
-        for idx in self.max_cones:
-            for f in faces(self.cone(idx)):
-                seen.add(f)
-        return [self.cone(s) for s in sorted(seen, key=lambda s: (len(s), sorted(s)))]
-
 
 @frozen
 class Cone:
@@ -522,11 +514,6 @@ def wps_shared_factor(q: WeightSystem) -> tuple[tuple[int, ...], int] | None:
         if g > 1:
             return combo, g
     return None
-
-
-def wps_rigidity_condition(q: WeightSystem) -> bool:
-    """No n-1 of the n+1 weights share a common factor."""
-    return wps_shared_factor(q) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,56 @@
 """The shell scan that ``integer_feasible`` used before its Fourier-Motzkin
 descent, kept as an independent oracle for it and for the gamma criterion
-that calls it.
+that calls it, and the per-variable elimination that ``variable_bounds``
+used before it read the bounds off one elimination chain.
 """
 
 import itertools
+from fractions import Fraction
 from math import ceil, floor
 
 from torrigid.lattice import (
     BoundExceeded,
     Infeasible,
     Witness,
+    _fm_eliminate,
+    _FMContradiction,
     solve_diophantine,
-    variable_bounds,
 )
+
+
+def per_variable_bounds(rows, num_vars):
+    """(lower, upper) rational bounds of each variable, None for an unbounded
+    side, by eliminating every other variable in increasing order.  On an
+    infeasible system the answer is None or holds an empty interval."""
+    bounds = []
+    for var in range(num_vars):
+        cur = list(rows)
+        try:
+            for other in range(num_vars):
+                if other != var:
+                    cur = _fm_eliminate(cur, other)
+        except _FMContradiction:
+            return None
+        lo = hi = None
+        for a, c in cur:
+            coef = a[var]
+            if coef > 0:
+                val = Fraction(c, coef)
+                lo = val if lo is None else max(lo, val)
+            elif coef < 0:
+                val = Fraction(c, coef)
+                hi = val if hi is None else min(hi, val)
+            elif c > 0:
+                return None
+        bounds.append((lo, hi))
+    return bounds
 
 
 def shell_scan(system, search_bound):
     """(answer, points) for the system by a scan of shells.
 
     The free coordinates t of u = origin + B*t get their integer ranges from
-    the Fourier-Motzkin bounds, cut to [-search_bound, search_bound] on an
+    ``per_variable_bounds``, cut to [-search_bound, search_bound] on an
     unbounded side.  ``points`` lists every solution u in those ranges by the
     shells |t|_inf = 0, 1, 2, ... up to the search radius, each shell scanned
     over the whole clipped box in lexicographic order; ``answer`` is what
@@ -44,7 +75,7 @@ def shell_scan(system, search_bound):
     rows = [
         (tuple(dot(a, b) for b in basis), c - dot(a, origin)) for a, c in system.inequalities
     ]
-    bounds = variable_bounds(rows, len(basis))
+    bounds = per_variable_bounds(rows, len(basis))
     if bounds is None:
         return Infeasible(), []
     ranges = []

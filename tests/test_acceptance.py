@@ -13,7 +13,7 @@ import time
 from math import gcd
 
 from cone_oracles import cone_contains, cone_is_pointed
-from toric_oracles import clique_complex, codim2_ideal, halfspace_slice_connected, wps_singular_ideal
+from toric_oracles import clique_complex, codim2_ideal, halfspace_slice_connected, height, wps_singular_ideal
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.localcoh import _cohomology_dims, cech_piece, h2_via_graph, local_coh_piece, mult_map
 from torrigid.rigidity import (
@@ -32,7 +32,7 @@ from torrigid.toric import (
     irrelevant_ideal,
     validate_fan,
     wps_normalize,
-    wps_rigidity_condition,
+    wps_shared_factor,
 )
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -279,14 +279,12 @@ def test_criterion_9_wps_criterion():
     for n in (2, 3, 4):
         for weights in itertools.product(range(1, 7), repeat=n + 1):
             q = WeightSystem(weights)
-            cond = wps_rigidity_condition(q)
-            codim = wps_singular_ideal(q).height()
+            cond = wps_shared_factor(q) is None
+            codim = height(wps_singular_ideal(q))
             assert cond == (codim >= 3), (weights, cond, codim)
             # the criterion is stable under normalization
             norm = wps_normalize(q)
-            assert wps_rigidity_condition(norm) == (
-                wps_singular_ideal(norm).height() >= 3
-            )
+            assert (wps_shared_factor(norm) is None) == (height(wps_singular_ideal(norm)) >= 3)
             checked += 1
     _report(9, f"weight criterion matches singular codimension on {checked} systems")
 

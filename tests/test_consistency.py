@@ -79,3 +79,35 @@ def test_all_lists_exactly_the_public_names_the_package_binds():
     namespace: dict = {}
     exec("from torrigid import *", namespace)
     assert all(namespace[name] is getattr(torrigid, name) for name in torrigid.__all__)
+
+
+def test_process_global_state_is_the_known_inventory():
+    # every cache that outlives a call is one of these module-level
+    # lru_caches, and localcoh's one-degree memo is the only global rebound
+    import ast
+    import importlib
+    import pkgutil
+    from pathlib import Path
+
+    import torrigid
+
+    caches = {}
+    globals_in = set()
+    for info in pkgutil.iter_modules(torrigid.__path__):
+        module = importlib.import_module(f"torrigid.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[info.name, name] = value.cache_parameters()["maxsize"]
+        tree = ast.parse(Path(module.__file__).read_text())
+        if any(isinstance(node, ast.Global) for node in ast.walk(tree)):
+            globals_in.add(info.name)
+    assert caches == {
+        ("localcoh", "_records"): None,
+        ("localcoh", "_cohomology_dims"): None,
+        ("toric", "_facet_record"): 256,
+        ("t1", "_cy_fan"): 8,
+        ("t1", "_non_rigid_face"): 1,
+        ("lattice", "_parametrization"): 64,
+        ("cli", "build_parser"): None,  # one parser, which parsing leaves unchanged
+    }
+    assert globals_in == {"localcoh"}

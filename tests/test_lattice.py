@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cone_oracles import cone_contains, cone_is_pointed
-from search_oracles import shell_scan
+from search_oracles import per_variable_bounds, shell_scan
 from torrigid import lattice
 from torrigid.lattice import (
     AffineSystem,
@@ -504,6 +504,29 @@ def test_bounded_system_never_projects_per_variable(monkeypatch):
     assert calls == []
     assert integer_feasible(AffineSystem(2, (), (((1, 0), 0),)), 1) == Witness((0, 0))
     assert calls == [2]
+
+
+@st.composite
+def feasible_rows(draw):
+    """(rows, n): 1-4 variables and 0-6 rows <a, x> >= c with coefficients
+    in [-3, 3], each holding at one integer point with a slack of 0-3."""
+    n = draw(st.integers(1, 4))
+    point = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    rows = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(0, 3)), max_size=6))
+    return [(a, sum(map(operator.mul, a, point)) - slack) for a, slack in rows], n
+
+
+@settings(max_examples=300)
+@given(feasible_rows())
+def test_variable_bounds_match_per_variable_elimination(case):
+    rows, n = case
+    assert variable_bounds(rows, n) == per_variable_bounds(rows, n)
+
+
+def test_variable_bounds_of_an_infeasible_system():
+    # 2 <= x <= 1, with and without a second variable to eliminate
+    assert variable_bounds([((1,), 2), ((-1,), -1)], 1) is None
+    assert variable_bounds([((1, 0), 2), ((-1, 0), -1), ((0, 1), 0)], 2) is None
 
 
 def test_rows_may_be_lists():

@@ -497,13 +497,14 @@ def test_degree_checks_fire_on_every_call(call):
 def test_one_lookup_per_degree_and_pattern(monkeypatch, cold_localcoh):
     # a sweep that asks for every piece of a degree in turn takes the degree's
     # sign mask once and hits the one-degree memo after that, builds each
-    # sign pattern's record once, in the ideal's one table, takes the
-    # negative coordinates only to build one, and computes each Cech strand
-    # once
+    # sign pattern's record once, in the ideal's one table, through
+    # _pattern, takes the negative coordinates only to build one, and
+    # computes each Cech strand once
     b = ideal(4, {0, 1}, {1, 2, 3}, {0, 3})
-    strands, misses, built, lookups = [], [], [], []
+    strands, misses, built, lookups, patterns = [], [], [], [], []
     cech_strand, degree = localcoh._cech_strand, localcoh._degree
     record, sign_pattern = localcoh._SignPattern, localcoh.negative
+    pattern_record = localcoh._pattern
 
     def counted(b, pattern):
         strands.append(pattern)
@@ -521,7 +522,12 @@ def test_one_lookup_per_degree_and_pattern(monkeypatch, cold_localcoh):
         lookups.append(p)
         return sign_pattern(p)
 
+    def through_pattern(b, pattern):
+        patterns.append(pattern)
+        return pattern_record(b, pattern)
+
     monkeypatch.setattr(localcoh, "_cech_strand", counted)
+    monkeypatch.setattr(localcoh, "_pattern", through_pattern)
     monkeypatch.setattr(localcoh, "_degree", missed)
     monkeypatch.setattr(localcoh, "_SignPattern", building)
     monkeypatch.setattr(localcoh, "negative", counting)
@@ -533,6 +539,7 @@ def test_one_lookup_per_degree_and_pattern(monkeypatch, cold_localcoh):
     assert not hasattr(_degree, "cache_info")
     assert len(built) == len(set(built)) == 2**4
     assert [sign_pattern(p) for p in lookups] == built  # only to build
+    assert patterns == built  # each miss that builds calls _pattern once
     assert _records.cache_info().misses == 1
     assert len(_records(b)) == 2**4
     assert len(strands) == len(set(strands)) == 2**4

@@ -353,6 +353,12 @@ class TestT1Polygon:
         with pytest.raises(ValueError):
             t1_polygon([(0, 0), (2, 0), (1, 2), (1, 1)])
 
+    def test_cross_check_disagreement_raises(self, monkeypatch):
+        # an error, not an assert, so that it survives python -O
+        monkeypatch.setattr(t1, "t1_affine", lambda cone: SimpleNamespace(total=0))
+        with pytest.raises(RuntimeError, match="polygon formula disagrees with the affine computation"):
+            t1_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+
 
 def per_derivative_jacobian_rank(fan, poly):
     """Rank of the Jacobian system of ``cy_t1``, its rows built as they were
@@ -1417,7 +1423,7 @@ def test_one_face_walk_per_cone(monkeypatch, rays):
         return all_faces(cone)
 
     monkeypatch.setattr(t1, "faces", counting)
-    monkeypatch.setattr(t1, "_last_walk", (None, None))
+    t1._non_rigid_face.cache_clear()
     cone = affine_cone(rays)
     report = t1_affine(cone)
     assert len({id(c) for c in walked}) == len(walked)
@@ -1429,6 +1435,8 @@ def test_one_face_walk_per_cone(monkeypatch, rays):
     else:
         assert der_part_exact(cone) == (None, Completeness.INFINITE)
     assert [c for c in walked if c is cone] == [cone]
+    info = t1._non_rigid_face.cache_info()
+    assert info.misses == len(walked) and info.hits >= 1
 
 
 def test_parts_refuse_a_non_rigid_face_after_t1_affine():

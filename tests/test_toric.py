@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cone_oracles import cone_contains
-from toric_oracles import proper_faces_fan, wps_singular_ideal
+from toric_oracles import height, proper_faces_fan, wps_singular_ideal
 from torrigid.cli import load_fan
 from torrigid.lattice import (
     content,
@@ -49,7 +49,7 @@ from torrigid.toric import (
     smooth_subfan,
     validate_fan,
     wps_normalize,
-    wps_rigidity_condition,
+    wps_shared_factor,
 )
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
@@ -436,8 +436,9 @@ def small_fans(draw):
 class TestSingularCodim:
     @given(small_fans())
     def test_equals_all_faces_minimum(self, fan):
+        cones = [fan.cone(f) for idx in fan.max_cones for f in faces(fan.cone(idx))]
         for codim, good in ((singular_codim, smooth_by_smith), (simplicial_codim, is_simplicial)):
-            assert codim(fan) == min((c.dim for c in fan.cones() if not good(c)), default=inf)
+            assert codim(fan) == min((c.dim for c in cones if not good(c)), default=inf)
             for idx in fan.max_cones:
                 cone = fan.cone(idx)
                 dims = [fan.cone(f).dim for f in faces(cone) if not good(fan.cone(f))]
@@ -591,9 +592,9 @@ class TestWps:
         assert wps_normalize(WeightSystem((1, 1, 2, 3))).weights == (1, 1, 2, 3)
 
     def test_rigidity_condition(self):
-        assert wps_rigidity_condition(WeightSystem((1, 1, 2, 3)))
-        assert not wps_rigidity_condition(WeightSystem((1, 1, 2, 2)))
-        assert wps_rigidity_condition(WeightSystem((1, 1, 1, 1, 1)))
+        assert wps_shared_factor(WeightSystem((1, 1, 2, 3))) is None
+        assert wps_shared_factor(WeightSystem((1, 1, 2, 2))) == ((2, 3), 2)
+        assert wps_shared_factor(WeightSystem((1, 1, 1, 1, 1))) is None
 
     def test_singular_ideal(self):
         j = wps_singular_ideal(WeightSystem((1, 1, 2, 3)))
@@ -602,15 +603,15 @@ class TestWps:
             frozenset({1}),
             frozenset({2, 3}),
         }
-        assert j.height() == 3
+        assert height(j) == 3
         assert wps_singular_ideal(WeightSystem((1, 1, 1))).is_unit
 
     def test_condition_matches_codim(self):
         for n in (2, 3):
             for w in itertools.product(range(1, 5), repeat=n + 1):
                 q = WeightSystem(w)
-                cond = wps_rigidity_condition(q)
-                codim = wps_singular_ideal(q).height()
+                cond = wps_shared_factor(q) is None
+                codim = height(wps_singular_ideal(q))
                 assert cond == (codim >= 3), (w, cond, codim)
 
 

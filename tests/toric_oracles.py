@@ -3,10 +3,11 @@
 torrigid does not need these to compute anything; the tests build second
 ideals, complexes and fans from them and compare torrigid's answers there:
 local cohomology at the codimension-two ideal of a fan (criteria 6 and 7),
-the singular locus of a weighted projective space (criterion 9), and the fan
-of the proper faces of a cone.
+the singular locus of a weighted projective space and its height
+(criterion 9), and the fan of the proper faces of a cone.
 """
 
+from itertools import combinations
 from math import lcm
 
 from torrigid.ideals import SquarefreeMonomialIdeal, minimalize
@@ -50,6 +51,32 @@ def codim2_ideal(fan: Fan) -> SquarefreeMonomialIdeal:
     return SquarefreeMonomialIdeal(m, minimalize(gens))
 
 
+def intersect(i: SquarefreeMonomialIdeal, j: SquarefreeMonomialIdeal) -> SquarefreeMonomialIdeal:
+    if i.num_vars != j.num_vars:
+        raise ValueError("variable count mismatch")
+    if i.is_zero or j.is_zero:
+        return SquarefreeMonomialIdeal(i.num_vars, ())
+    gens = [g | h for g in i.generators for h in j.generators]
+    return SquarefreeMonomialIdeal(i.num_vars, minimalize(gens))
+
+
+def height(ideal: SquarefreeMonomialIdeal) -> int | float:
+    """Codimension of the vanishing locus: least size of a hitting set
+    meeting every generator support.  The unit ideal has infinite height,
+    the zero ideal height 0."""
+    if ideal.is_unit:
+        return float("inf")
+    if ideal.is_zero:
+        return 0
+    supports = ideal.generators
+    for size in range(1, ideal.num_vars + 1):
+        for cover in combinations(range(ideal.num_vars), size):
+            cset = set(cover)
+            if all(cset & g for g in supports):
+                return size
+    return ideal.num_vars  # unreachable for nonzero proper ideals
+
+
 def wps_singular_ideal(q: WeightSystem) -> SquarefreeMonomialIdeal:
     """Intersection over primes p | lcm(q) of the ideals (x_i : p does not
     divide q_i); its vanishing locus is the singular locus."""
@@ -68,7 +95,7 @@ def wps_singular_ideal(q: WeightSystem) -> SquarefreeMonomialIdeal:
     ideal = SquarefreeMonomialIdeal(len(w), (frozenset(),))  # unit ideal
     for p in primes:
         gens = tuple(frozenset([i]) for i, qi in enumerate(w) if qi % p != 0)
-        ideal = ideal.intersect(SquarefreeMonomialIdeal(len(w), gens))
+        ideal = intersect(ideal, SquarefreeMonomialIdeal(len(w), gens))
     return ideal
 
 
