@@ -132,7 +132,7 @@ def load_polynomial(path: str, fan: Fan):
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"{path}: term {k} has bad coefficient {term['coeff']!r}") from exc
         exp = term["exp"]
-        if not isinstance(exp, list) or not all(_is_int(x) and x >= 0 for x in exp):
+        if not isinstance(exp, list) or not all(map(_is_int, exp)) or (exp and min(exp) < 0):
             raise InputError(f"{path}: term {k} has a bad exponent vector")
         terms.append((coeff, tuple(exp)))
     try:

@@ -275,28 +275,40 @@ def _full_rank_mod_p(a: Sequence[Sequence[int]], k: int) -> bool:
     dependent).  Each vector is reduced modulo P against the pivot vectors
     found so far, in the order they were found; a nonzero remainder is the
     next pivot vector.  The scan returns False once fewer vectors are left
-    than pivots missing."""
+    than pivots missing.
+
+    Each visited vector is packed into one int of k slots of
+    w = 2 * bitlen(P) + bitlen(k) + 1 bits, its entries first reduced
+    modulo P, and so is each pivot vector, so that a reduction by a pivot
+    with factor f is one ``packed += (P - f) * pivot``.  A slot starts below
+    P and gains at most (P - 1)^2 at each of at most k - 1 reductions, so it
+    stays nonnegative and below P + (k - 1)(P - 1)^2 < 2^w and never carries
+    into the next slot; the slots are unpacked and reduced once per vector,
+    after its last reduction."""
     n = max(len(a), len(a[0]))
     tall = len(a) == n
     stride = next(s for s in itertools.count(n // k + 1) if gcd(s, n) == 1)
-    # (position of the leading entry, the vector scaled to lead with 1)
-    pivots: list[tuple[int, list[int]]] = []
+    w = 2 * _P.bit_length() + k.bit_length() + 1
+    mask = (1 << w) - 1
+    shifts = range(0, k * w, w)
+    # (shift of the leading slot, the packed vector scaled to lead with 1)
+    pivots: list[tuple[int, int]] = []
     j = 0
     for left in range(n, 0, -1):
         if left < k - len(pivots):
             return False
         v = a[j] if tall else [row[j] for row in a]
         j = (j + stride) % n
-        # v stays congruent to the remainder; it is reduced modulo P where read
-        for pos, w in pivots:
-            f = v[pos] % _P
+        packed = sum([x % _P << s for x, s in zip(v, shifts)])
+        for s, pivot in pivots:
+            f = (packed >> s & mask) % _P
             if f:
-                v = [x - f * y for x, y in zip(v, w)]
-        v = [x % _P for x in v]
+                packed += (_P - f) * pivot
+        v = [(packed >> s & mask) % _P for s in shifts]
         pos = next((i for i, x in enumerate(v) if x), None)
         if pos is not None:
             inv = pow(v[pos], -1, _P)
-            pivots.append((pos, [x * inv % _P for x in v]))
+            pivots.append((pos * w, sum([x * inv % _P << s for x, s in zip(v, shifts)])))
             if len(pivots) == k:
                 return True
     return False

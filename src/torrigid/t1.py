@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -586,7 +586,7 @@ class CoxPolynomial:
         for c, e in self.terms:
             if c == 0:
                 raise ValueError("zero coefficient")
-            if len(e) != width or any(x < 0 for x in e):
+            if len(e) != width or (e and min(e) < 0):
                 raise ValueError(f"bad exponent {e}")
 
     @property
@@ -599,31 +599,47 @@ def cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
     terms share one class degree.  Terms that cancel are dropped; a
     polynomial with no term left is zero and defines no hypersurface.  The
     given terms are checked as ``CoxPolynomial`` checks them, in the pass
-    that combines them, so only the combined polynomial is built."""
-    combined: dict[Vec, Fraction] = {}
+    that combines them, so only the combined polynomial is built.
+
+    Coefficients are added in their own exact arithmetic (a coefficient that
+    is neither ``int`` nor ``Fraction`` is first converted by ``Fraction``),
+    and each kept one becomes one ``Fraction``.  A term e has the class
+    degree of the first kept term ref exactly when d = e - ref has class 0
+    (``CoxData.class_of``): every grading row is 0 on d, and every torsion
+    row is 0 on d modulo its invariant factor."""
+    combined: dict[Vec, int | Fraction] = {}
     width = None
     for c, e in terms:
         e = tuple(e)
         width = len(e) if width is None else width
         if c == 0:
             raise ValueError("zero coefficient")
-        if len(e) != width or any(x < 0 for x in e):
+        if len(e) != width or (e and min(e) < 0):
             raise ValueError(f"bad exponent {e}")
-        combined[e] = combined.get(e, 0) + (c if isinstance(c, Fraction) else Fraction(c))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        combined[e] = combined.get(e, 0) + c
     if width is None:
         raise ValueError("polynomial must have at least one term")
     if width != fan.num_rays:
         raise ValueError(f"exponents have length {width}, fan has {fan.num_rays} rays")
-    kept = tuple((c, e) for e, c in combined.items() if c)
+    kept = tuple((Fraction(c), e) for e, c in combined.items() if c)
     if not kept:
         raise ValueError("polynomial is zero")
     poly = CoxPolynomial(kept)
     cox = class_group(fan)
-    ref = poly.terms[0][1]
-    degree = cox.class_of(ref)
-    for _, e in poly.terms[1:]:
-        if cox.class_of(e) != degree:
-            raise ValueError(f"terms {ref} and {e} have different class degrees")
+    n = cox.ambient_rank
+    # (row, modulus): a grading row must vanish on d, a torsion row modulo
+    # its factor
+    rows = [(row, 0) for row in cox.grading_matrix]
+    rows += zip(cox.smith.u[n - len(cox.torsion) : n], cox.torsion)
+    ref = kept[0][1]
+    for _, e in kept[1:]:
+        d = tuple(map(sub, e, ref))
+        for row, f in rows:
+            x = sum(map(mul, row, d))
+            if x % f if f else x:
+                raise ValueError(f"terms {ref} and {e} have different class degrees")
     return poly
 
 
@@ -782,9 +798,8 @@ def cy_t1(fan: Fan, poly: CoxPolynomial) -> CyReport:
     # code(d) + code(e) - code(1, ..., 1) is in ``index``
     weights, index = table.weights, table.index
     ones = sum(weights)
-    derivatives = [
-        [(c * e[k], sum(map(mul, e, weights)) - ones) for c, e in terms if e[k]] for k in range(m)
-    ]
+    coded = [(c, e, sum(map(mul, e, weights)) - ones) for c, e in terms]
+    derivatives = [[(c * e[k], offset) for c, e, offset in coded if e[k]] for k in range(m)]
     count = len(index)
     rows = []
     for code, k in table.slots:

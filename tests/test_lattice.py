@@ -762,6 +762,83 @@ def test_int_rank_scan_matches_sympy(m):
     assert int_rank(m) == sympy_domain_rank(m)
 
 
+def unpacked_full_rank_mod_p(a, k):
+    """The scan of ``lattice._full_rank_mod_p`` with each vector a list:
+    reduced entry by entry against the pivot vectors, which are scaled to
+    lead with 1, and reduced modulo P where read."""
+    p = lattice._P
+    n = max(len(a), len(a[0]))
+    tall = len(a) == n
+    stride = next(s for s in itertools.count(n // k + 1) if gcd(s, n) == 1)
+    pivots = []
+    j = 0
+    for left in range(n, 0, -1):
+        if left < k - len(pivots):
+            return False
+        v = a[j] if tall else [row[j] for row in a]
+        j = (j + stride) % n
+        for pos, w in pivots:
+            f = v[pos] % p
+            if f:
+                v = [x - f * y for x, y in zip(v, w)]
+        v = [x % p for x in v]
+        pos = next((i for i, x in enumerate(v) if x), None)
+        if pos is not None:
+            inv = pow(v[pos], -1, p)
+            pivots.append((pos, [x * inv % p for x in v]))
+            if len(pivots) == k:
+                return True
+    return False
+
+
+def slot_bound_vectors(kind, k, n, rng):
+    """n vectors of k entries whose residues modulo P press on the slot
+    bound of the packed scan."""
+    p = lattice._P
+    if kind == "all_p_minus_1":  # every residue P - 1: rank 1
+        return [[p - 1] * k for _ in range(n)]
+    if kind == "near_p_minus_1":  # residues P - 1, P - 2, ..., also as -1, 2P - 1
+        return [[rng.choice((1, -1, 2)) * p - rng.randint(1, 3) for _ in range(k)] for _ in range(n)]
+    if kind == "multiples_of_p":  # zero residues among the entries
+        return [[rng.choice((0, p, -p, 5 * p, rng.randint(-9, 9))) for _ in range(k)] for _ in range(n)]
+    if kind == "negative":
+        return [[-rng.randint(1, 10**12) for _ in range(k)] for _ in range(n)]
+    # dependent vectors at the start of the stride order: multiples of the
+    # first, some by P - 1 or by a multiple of P
+    vectors = [[rng.randint(-(p - 1), p - 1) for _ in range(k)] for _ in range(n)]
+    stride = next(s for s in itertools.count(n // k + 1) if gcd(s, n) == 1)
+    first = vectors[0]
+    for i in range(1, rng.randint(2, n - k + 1)):
+        c = rng.choice((-1, 2, p - 1, p, -3 * p))
+        vectors[i * stride % n] = [c * x for x in first]
+    return vectors
+
+
+@pytest.mark.parametrize(
+    "kind", ["all_p_minus_1", "near_p_minus_1", "multiples_of_p", "negative", "dependent_start"]
+)
+def test_packed_scan_matches_unpacked(kind):
+    # the packed slots of lattice._full_rank_mod_p must give the verdict of
+    # the scan on lists, on tall and wide matrices with k from 5 to 64
+    rng = random.Random(kind)
+    verdicts = []
+    for t in range(12):
+        k = 64 if t == 0 else rng.randint(5, 64)
+        n = rng.randint(k, 2 * k)
+        vectors = slot_bound_vectors(kind, k, n, rng)
+        # the vectors are the rows of a tall matrix, the columns of a wide one
+        m = vectors if t % 2 else [list(col) for col in zip(*vectors)]
+        copy = [list(row) for row in m]
+        verdict = lattice._full_rank_mod_p(m, k)
+        assert verdict == unpacked_full_rank_mod_p(m, k), (k, n, t)
+        assert m == copy
+        verdicts.append(verdict)
+    if kind == "all_p_minus_1":
+        assert not any(verdicts)
+    elif kind != "multiples_of_p":
+        assert all(verdicts)
+
+
 @st.composite
 def fraction_matrices(draw):
     """Fraction matrices with nontrivial denominators, some rank-deficient."""

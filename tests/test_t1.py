@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from torrigid import localcoh, t1
+from toric_oracles import class_of_cox_polynomial
+from torrigid import lattice, localcoh, t1
 from torrigid.cli import load_fan, load_polynomial
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.lattice import (
@@ -488,6 +489,25 @@ class TestCyT1:
         report = cy_t1(p5, cox_polynomial(p5, fermat_under_change(a)))
         assert (report.monomial_count, report.jacobian_rank, report.dimension) == (462, 36, 426)
 
+    @pytest.mark.parametrize("num_vars,seed", [(5, 10), (5, 11), (5, 12), (6, 10)])
+    def test_certified_rank_matches_bareiss(self, monkeypatch, num_vars, seed):
+        # the rank certified modulo P by the packed scan is the rank that
+        # fraction-free elimination finds when the scan is switched off
+        fan = projective_fan(num_vars - 1)
+        poly = cox_polynomial(fan, random_fermat_under_change(seed, num_vars))
+        scan = lattice._full_rank_mod_p
+        verdicts = []
+
+        def recording(a, k):
+            verdicts.append(scan(a, k))
+            return verdicts[-1]
+
+        monkeypatch.setattr(lattice, "_full_rank_mod_p", recording)
+        certified = cy_t1(fan, poly)
+        assert verdicts == [True]
+        monkeypatch.setattr(lattice, "_full_rank_mod_p", lambda a, k: False)
+        assert cy_t1(fan, poly) == certified
+
     def test_quintic_with_fractional_coefficients(self, p4_fan):
         coeffs = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(-3), Fraction(4, 9)]
         terms = [(c, tuple(5 if j == i else 0 for j in range(5))) for i, c in enumerate(coeffs)]
@@ -716,6 +736,107 @@ def test_torsion_splits_the_anticanonical_degree():
     members = [e for e in quintics if e in table.members]
     assert len(quintics) == 126 and len(members) == 26 == len(table.index)
     assert all(sum(j * x for j, x in enumerate(e)) % 5 == 0 for e in members)
+
+
+def torsion_square():
+    """Rays (+-1, +-1): class group Z^2 + Z/2, as in
+    ``test_cox_polynomial_compares_torsion``."""
+    return validate_fan([(1, 1), (1, -1), (-1, 1), (-1, -1)], [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+COX_POLYNOMIAL_FANS = {**CY_FANS, "(+-1, +-1)": torsion_square()}
+# a shift of the free degree 0 and a nonzero torsion class, on the fans
+# with torsion
+TORSION_SHIFTS = {"P4/Z5": (-1, 1, 0, 0, 0), "(+-1, +-1)": (-1, 0, 0, 1)}
+
+
+def random_coefficient(rng):
+    """Nonzero: an int, a Fraction, True or a float."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    if kind == 1:
+        return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+    if kind == 2:
+        return True
+    return rng.choice((0.1, 0.2, -0.3, 0.5, -1.5, 2.0))
+
+
+def random_terms(rng, fan, torsion_shift=None):
+    """A term list for the fan, valid or invalid.  Most exponents come from
+    a pool of one class (ref + p(u) for small characters u, where that stays
+    nonnegative), so equal exponents meet, and some terms are cancelled by
+    their negatives.  One exponent in twelve is of another class (drawn
+    independently, or half the time ref + ``torsion_shift`` when given), one
+    in twelve has a wrong length or a negative entry, and half are lists;
+    one coefficient in twelve is zero (0, False, 0.0 or Fraction(0)).  One
+    term list in twenty is empty, and one in twenty has every exponent one
+    entry short."""
+    m, n = fan.num_rays, fan.ambient_rank
+    ref = tuple(rng.randint(1, 3) for _ in range(m))
+    pool = [ref]
+    for _ in range(rng.randint(0, 3)):
+        u = [rng.randint(-1, 1) for _ in range(n)]
+        e = tuple(x + sum(map(mul, u, v)) for x, v in zip(ref, fan.rays))
+        if min(e) >= 0:
+            pool.append(e)
+    if torsion_shift and rng.random() < 0.5:
+        other = tuple(map(add, ref, torsion_shift))
+    else:
+        other = tuple(rng.randint(0, 3) for _ in range(m))
+    terms = []
+    for _ in range(0 if rng.random() < 0.05 else rng.randint(1, 6)):
+        pick = rng.randrange(12)
+        if pick == 0:
+            e = other
+        elif pick == 1:
+            e = tuple(rng.randint(-1, 3) for _ in range(rng.choice((m, m, m - 1, m + 1))))
+        else:
+            e = rng.choice(pool)
+        c = rng.choice((0, False, 0.0, Fraction(0))) if rng.randrange(12) == 0 else random_coefficient(rng)
+        terms.append((c, list(e) if rng.random() < 0.5 else e))
+    terms += [(-c, e) for c, e in terms if rng.random() < 0.3]
+    if rng.random() < 0.05:  # one entry short of the fan's rays throughout
+        terms = [(c, tuple(e)[1:]) for c, e in terms]
+    rng.shuffle(terms)
+    return terms
+
+
+def cox_polynomial_outcome(build, fan, terms):
+    """The polynomial with the types of its coefficients, or the message of
+    the ``ValueError`` raised."""
+    try:
+        poly = build(fan, terms)
+    except ValueError as exc:
+        return str(exc)
+    return poly, [type(c) for c, _ in poly.terms]
+
+
+@pytest.mark.parametrize("name", COX_POLYNOMIAL_FANS)
+def test_cox_polynomial_matches_class_of_reference(name):
+    # ints add as ints and the class degree is tested on e - ref, with the
+    # same result, or the same message, as one Fraction addition per term
+    # and one class_of per term
+    fan = COX_POLYNOMIAL_FANS[name]
+    rng = random.Random(name)
+    outcomes = Counter()
+    for _ in range(300):
+        terms = random_terms(rng, fan, TORSION_SHIFTS.get(name))
+        outcome = cox_polynomial_outcome(cox_polynomial, fan, terms)
+        assert outcome == cox_polynomial_outcome(class_of_cox_polynomial, fan, terms), terms
+        outcomes[outcome.split(" ")[0] if isinstance(outcome, str) else len(outcome[0].terms) > 1] += 1
+    # valid polynomials of one term and of several, and every refusal
+    assert set(outcomes) == {True, False, "zero", "bad", "polynomial", "exponents", "terms"}
+
+
+def test_float_coefficients_convert_before_they_add(p4_fan):
+    # each float converts exactly, so 0.1 and 0.2 on one exponent give
+    # Fraction(0.1) + Fraction(0.2), not Fraction(0.1 + 0.2)
+    x0 = (5, 0, 0, 0, 0)
+    terms = [(0.1, x0), (0.2, x0)]
+    assert Fraction(0.1) + Fraction(0.2) != Fraction(0.1 + 0.2)
+    assert cox_polynomial(p4_fan, terms).terms == ((Fraction(0.1) + Fraction(0.2), x0),)
+    assert cox_polynomial(p4_fan, terms) == class_of_cox_polynomial(p4_fan, terms)
 
 
 @pytest.mark.parametrize(

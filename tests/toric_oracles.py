@@ -4,15 +4,19 @@ torrigid does not need these to compute anything; the tests build second
 ideals, complexes and fans from them and compare torrigid's answers there:
 local cohomology at the codimension-two ideal of a fan (criteria 6 and 7),
 the singular locus of a weighted projective space and its height
-(criterion 9), and the fan of the proper faces of a cone.
+(criterion 9), and the fan of the proper faces of a cone.  It also keeps
+the first ``cox_polynomial``, which adds every coefficient as a ``Fraction``
+and compares the full ``class_of`` of every term.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from torrigid.ideals import SquarefreeMonomialIdeal, minimalize
 from torrigid.localcoh import SimplicialComplex
-from torrigid.toric import Cone, Fan, Graph, WeightSystem, _lifted_faces, faces, graph_gamma
+from torrigid.t1 import CoxPolynomial
+from torrigid.toric import Cone, Fan, Graph, WeightSystem, _lifted_faces, class_group, faces, graph_gamma
 
 
 def clique_complex(g: Graph) -> SimplicialComplex:
@@ -119,3 +123,35 @@ def halfspace_slice_connected(vertices, vertex, normal) -> bool:
     )
     edges = frozenset(f for f in _lifted_faces(pts) if len(f) == 2 and f <= keep)
     return len(Graph(keep, edges).connected_components()) <= 1
+
+
+def class_of_cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
+    """``cox_polynomial`` with one ``Fraction`` addition per term and the
+    class degree of every kept term read by ``CoxData.class_of`` and compared
+    with that of the first: the same polynomial, or the same ``ValueError``
+    message."""
+    combined: dict = {}
+    width = None
+    for c, e in terms:
+        e = tuple(e)
+        width = len(e) if width is None else width
+        if c == 0:
+            raise ValueError("zero coefficient")
+        if len(e) != width or any(x < 0 for x in e):
+            raise ValueError(f"bad exponent {e}")
+        combined[e] = combined.get(e, 0) + (c if isinstance(c, Fraction) else Fraction(c))
+    if width is None:
+        raise ValueError("polynomial must have at least one term")
+    if width != fan.num_rays:
+        raise ValueError(f"exponents have length {width}, fan has {fan.num_rays} rays")
+    kept = tuple((c, e) for e, c in combined.items() if c)
+    if not kept:
+        raise ValueError("polynomial is zero")
+    poly = CoxPolynomial(kept)
+    cox = class_group(fan)
+    ref = poly.terms[0][1]
+    degree = cox.class_of(ref)
+    for _, e in poly.terms[1:]:
+        if cox.class_of(e) != degree:
+            raise ValueError(f"terms {ref} and {e} have different class degrees")
+    return poly
