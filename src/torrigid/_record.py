@@ -6,8 +6,7 @@ plus a shared ``__repr__`` and ``__setattr__``/``__delattr__`` that raise
 ``AttributeError``.  ``__init__`` sets the fields in order and then calls
 ``__post_init__`` when the class has one.  Two records are equal when they are
 of the same class and their field tuples are equal; the hash is the hash of
-that tuple.  Fields named in ``hidden`` are constructor arguments left out of
-equality, hashing and the repr.  A method the class defines itself is kept.
+that tuple.  A method the class defines itself is kept.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ def _delattr(self, name) -> None:
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def frozen(cls=None, /, *, hidden: tuple[str, ...] = ()):
-    """Make ``cls`` a frozen record; use as ``@frozen`` or ``@frozen(hidden=...)``."""
-    if cls is None:
-        return lambda c: frozen(c, hidden=hidden)
+def frozen(cls):
+    """Make ``cls`` a frozen record; use as ``@frozen``."""
     names = tuple(cls.__annotations__)
     scope = {"_set": object.__setattr__}
     params = ["self"]
@@ -42,9 +39,8 @@ def frozen(cls=None, /, *, hidden: tuple[str, ...] = ()):
     body = [f" _set(self, {name!r}, {name})" for name in names]
     if hasattr(cls, "__post_init__"):
         body.append(" self.__post_init__()")
-    compared = tuple(name for name in names if name not in hidden)
-    mine = "".join(f"self.{name}," for name in compared)
-    theirs = "".join(f"other.{name}," for name in compared)
+    mine = "".join(f"self.{name}," for name in names)
+    theirs = "".join(f"other.{name}," for name in names)
     source = "\n".join(
         [
             f"def __init__({', '.join(params)}):",
@@ -61,5 +57,5 @@ def frozen(cls=None, /, *, hidden: tuple[str, ...] = ()):
     for name, method in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)
-    cls._record_fields = compared
+    cls._record_fields = names
     return cls

@@ -400,14 +400,12 @@ def _cech_strand(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> dict:
     generators, for the sign pattern of negative coordinates."""
     supports = b.generators
     s = len(supports)
-    union: dict[frozenset[int], frozenset[int]] = {}
     alive: dict[int, list[frozenset[int]]] = {}
     for t in range(s + 1):
         alive[t] = []
         for combo in itertools.combinations(range(s), t):
             key = frozenset(combo)
             u = frozenset().union(*(supports[j] for j in combo)) if combo else frozenset()
-            union[key] = u
             if pattern <= u:
                 alive[t].append(key)
     ranks = {}

@@ -37,7 +37,6 @@ from .lattice import (
     AffineSystem,
     UnboundedPolyhedronError,
     Vec,
-    _adjugate,
     _gauss_jordan,
     _saturated_span,
     hilbert_basis,
@@ -228,45 +227,32 @@ def _chamber_characters(
     so T^1 is finite, while an unbounded chamber that held one character
     would hold infinitely many, all with its kernel.
 
-    A chamber whose one-point intervals pin x_k = c_k, k in E, on rays that
-    span M_Q holds at most u = adj(V_B) c_B / det(V_B), B the first n
-    positions of E with independent rays: it is skipped unranked when u is
-    not integral or p(u) leaves an interval, and otherwise ranked with no
-    ``lattice_points``.  With ``gale`` the kernel lies in K_E (x) H, where
-    dim K_E = |E| - rank(v_k : k in E) (``hom_q_h3``), so a chamber whose
-    pinned rays are independent is skipped unranked.  The rank, B, adj(V_B)
-    and det(V_B) of each pinned set are computed once per call."""
+    A chamber whose one-point intervals pin x_k = c_k, k in E, with |E| >= n
+    (or any chamber with ``gale``) is decided by one ``_gauss_jordan`` of
+    its equality rows [v_k | c_k]: the pivots among the first n columns
+    give rank(V_E), and a pivot in column n means the equalities have no
+    rational solution.  At rank n their one solution, if any, is u with
+    u_c = a_r[n] / a_r[c] for the pivot row a_r of column c: the chamber
+    is skipped unranked when there is no solution, u is not integral or
+    p(u) leaves an interval, and otherwise ranked with no
+    ``lattice_points``.  With ``gale`` the
+    kernel lies in K_E (x) H, where dim K_E = |E| - rank(V_E)
+    (``hom_q_h3``), so a chamber whose pinned rays are independent is
+    skipped unranked."""
     n = len(rays[0])
-    # the intervals of coordinate k as (key, lo, hi, pinned bit, equalities,
+    # the intervals of coordinate k as (key, lo, hi, equalities,
     # inequalities); the key of a one-point interval is its point
     intervals = []
-    for k, (v, s) in enumerate(zip(rays, shifts)):
+    for v, s in zip(rays, shifts):
         below = tuple(-c for c in v)
         ivs = []
         for key, lo, hi in _intervals(s):
             if lo == hi:
-                ivs.append((key, lo, hi, 1 << k, ((v, lo),), ()))
+                ivs.append((key, lo, hi, ((v, lo),), ()))
             else:
                 rows = () if lo is None else ((v, lo),)
-                ivs.append((key, lo, hi, 0, (), rows if hi is None else (*rows, (below, -hi))))
+                ivs.append((key, lo, hi, (), rows if hi is None else (*rows, (below, -hi))))
         intervals.append(ivs)
-
-    # (rank, B, adj(V_B), det(V_B)) of the pinned set at a mask; B, adj and
-    # det None unless it pins and is not Gale-null, the rank None if unused
-    @lru_cache(maxsize=None)
-    def subset(mask: int) -> tuple:
-        positions = [k for k in range(len(rays)) if mask >> k & 1]
-        if len(positions) < n and not gale:
-            return None, None, None, None
-        basis = [positions[c] for c in _gauss_jordan([[rays[k][i] for k in positions] for i in range(n)])]
-        if len(basis) < n or (gale and len(basis) == len(positions)):
-            return len(basis), None, None, None
-        return n, basis, *inverse(tuple(basis))
-
-    @lru_cache(maxsize=None)
-    def inverse(basis: tuple[int, ...]) -> tuple[list[list[int]], int]:
-        v_b = [rays[k] for k in basis]
-        return _adjugate(v_b), int_det(v_b)
 
     concat = itertools.chain.from_iterable
     found: list[tuple[Vec, int]] = []
@@ -275,30 +261,30 @@ def _chamber_characters(
         choices = [ivs[1:] if k in pattern else ivs[:1] for k, ivs in enumerate(intervals)]
         for chamber in itertools.product(*choices):
             key = tuple([iv[0] for iv in chamber])
-            mask = sum([iv[3] for iv in chamber])
-            rank, basis, adj, det = subset(mask)
-            if gale and rank == mask.bit_count():
-                continue
+            eqs = tuple(concat([iv[3] for iv in chamber]))
             points = None
-            if basis is not None:
-                # the one character that the pinned coordinates allow
-                c = [key[k] for k in basis]
-                u = [sum(map(mul, row, c)) for row in adj]
-                if any(x % det for x in u):
+            if gale or len(eqs) >= n:
+                a = [[*v, c] for v, c in eqs]
+                pivots = _gauss_jordan(a)
+                rank = len(pivots) - (n in pivots)
+                if gale and rank == len(eqs):
                     continue
-                u = tuple([x // det for x in u])
-                if any(
-                    (lo is not None and x < lo) or (hi is not None and x > hi)
-                    for x, (_, lo, hi, *_) in zip(_fine_degree(rays, u), chamber)
-                ):
-                    continue
-                points = [u]
+                if rank == n:
+                    # the one character that the pinned coordinates allow
+                    if n in pivots or any(r[n] % r[c] for c, r in zip(pivots, a)):
+                        continue
+                    u = tuple([r[n] // r[c] for c, r in zip(pivots, a)])
+                    if any(
+                        (lo is not None and x < lo) or (hi is not None and x > hi)
+                        for x, (_, lo, hi, *_) in zip(_fine_degree(rays, u), chamber)
+                    ):
+                        continue
+                    points = [u]
             ker = kernel(key)
             if not ker:
                 continue
             if points is None:
-                eqs = tuple(concat([iv[4] for iv in chamber]))
-                rows = tuple(concat([iv[5] for iv in chamber]))
+                rows = tuple(concat([iv[4] for iv in chamber]))
                 try:
                     points = lattice_points(AffineSystem(n, eqs, rows))
                 except UnboundedPolyhedronError:
@@ -628,11 +614,10 @@ def cox_polynomial(fan: Fan, terms) -> CoxPolynomial:
         raise ValueError("polynomial is zero")
     poly = CoxPolynomial(kept)
     cox = class_group(fan)
-    n = cox.ambient_rank
     # (row, modulus): a grading row must vanish on d, a torsion row modulo
     # its factor
     rows = [(row, 0) for row in cox.grading_matrix]
-    rows += zip(cox.smith.u[n - len(cox.torsion) : n], cox.torsion)
+    rows += zip(cox.torsion_rows, cox.torsion)
     ref = kept[0][1]
     for _, e in kept[1:]:
         d = tuple(map(sub, e, ref))

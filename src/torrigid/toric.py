@@ -23,7 +23,6 @@ from typing import NamedTuple, Sequence
 from ._record import frozen
 from .ideals import SquarefreeMonomialIdeal, minimalize
 from .lattice import (
-    SmithDecomposition,
     Vec,
     _gauss_jordan,
     content,
@@ -271,15 +270,16 @@ def simplicial_codim(obj: Fan | Cone) -> int | float:
 # Class group and Cox grading
 
 
-@frozen(hidden=("smith",))
+@frozen
 class CoxData:
     """Grading data of the total coordinate ring.
 
     ``grading_matrix`` is an r x m integer matrix whose rows project the
     ray-divisor lattice Z^m onto the free part of the class group; it
     annihilates the row lattice of ``ray_matrix``.  Torsion is reported
-    separately and never encoded in the grading matrix.  ``smith`` is the
-    Smith decomposition of ``ray_matrix``, kept for the degree tests.
+    separately and never encoded in the grading matrix.  ``torsion_rows``
+    are the rows of the Smith transform U (U * ray_matrix * V = D) at the
+    invariant factors in ``torsion``, kept for the degree tests.
     """
 
     num_rays: int
@@ -287,7 +287,7 @@ class CoxData:
     grading_matrix: tuple[Vec, ...]
     ray_matrix: tuple[Vec, ...]
     torsion: tuple[int, ...]
-    smith: SmithDecomposition
+    torsion_rows: tuple[Vec, ...]
 
     @property
     def free_rank(self) -> int:
@@ -303,10 +303,8 @@ class CoxData:
         the grading matrix (the rows of U past the rank) times e.  Two
         exponents have the same class exactly when their difference lies in
         the row lattice of the rays."""
-        n = self.ambient_rank
-        rows = self.smith.u[n - len(self.torsion) : n]
         return (
-            tuple(sum(map(mul, row, e)) % d for row, d in zip(rows, self.torsion)),
+            tuple(sum(map(mul, row, e)) % d for row, d in zip(self.torsion_rows, self.torsion)),
             tuple(sum(map(mul, row, e)) for row in self.grading_matrix),
         )
 
@@ -336,7 +334,7 @@ def class_group(fan: Fan) -> CoxData:
         grading_matrix=a_rows,
         ray_matrix=b,
         torsion=torsion,
-        smith=snf,
+        torsion_rows=snf.u[n - len(torsion) : n],
     )
 
 

@@ -2,8 +2,8 @@
 
 Every record is immutable, equal only to records of its own class with equal
 fields, hashed by its field tuple, printed as ``Name(field=value, ...)``, and
-survives ``pickle`` and ``copy.deepcopy``.  ``CoxData.smith`` and the ideal's
-cached hash take no part in equality.
+survives ``pickle`` and ``copy.deepcopy``.  The ideal's cached hash takes no
+part in equality.
 """
 
 import copy
@@ -25,7 +25,6 @@ from torrigid.rigidity import Hypothesis, RigidityCertificate, Verdict
 from torrigid.t1 import CoxPolynomial, CyReport, DegreeContribution, PolygonReport, T1Report
 from torrigid.toric import Cone, CoxData, Fan, Graph, QGorensteinCertificate, WeightSystem
 
-SMITH = SmithDecomposition(u=((1,),), d=((2,),), v=((1,),))
 FAN = Fan(rays=((1, 0), (0, 1)), max_cones=(frozenset({0, 1}),), name="A2", warnings=())
 HYP = Hypothesis(name="a", status="satisfied", detail="")
 
@@ -107,9 +106,10 @@ SAMPLES = [
             "grading_matrix": (),
             "ray_matrix": ((2,),),
             "torsion": (2,),
-            "smith": SMITH,
+            "torsion_rows": ((1,),),
         },
-        "CoxData(num_rays=1, ambient_rank=1, grading_matrix=(), ray_matrix=((2,),), torsion=(2,))",
+        "CoxData(num_rays=1, ambient_rank=1, grading_matrix=(), ray_matrix=((2,),), torsion=(2,), "
+        "torsion_rows=((1,),))",
     ),
     (QGorensteinCertificate, {"covector": (1, 1), "index": 1}, "QGorensteinCertificate(covector=(1, 1), index=1)"),
     (WeightSystem, {"weights": (1, 1, 2)}, "WeightSystem(weights=(1, 1, 2))"),
@@ -121,11 +121,6 @@ SAMPLES = [
 ]
 
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
-UNCOMPARED = {CoxData: ("smith",)}
-
-
-def _compared(cls, fields):
-    return tuple(v for k, v in fields.items() if k not in UNCOMPARED.get(cls, ()))
 
 
 def test_samples_cover_every_record_class():
@@ -156,8 +151,8 @@ def test_construction_repr_and_fields(cls, fields, text):
 def test_equality_and_hash_follow_the_field_tuple(cls, fields, text):
     a, b = cls(**fields), cls(**fields)
     assert a == b and not a != b
-    assert hash(a) == hash(b) == hash(_compared(cls, fields))
-    assert a != _compared(cls, fields)
+    assert hash(a) == hash(b) == hash(tuple(fields.values()))
+    assert a != tuple(fields.values())
     for other_cls, other_fields, _ in SAMPLES:
         if other_cls is not cls:
             assert a != other_cls(**other_fields)
@@ -194,13 +189,6 @@ def test_records_of_different_classes_differ():
 
 
 def test_uncompared_fields():
-    other = SmithDecomposition(u=((1,),), d=((3,),), v=((1,),))
-    base = dict(num_rays=1, ambient_rank=1, grading_matrix=(), ray_matrix=((2,),), torsion=(2,))
-    a, b = CoxData(**base, smith=SMITH), CoxData(**base, smith=other)
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert b.smith is other
-    assert CoxData(**dict(base, torsion=(3,)), smith=SMITH) != a
-
     ideal = SquarefreeMonomialIdeal(3, (frozenset({0}), frozenset({1, 2})))
     twin = SquarefreeMonomialIdeal(3, (frozenset({1, 2}), frozenset({0})))
     assert twin.generators == ideal.generators

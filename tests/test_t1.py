@@ -1366,6 +1366,9 @@ NON_INTEGRAL = ([(2, 1), (1, 2)], [[1], [1]])
 # x_0 = x_1 = -1 pin u = (-1, -1), so x_2 = -2 is outside x_2 >= 0 and
 # x_2 = -1; x_2 = -1 and x_0 or x_1 = -1 pin the other one at 0, outside <= -2
 OUTSIDE = ([(1, 0), (0, 1), (1, 1)], [[1], [1], [1]])
+# the first two rays are parallel, so the first n pinned rays can be
+# dependent: x_0 = x_1 = -1 has no rational solution
+PARALLEL = ([(1, 0), (2, 0), (0, 1)], [[1], [1], [1]])
 
 
 @pytest.mark.parametrize(
@@ -1373,8 +1376,9 @@ OUTSIDE = ([(1, 0), (0, 1), (1, 1)], [[1], [1], [1]])
     [
         (NON_INTEGRAL, {"non-integral": 1}),
         (OUTSIDE, {"outside": 4, "holds": 3}),
+        (PARALLEL, {"non-integral": 2, "outside": 2, "holds": 1}),
     ],
-    ids=["non-integral", "outside"],
+    ids=["non-integral", "outside", "parallel"],
 )
 def test_pinned_examples(case, outcomes):
     # the explicit examples of the test below hold both kinds of pinned
@@ -1386,6 +1390,7 @@ def test_pinned_examples(case, outcomes):
 @given(pinned_walks())
 @example(NON_INTEGRAL)
 @example(OUTSIDE)
+@example(PARALLEL)
 def test_pinned_gate_matches_lattice_points(case):
     # a kernel that is nonzero on every key, and every sign pattern, so every
     # chamber of the product is counted: the gated walk gives what
