@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -57,9 +57,9 @@ from .toric import (
     _facet_record,
     _is_hull_face_fan,
     _is_vertex,
+    _singular_faces,
     affine_cone,
     class_group,
-    faces,
     gorenstein,
     irrelevant_ideal,
     is_complete,
@@ -301,14 +301,15 @@ def _non_rigid_face(cone: Cone) -> tuple[frozenset[int], int] | None:
     Near the orbit of a face tau the variety is U_tau' x (C^*)^(n - dim tau),
     where tau' is tau in a lattice basis of its saturated span, so T^1 is
     finite exactly when every proper face is rigid.  Smooth faces are rigid
-    and skipped; each other face is computed by ``t1_affine`` as tau'.  Every
-    face below the one returned was found rigid, so its T^1 is finite.
-    ``t1_affine`` and the parts it calls ask in turn for the same cone, so
-    the answer for the last cone is cached."""
-    fan = cone.fan
-    singular = [f for f in faces(cone) if f != cone.indices and not is_smooth(fan.cone(f))]
-    for face in sorted(singular, key=lambda f: fan.cone(f).dim):
-        _, coordinates = _saturated_span([fan.rays[i] for i in sorted(face)])
+    and skipped; each other face is computed by ``t1_affine`` as tau', by
+    dimension and then in ``faces`` order.  Every face below the one
+    returned was found rigid, so its T^1 is finite.  ``t1_affine`` and the
+    parts it calls ask in turn for the same cone, so the answer for the
+    last cone is cached."""
+    rays = cone.fan.rays
+    singular = [s for s in _singular_faces(cone) if s[0] != cone.indices]
+    for face, _ in sorted(singular, key=itemgetter(1)):
+        _, coordinates = _saturated_span([rays[i] for i in sorted(face)])
         total = t1_affine(affine_cone(coordinates)).total
         if total:
             return face, total

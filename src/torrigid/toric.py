@@ -5,10 +5,12 @@ maximal cones as ray-index sets; this is the only geometric input the whole
 package consumes.  Every face predicate (faces, pointedness, extremality,
 hull vertices and edges, dual generators, cone membership) is read off one
 cached record per cone: its facets, each found as the normal of d - 1 of
-its rays (d the rank) that is one-signed on all rays.  So no floating
-point convex hull machinery and no Fourier-Motzkin elimination is
-involved.  Intended for desk-scale inputs (up to roughly 16 rays in rank
-6).
+its rays (d the rank) that is one-signed on all rays.  The record of a
+singular cone also keeps its singular and non-simplicial faces once they
+are first asked for, and the codimensions and the smooth subfan are read
+off those.  So no floating point convex hull machinery and no
+Fourier-Motzkin elimination is involved.  Intended for desk-scale inputs
+(up to roughly 16 rays in rank 6).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ._record import frozen
 from .ideals import SquarefreeMonomialIdeal, minimalize
@@ -151,18 +153,27 @@ def _independent(vectors: Sequence[Vec]) -> list[int]:
     return _gauss_jordan([list(row) for row in zip(*vectors)])
 
 
-class _Facets(NamedTuple):
+class _Facets:
     """Facets and faces of the cone on some rays.
 
     ``facets[k]`` is the set of ray indices on which ``normals[k]`` vanishes.
     The normals are primitive and >= 0 on every ray, in the coordinates kept
     by ``_facet_record``: all coordinates when the rays span the space.
-    ``faces`` lists every face as a ray-index set, by (size, sorted indices).
-    """
+    ``faces`` lists every face as a ray-index set, by (size, sorted indices),
+    and ``rank`` is the rank of the rays.  ``singular`` and
+    ``non_simplicial`` hold the non-smooth and the non-simplicial faces,
+    each as (face, dimension) in ``faces`` order, None until first asked
+    for (``_singular_record``, ``_non_simplicial_faces``)."""
 
-    facets: tuple[frozenset[int], ...]
-    normals: tuple[Vec, ...]
-    faces: tuple[frozenset[int], ...]
+    __slots__ = ("facets", "normals", "faces", "rank", "singular", "non_simplicial")
+
+    def __init__(self, facets, normals, faces, rank) -> None:
+        self.facets: tuple[frozenset[int], ...] = facets
+        self.normals: tuple[Vec, ...] = normals
+        self.faces: tuple[frozenset[int], ...] = faces
+        self.rank: int = rank
+        self.singular: tuple[tuple[frozenset[int], int], ...] | None = None
+        self.non_simplicial: tuple[tuple[frozenset[int], int], ...] | None = None
 
 
 @lru_cache(maxsize=256)
@@ -216,7 +227,7 @@ def _facet_record(rays: tuple[Vec, ...], indices: frozenset[int]) -> _Facets:
         for f in found:
             closure |= {f & g for g in closure}
         faces = sorted(closure, key=lambda s: (len(s), sorted(s)))
-    return _Facets(tuple(found), tuple(found.values()), tuple(faces))
+    return _Facets(tuple(found), tuple(found.values()), tuple(faces), d)
 
 
 def faces(cone: Cone) -> tuple[frozenset[int], ...]:
@@ -233,37 +244,80 @@ def is_simplicial(cone: Cone) -> bool:
     return int_rank(cone.ray_vectors) == len(cone.indices)
 
 
-def is_smooth(cone: Cone) -> bool:
-    """Smooth means the rays extend to a basis of the ambient lattice: the
-    k x k minors of the k rays have gcd 1.  That gcd is the product of the
-    invariant factors, and 0 when the rays are dependent."""
-    rays = cone.ray_vectors
+def _unimodular(vectors: Sequence[Vec], n: int) -> bool:
+    """Whether the vectors, in Z^n, extend to a lattice basis: their k x k
+    minors have gcd 1.  That gcd is the product of the invariant factors,
+    and 0 when the vectors are dependent."""
     g = 0
-    for cols in itertools.combinations(range(cone.fan.ambient_rank), len(rays)):
-        g = gcd(g, int_det([[v[c] for c in cols] for v in rays]))
+    for cols in itertools.combinations(range(n), len(vectors)):
+        g = gcd(g, int_det([[v[c] for c in cols] for v in vectors]))
         if g == 1:
             return True
     return False
 
 
-def _least_dim_without(obj: Fan | Cone, good) -> int | float:
-    """Least dimension of a cone of ``obj`` (a fan's cones, or a cone's
-    faces) that is not ``good``; infinity when all are.  Every face of a
-    smooth or simplicial cone is again smooth or simplicial, so only the
-    faces of top cones that fail ``good`` are tested."""
+def is_smooth(cone: Cone) -> bool:
+    """Smooth means the rays extend to a basis of the ambient lattice."""
+    return _unimodular(cone.ray_vectors, cone.fan.ambient_rank)
+
+
+def _singular_faces(cone: Cone) -> tuple[tuple[frozenset[int], int], ...]:
+    """The faces of the cone that are not smooth, each with its dimension,
+    in ``faces`` order; the cone itself is the last when it is singular.
+    Every face of a smooth cone is smooth, so a smooth cone has none and
+    builds no record."""
+    return () if is_smooth(cone) else _singular_record(cone).singular
+
+
+def _non_simplicial_faces(cone: Cone) -> tuple[tuple[frozenset[int], int], ...]:
+    """The faces of the cone whose rays are dependent, each with its
+    dimension, in ``faces`` order.  Such a face is singular, with fewer
+    dimensions than rays, so they are read off the singular faces; a
+    simplicial cone has none and builds no record."""
+    if is_simplicial(cone):
+        return ()
+    record = _singular_record(cone)
+    if record.non_simplicial is None:
+        record.non_simplicial = tuple(s for s in record.singular if s[1] < len(s[0]))
+    return record.non_simplicial
+
+
+def _singular_record(cone: Cone) -> _Facets:
+    """The facet record of a cone that is not smooth, with its singular
+    faces found once.  A face that contains a singular face is singular (a
+    lattice basis through its rays would extend the smaller face's rays to
+    one), so only the others are tested by their minors.  The dimension of
+    a face of independent rays is their number; the others are ranked."""
+    rays, n, top = cone.fan.rays, cone.fan.ambient_rank, cone.indices
+    record = _facet_record(rays, top)
+    if record.singular is None:
+        d = record.rank
+        found: list[tuple[frozenset[int], int]] = []
+        for f in record.faces:
+            if f == top:
+                found.append((f, d))
+            elif any(g < f for g, _ in found) or not _unimodular([rays[i] for i in f], n):
+                found.append((f, len(f) if d == len(top) else int_rank([rays[i] for i in f])))
+        record.singular = tuple(found)
+    return record
+
+
+def _least_dim(obj: Fan | Cone, faces_of) -> int | float:
+    """Least dimension of a face that ``faces_of`` lists for a cone of
+    ``obj`` (a fan's maximal cones, or the cone itself); infinity when none
+    does."""
     fan, tops = (obj, obj.max_cones) if isinstance(obj, Fan) else (obj.fan, (obj.indices,))
-    candidates = {f for t in tops if not good(fan.cone(t)) for f in faces(fan.cone(t))}
-    return min((fan.cone(f).dim for f in candidates if not good(fan.cone(f))), default=inf)
+    return min((k for t in tops for _, k in faces_of(fan.cone(t))), default=inf)
 
 
 def singular_codim(obj: Fan | Cone) -> int | float:
     """Least dimension of a non-smooth cone (= codimension of its orbit
     closure); infinity when everything is smooth."""
-    return _least_dim_without(obj, is_smooth)
+    return _least_dim(obj, _singular_faces)
 
 
 def simplicial_codim(obj: Fan | Cone) -> int | float:
-    return _least_dim_without(obj, is_simplicial)
+    return _least_dim(obj, _non_simplicial_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +631,9 @@ def graph_gamma_f(cone: Cone) -> Graph:
 
 def smooth_subfan(cone: Cone) -> Fan:
     """Fan of all smooth faces of the cone (maximal ones listed)."""
-    smooth = [f for f in faces(cone) if is_smooth(cone.fan.cone(f))]
-    maximal = [f for f in smooth if not any(f < g for g in smooth)]
-    maximal.sort(key=lambda s: (len(s), sorted(s)))
-    return Fan(cone.fan.rays, tuple(maximal), name=cone.fan.name)
+    singular = {f for f, _ in _singular_faces(cone)}
+    if not singular:
+        return Fan(cone.fan.rays, (cone.indices,), name=cone.fan.name)
+    smooth = [f for f in faces(cone) if f not in singular]
+    maximal = tuple(f for f in smooth if not any(f < g for g in smooth))
+    return Fan(cone.fan.rays, maximal, name=cone.fan.name)

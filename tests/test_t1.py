@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toric_oracles import class_of_cox_polynomial
-from torrigid import lattice, localcoh, t1
+from torrigid import lattice, localcoh, t1, toric
 from torrigid.cli import load_fan, load_polynomial
 from torrigid.ideals import SquarefreeMonomialIdeal
 from torrigid.lattice import (
@@ -1526,7 +1526,7 @@ def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, cold_localcoh, r
     assert sizes() == before
 
 
-@pytest.mark.parametrize(
+walked_cones = pytest.mark.parametrize(
     "rays",
     [
         SHIPPED_CONES[-1],  # the hexagon: hom_q_h3 after the face rule
@@ -1537,22 +1537,27 @@ def test_chamber_walk_keeps_its_own_degree_records(monkeypatch, cold_localcoh, r
     ],
     ids=["hexagon", "simplicial-rigid", "simplicial-witness", "non-q-gorenstein", "4d"],
 )
+
+
+@walked_cones
 def test_one_face_walk_per_cone(monkeypatch, rays):
     # t1_affine decides the face rule and then calls the parts, which decide
-    # it again for the same cone: the walk of the cone's faces runs once, and
-    # the face cones walked on the way run once each
+    # it again for the same cone: the singular faces of the cone are found
+    # once, and those of each face cone walked on the way once each
     walked = []
-    all_faces = t1.faces
+    fill = toric._singular_record
 
     def counting(cone):
-        walked.append(cone)
-        return all_faces(cone)
+        if toric._facet_record(cone.fan.rays, cone.indices).singular is None:
+            walked.append(cone)
+        return fill(cone)
 
-    monkeypatch.setattr(t1, "faces", counting)
+    monkeypatch.setattr(toric, "_singular_record", counting)
+    toric._facet_record.cache_clear()
     t1._non_rigid_face.cache_clear()
     cone = affine_cone(rays)
     report = t1_affine(cone)
-    assert len({id(c) for c in walked}) == len(walked)
+    assert set(Counter(walked).values()) == {1}
     # called again, directly or through the parts, for the same cone
     if report.witness_face is None:
         assert t1_affine(cone) == report
@@ -1560,9 +1565,28 @@ def test_one_face_walk_per_cone(monkeypatch, rays):
             assert hom_q_h3(cone) == (report.homq_dimension, report.contributions)
     else:
         assert der_part_exact(cone) == (None, Completeness.INFINITE)
-    assert [c for c in walked if c is cone] == [cone]
+    assert walked.count(cone) == 1
     info = t1._non_rigid_face.cache_info()
     assert info.misses == len(walked) and info.hits >= 1
+
+
+@walked_cones
+def test_second_t1_affine_tests_no_face_by_minors(monkeypatch, rays):
+    # a second t1_affine on an equal cone reads the singular faces off the
+    # cone's facet record: the only minors it takes are the direct is_smooth
+    # tests of the cone itself, none when it has more rays than the rank
+    report = t1_affine(affine_cone(rays))
+    tested = []
+    unimodular = toric._unimodular
+
+    def counting(vectors, n):
+        tested.append(frozenset(vectors))
+        return unimodular(vectors, n)
+
+    monkeypatch.setattr(toric, "_unimodular", counting)
+    cone = affine_cone(rays)
+    assert t1_affine(cone) == report
+    assert set(tested) <= {frozenset(cone.ray_vectors)}
 
 
 def test_parts_refuse_a_non_rigid_face_after_t1_affine():

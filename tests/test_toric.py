@@ -1,15 +1,26 @@
 import itertools
+import json
 import math
 import random
 from math import inf
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cone_oracles import cone_contains
-from toric_oracles import height, proper_faces_fan, wps_singular_ideal
+from toric_oracles import (
+    height,
+    least_dim_without,
+    proper_faces_fan,
+    singular_faces_by_dim,
+    smooth_faces_fan,
+    wps_singular_ideal,
+)
+from torrigid import t1
 from torrigid.cli import load_fan
 from torrigid.lattice import (
     content,
@@ -53,6 +64,7 @@ from torrigid.toric import (
 )
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
+FAN_FILES = [p for p in sorted(FANS.glob("*.json")) if "rays" in json.loads(p.read_text())]
 SQUARE_RAYS = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
 COMPLETE_FANS = ["f2", "p1xp3", "p2", "p3", "p4", "weighted_simplex_1113"]
 # the face fan of the cube: complete, with six non-simplicial maximal cones
@@ -443,6 +455,89 @@ class TestSingularCodim:
                 cone = fan.cone(idx)
                 dims = [fan.cone(f).dim for f in faces(cone) if not good(fan.cone(f))]
                 assert codim(cone) == min(dims, default=inf)
+
+
+@st.composite
+def record_fans(draw):
+    """Rank 2-4, up to seven distinct rays with entries in [-2, 2], some
+    lying in a hyperplane, and one to four cones on them, taken as they are:
+    smooth, singular, non-simplicial and lower-dimensional cones all occur."""
+    n = draw(st.integers(2, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(tuple)
+    rays = draw(st.lists(vec, min_size=1, max_size=7, unique=True))
+    if draw(st.booleans()):  # last coordinate equal to the first: rank < n
+        rays = list(dict.fromkeys(v[:-1] + (v[0],) for v in rays))
+    cone = st.frozensets(st.integers(0, len(rays) - 1), min_size=1, max_size=n + 2)
+    return Fan(tuple(rays), tuple(draw(st.lists(cone, min_size=1, max_size=4))))
+
+
+def tried_faces(cone: Cone) -> list[tuple]:
+    """The rays of the faces that ``t1._non_rigid_face`` computes, in its
+    order, with every face taken to be rigid."""
+    tried = []
+
+    def span(vectors):
+        tried.append(tuple(vectors))
+        return None, vectors
+
+    with (
+        mock.patch.object(t1, "_saturated_span", span),
+        mock.patch.object(t1, "affine_cone", lambda vectors: vectors),
+        mock.patch.object(t1, "t1_affine", lambda cone: SimpleNamespace(total=0)),
+    ):
+        assert t1._non_rigid_face.__wrapped__(cone) is None
+    return tried
+
+
+def assert_record_reads_match_face_walk(fan: Fan, simplicial_first: bool) -> None:
+    """The singular and non-simplicial faces read off the facet records
+    against one test per face: both codimensions of the fan and of each
+    maximal cone, its smooth subfan, and the faces that the non-rigid-face
+    walk computes, in order."""
+    for _ in range(2):  # the record's fields filled, then read back
+        pairs = [(singular_codim, is_smooth), (simplicial_codim, is_simplicial)]
+        for codim, good in pairs[::-1] if simplicial_first else pairs:
+            assert codim(fan) == least_dim_without(fan, good)
+            for idx in fan.max_cones:
+                assert codim(fan.cone(idx)) == least_dim_without(fan.cone(idx), good)
+        for idx in fan.max_cones:
+            cone = fan.cone(idx)
+            assert smooth_subfan(cone) == smooth_faces_fan(cone)
+            expected = [tuple(fan.rays[i] for i in sorted(f)) for f in singular_faces_by_dim(cone)]
+            assert tried_faces(cone) == expected
+
+
+class TestRecordedSingularFaces:
+    @settings(max_examples=200)
+    @given(record_fans(), st.booleans())
+    @example(Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), (frozenset({0, 1, 2}),)), False)  # smooth
+    @example(Fan(tuple(CUBE_RAYS), tuple(map(frozenset, CUBE_CONES))), True)  # non-simplicial, complete
+    @example(Fan(((1, 0, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0)), (frozenset({0, 1, 2}),)), False)  # lower-dim
+    @example(  # the cone over a cube: singular edges, non-simplicial facets
+        Fan(tuple((*v, 1) for v in CUBE_RAYS), (frozenset(range(8)),)),
+        True,
+    )
+    def test_match_the_face_walk(self, fan, simplicial_first):
+        _facet_record.cache_clear()
+        assert_record_reads_match_face_walk(fan, simplicial_first)
+
+    @pytest.mark.parametrize("path", FAN_FILES, ids=lambda p: p.stem)
+    def test_match_the_face_walk_on_shipped_fans(self, path):
+        fan, _ = load_fan(str(path))
+        for simplicial_first in (False, True):
+            _facet_record.cache_clear()
+            assert_record_reads_match_face_walk(fan, simplicial_first)
+
+    def test_smooth_and_simplicial_cones_build_no_record(self):
+        _facet_record.cache_clear()
+        smooth = affine_cone([(1, 0, 0), (1, 1, 0), (0, 0, 1)])
+        simplicial = affine_cone([(1, 0, 1), (0, 1, 1), (-1, -1, 1)])
+        assert singular_codim(smooth) == simplicial_codim(smooth) == inf
+        assert smooth_subfan(smooth).max_cones == (smooth.indices,)
+        assert simplicial_codim(simplicial) == inf
+        assert _facet_record.cache_info().currsize == 0
+        assert singular_codim(simplicial) == 3
+        assert _facet_record.cache_info().currsize == 1
 
 
 class TestClassGroup:

@@ -6,17 +6,30 @@ local cohomology at the codimension-two ideal of a fan (criteria 6 and 7),
 the singular locus of a weighted projective space and its height
 (criterion 9), and the fan of the proper faces of a cone.  It also keeps
 the first ``cox_polynomial``, which adds every coefficient as a ``Fraction``
-and compares the full ``class_of`` of every term.
+and compares the full ``class_of`` of every term, and the face-by-face
+singular and non-simplicial faces from before a cone's facet record kept
+them: ``least_dim_without``, ``smooth_faces_fan`` and
+``singular_faces_by_dim``.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import inf, lcm
 
 from torrigid.ideals import SquarefreeMonomialIdeal, minimalize
 from torrigid.localcoh import SimplicialComplex
 from torrigid.t1 import CoxPolynomial
-from torrigid.toric import Cone, Fan, Graph, WeightSystem, _lifted_faces, class_group, faces, graph_gamma
+from torrigid.toric import (
+    Cone,
+    Fan,
+    Graph,
+    WeightSystem,
+    _lifted_faces,
+    class_group,
+    faces,
+    graph_gamma,
+    is_smooth,
+)
 
 
 def clique_complex(g: Graph) -> SimplicialComplex:
@@ -109,6 +122,33 @@ def proper_faces_fan(cone: Cone) -> Fan:
     maximal = [f for f in proper if not any(f < g for g in proper)]
     maximal.sort(key=lambda s: (len(s), sorted(s)))
     return Fan(cone.fan.rays, tuple(maximal), name=cone.fan.name)
+
+
+def least_dim_without(obj: Fan | Cone, good) -> int | float:
+    """Least dimension of a cone of ``obj`` (a fan's cones, or a cone's
+    faces) that is not ``good``, each face tested and ranked on its own;
+    infinity when all are.  With ``toric.is_smooth`` this is
+    ``singular_codim``, with ``toric.is_simplicial`` ``simplicial_codim``."""
+    fan, tops = (obj, obj.max_cones) if isinstance(obj, Fan) else (obj.fan, (obj.indices,))
+    candidates = {f for t in tops if not good(fan.cone(t)) for f in faces(fan.cone(t))}
+    return min((fan.cone(f).dim for f in candidates if not good(fan.cone(f))), default=inf)
+
+
+def smooth_faces_fan(cone: Cone) -> Fan:
+    """``toric.smooth_subfan`` by one smoothness test per face: the fan of
+    the smooth faces, maximal ones listed."""
+    smooth = [f for f in faces(cone) if is_smooth(cone.fan.cone(f))]
+    maximal = [f for f in smooth if not any(f < g for g in smooth)]
+    maximal.sort(key=lambda s: (len(s), sorted(s)))
+    return Fan(cone.fan.rays, tuple(maximal), name=cone.fan.name)
+
+
+def singular_faces_by_dim(cone: Cone) -> list[frozenset[int]]:
+    """The proper faces that ``t1._non_rigid_face`` computes, in its order:
+    the non-smooth ones by dimension, ties in ``faces`` order."""
+    fan = cone.fan
+    singular = [f for f in faces(cone) if f != cone.indices and not is_smooth(fan.cone(f))]
+    return sorted(singular, key=lambda f: fan.cone(f).dim)
 
 
 def halfspace_slice_connected(vertices, vertex, normal) -> bool:
