@@ -387,13 +387,14 @@ def solve_diophantine(
 def _saturated_span(vectors: Sequence[Vec]) -> tuple[list[Vec], list[Vec]] | None:
     """A lattice basis of span(vectors) ∩ Z^n and the vectors in coordinates
     of that basis; None when the vectors span Q^n.  The basis is the integer
-    kernel of the integer kernel of the vectors, so it is saturated."""
+    kernel of the integer kernel of the vectors, so it is saturated.  One
+    decomposition of the basis columns solves for every vector."""
     normals = integer_kernel(vectors)
     if not normals:
         return None
     basis = integer_kernel(normals)
-    columns = [list(column) for column in zip(*basis)]
-    return basis, [solve_diophantine(columns, v)[0] for v in vectors]
+    snf = smith_normal_form([list(column) for column in zip(*basis)])
+    return basis, [snf.solve(v)[0] for v in vectors]
 
 
 # ---------------------------------------------------------------------------

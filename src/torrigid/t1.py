@@ -139,39 +139,35 @@ def _scaled(c: int, matrix) -> list[list]:
     return [[c * x for x in row] for row in matrix]
 
 
-def _kernels(i: int, records, source_shifts, target_shifts, coef):
-    """The kernel of a chamber by its key, for one computation: the kernel
-    dimension of the block matrix whose block (t, s) is coef[t][s] times
-    multiplication from the degree key + source_shifts[s] piece of H^i_B to
-    the degree key + target_shifts[t] piece; the block is zero where
+def _kernels(i: int, records, coef):
+    """The kernel of a chamber by its sign signature, for one computation:
+    the kernel dimension of the block matrix whose block (t, s) is
+    coef[t][s] times multiplication from the piece of H^i_B at source
+    degree s to the piece at target degree t; the block is zero where
     coef[t][s] is 0.
 
     A multiplication map depends on its two degrees only through their sign
     patterns, so for fixed coefficients the kernel depends only on the sign
-    signature of the degrees, one int: with m coordinates and the shifts
-    numbered sources first, bit t*m + k is set when key_k + shift_t[k] <= -1.
-    Each coordinate's bits for a key value are computed once, so a key's
-    signature is the OR of one lookup per coordinate, and each signature is
-    ranked once.  A new signature is cut into the masks of its degrees'
-    patterns, which index ``records``, the records of all 2^m patterns
-    (``localcoh._all_records``); the targets only once some source piece is
-    nonzero.  The tables live as long as the returned function."""
-    m = len(source_shifts[0])
-    shifts = [*source_shifts, *target_shifts]
-    # for coordinate k, the (shift, bit) of every degree
-    columns = [[(d[k], 1 << (t * m + k)) for t, d in enumerate(shifts)] for k in range(m)]
-    bits: list[dict] = [{} for _ in range(m)]
+    signature of the chamber (``_chamber_characters``), one int: with m
+    coordinates and the degrees numbered sources first, the m bits from
+    t*m up are the sign pattern of degree t.  There are len(coef[0])
+    sources and len(coef) targets, and m is read off ``records``, the
+    records of all 2^m patterns (``localcoh._all_records``).  Each
+    signature is ranked once, the targets only once some source piece is
+    nonzero.  The ranks live as long as the returned function."""
+    m = len(records).bit_length() - 1
+    sources = len(coef[0])
     full = (1 << m) - 1
     kernels: dict = {}
 
     def rank(signature: int) -> int:
-        src = [records[signature >> (s * m) & full] for s in range(len(source_shifts))]
+        src = [records[signature >> (s * m) & full] for s in range(sources)]
         dims = [s.dims.get(i - 2, 0) for s in src]
         if not any(dims):
             return 0
         rows: list[list] = []
-        for t in range(len(target_shifts)):
-            record = records[signature >> ((len(src) + t) * m) & full]
+        for t in range(len(coef)):
+            record = records[signature >> ((sources + t) * m) & full]
             tdim = record.dims.get(i - 2, 0)
             if not tdim:
                 continue
@@ -179,18 +175,12 @@ def _kernels(i: int, records, source_shifts, target_shifts, coef):
                 _scaled(coef[t][s], _restriction(i - 2, src[s], record))
                 if coef[t][s] and dims[s]
                 else [[0] * dims[s]] * tdim
-                for s in range(len(src))
+                for s in range(sources)
             ]
             rows.extend([x for blk in blocks for x in blk[rr]] for rr in range(tdim))
         return sum(dims) - len(rref(rows)[1])
 
-    def kernel(key: Vec) -> int:
-        signature = 0
-        for table, column, x in zip(bits, columns, key):
-            found = table.get(x)
-            if found is None:
-                found = table[x] = sum(bit for d, bit in column if x + d <= -1)
-            signature |= found
+    def kernel(signature: int) -> int:
         found = kernels.get(signature)
         if found is None:
             found = kernels[signature] = rank(signature)
@@ -210,19 +200,23 @@ def _intervals(shifts: Sequence[int]) -> list[tuple[int, int | None, int | None]
 
 
 def _chamber_characters(
-    rays: Sequence[Vec], shifts: Sequence[Sequence[int]], patterns, kernel, gale: bool = False
+    rays: Sequence[Vec], degrees: Sequence[Vec], patterns, kernel, gale: bool = False
 ) -> tuple[int, list[tuple[Vec, int]]]:
     """The sum of the kernels of all characters u, and the pairs (u, kernel)
     with a nonzero kernel in lexicographic order.
 
-    A chamber is a product over k of ``_intervals`` of the shifts added to
-    x_k = <u, v_k>; the negative coordinates of its key are its sign
-    pattern.  Only the chambers whose pattern is one of ``patterns``, the
-    caller's list of the patterns that can carry a nonzero kernel, are
-    walked.  ``kernel`` gets the key of each, and only a chamber with a
-    nonzero kernel has its characters counted.  Each interval carries its
-    rows, a one-point interval an equality and the others their
-    inequalities, so a chamber's system is their concatenation.  Unbounded
+    A chamber is a product over k of ``_intervals`` of the k-th coordinates
+    of the degree shifts d_t added to x_k = <u, v_k>; its negative intervals
+    are its sign pattern.  Only the chambers whose pattern is one of
+    ``patterns``, the caller's list of the patterns that can carry a nonzero
+    kernel, are walked.  ``kernel`` gets the sign signature of each, and
+    only a chamber with a nonzero kernel has its characters counted.  With
+    m coordinates, bit t*m + k of the signature is set when x_k + d_t[k] <=
+    -1, a sign that is constant on each interval, so each interval carries
+    its bits and a chamber's signature is the OR of its intervals'.  Each
+    interval carries its rows too, a one-point interval an equality and the
+    others their inequalities, so a chamber's system is their
+    concatenation.  Unbounded
     chambers are skipped: the callers have found every proper face rigid,
     so T^1 is finite, while an unbounded chamber that held one character
     would hold infinitely many, all with its kernel.
@@ -239,19 +233,21 @@ def _chamber_characters(
     kernel lies in K_E (x) H, where dim K_E = |E| - rank(V_E)
     (``hom_q_h3``), so a chamber whose pinned rays are independent is
     skipped unranked."""
-    n = len(rays[0])
-    # the intervals of coordinate k as (key, lo, hi, equalities,
-    # inequalities); the key of a one-point interval is its point
+    n, m = len(rays[0]), len(rays)
+    # the intervals of coordinate k as (signature bits, lo, hi, equalities,
+    # inequalities)
     intervals = []
-    for v, s in zip(rays, shifts):
+    for k, v in enumerate(rays):
         below = tuple(-c for c in v)
+        shifts = [d[k] for d in degrees]
         ivs = []
-        for key, lo, hi in _intervals(s):
+        for key, lo, hi in _intervals(shifts):
+            bits = sum(1 << (t * m + k) for t, s in enumerate(shifts) if key + s <= -1)
             if lo == hi:
-                ivs.append((key, lo, hi, ((v, lo),), ()))
+                ivs.append((bits, lo, hi, ((v, lo),), ()))
             else:
                 rows = () if lo is None else ((v, lo),)
-                ivs.append((key, lo, hi, (), rows if hi is None else (*rows, (below, -hi))))
+                ivs.append((bits, lo, hi, (), rows if hi is None else (*rows, (below, -hi))))
         intervals.append(ivs)
 
     concat = itertools.chain.from_iterable
@@ -260,7 +256,6 @@ def _chamber_characters(
         # the first interval is x_k >= 0, the others negative
         choices = [ivs[1:] if k in pattern else ivs[:1] for k, ivs in enumerate(intervals)]
         for chamber in itertools.product(*choices):
-            key = tuple([iv[0] for iv in chamber])
             eqs = tuple(concat([iv[3] for iv in chamber]))
             points = None
             if gale or len(eqs) >= n:
@@ -280,7 +275,8 @@ def _chamber_characters(
                     ):
                         continue
                     points = [u]
-            ker = kernel(key)
+            # the intervals' bits are disjoint, so their sum is their OR
+            ker = kernel(sum([iv[0] for iv in chamber]))
             if not ker:
                 continue
             if points is None:
@@ -331,9 +327,10 @@ def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
     local cohomology, summed over contributing fine degrees.
 
     The system of a character u maps the pieces at p = p(u) to those at
-    p + e_j, so it is fixed by the sign chamber of p for the shift 1 in
-    every coordinate.  A cone with a non-rigid proper face is refused: its
-    T^1 is infinite, and this part is not known to be.
+    p + e_j, so it is fixed by the sign chamber of p for its degree shifts,
+    the sources 0 (one per Euler component) and then the targets e_j.  A
+    cone with a non-rigid proper face is refused: its T^1 is infinite, and
+    this part is not known to be.
 
     A target with p_j != -1 has the sign pattern N of p, so its blocks are
     the a_ij times the identity of H^3_B at N, and the kernel lies in
@@ -366,11 +363,12 @@ def hom_q_h3(cone: Cone) -> tuple[int, tuple[DegreeContribution, ...]]:
     # coef[j][i] = a_ij: the i-th Euler component maps to x_j with weight a_ij
     coef = list(zip(*cox.grading_matrix))
     every = _all_records(b)
-    kernel = _kernels(3, every, [(0,) * m] * r, _units(m), coef)
+    kernel = _kernels(3, every, coef)
 
     # the sources are the pieces at p itself: most patterns have none
     patterns = [s.pattern for s in every if s.dims.get(3 - 2)]
-    total, found = _chamber_characters(rays, [[1]] * m, patterns, kernel, gale=True)
+    degrees = [(0,) * m] * r + _units(m)
+    total, found = _chamber_characters(rays, degrees, patterns, kernel, gale=True)
     return total, tuple(DegreeContribution(_fine_degree(rays, u), k) for u, k in found)
 
 
@@ -396,9 +394,9 @@ def der_part_exact(cone: Cone) -> tuple[int | None, Completeness]:
     fine degree t involves only unknowns with p(u) = t - p(w), and p is
     injective because the rays span, so the system is block-diagonal by u:
     one small system per character, whose kernel dimensions add up.  The
-    system of u is fixed by the sign chamber of p(u) for the shifts e_j and
-    beta = p(w) in each coordinate, so the dimension is the sum over
-    chambers of the kernel times the number of characters.
+    system of u is fixed by the sign chamber of p(u) for its degree shifts,
+    the sources e_j and then the targets beta = p(w), so the dimension is
+    the sum over chambers of the kernel times the number of characters.
 
     A non-rigid proper face makes T^1 infinite.  On a simplicial cone this
     part is all of T^1, so it is infinite too and has no dimension; on any
@@ -427,13 +425,12 @@ def der_part_exact(cone: Cone) -> tuple[int | None, Completeness]:
 
     # block (t, j): x_j's image in p(u) + e_j, times x^(beta_t - e_j), times beta_t[j]
     every = _all_records(b)
-    kernel = _kernels(2, every, _units(m), exponents, exponents)
+    kernel = _kernels(2, every, exponents)
 
     # the source p + e_j has the pattern N of p, or N - {j} when p_j = -1
     h2 = {s.pattern for s in every if s.dims.get(2 - 2)}
     patterns = [s.pattern for s in every if s.pattern in h2 or any(s.pattern - {j} in h2 for j in s.pattern)]
-    shifts = [[1, *(beta[k] for beta in exponents)] for k in range(m)]
-    return _chamber_characters(rays, shifts, patterns, kernel)[0], Completeness.GUARANTEED
+    return _chamber_characters(rays, _units(m) + exponents, patterns, kernel)[0], Completeness.GUARANTEED
 
 
 def _der_part_vanishes(cone: Cone) -> bool:

@@ -160,12 +160,11 @@ class _Facets:
     The normals are primitive and >= 0 on every ray, in the coordinates kept
     by ``_facet_record``: all coordinates when the rays span the space.
     ``faces`` lists every face as a ray-index set, by (size, sorted indices),
-    and ``rank`` is the rank of the rays.  ``singular`` and
-    ``non_simplicial`` hold the non-smooth and the non-simplicial faces,
-    each as (face, dimension) in ``faces`` order, None until first asked
-    for (``_singular_record``, ``_non_simplicial_faces``)."""
+    and ``rank`` is the rank of the rays.  ``singular`` holds the
+    non-smooth faces, each as (face, dimension) in ``faces`` order, None
+    until first asked for (``_singular_record``)."""
 
-    __slots__ = ("facets", "normals", "faces", "rank", "singular", "non_simplicial")
+    __slots__ = ("facets", "normals", "faces", "rank", "singular")
 
     def __init__(self, facets, normals, faces, rank) -> None:
         self.facets: tuple[frozenset[int], ...] = facets
@@ -173,7 +172,6 @@ class _Facets:
         self.faces: tuple[frozenset[int], ...] = faces
         self.rank: int = rank
         self.singular: tuple[tuple[frozenset[int], int], ...] | None = None
-        self.non_simplicial: tuple[tuple[frozenset[int], int], ...] | None = None
 
 
 @lru_cache(maxsize=256)
@@ -276,10 +274,7 @@ def _non_simplicial_faces(cone: Cone) -> tuple[tuple[frozenset[int], int], ...]:
     simplicial cone has none and builds no record."""
     if is_simplicial(cone):
         return ()
-    record = _singular_record(cone)
-    if record.non_simplicial is None:
-        record.non_simplicial = tuple(s for s in record.singular if s[1] < len(s[0]))
-    return record.non_simplicial
+    return tuple(s for s in _singular_record(cone).singular if s[1] < len(s[0]))
 
 
 def _singular_record(cone: Cone) -> _Facets:

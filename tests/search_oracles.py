@@ -1,7 +1,9 @@
 """The shell scan that ``integer_feasible`` used before its Fourier-Motzkin
 descent, kept as an independent oracle for it and for the gamma criterion
-that calls it, and the per-variable elimination that ``variable_bounds``
-used before it read the bounds off one elimination chain.
+that calls it, the per-variable elimination that ``variable_bounds`` used
+before it read the bounds off one elimination chain, and the sign signature
+of a T^1 chamber computed key by key, as ``t1._kernels`` did before the
+chamber walk built it from its intervals.
 """
 
 import itertools
@@ -100,3 +102,13 @@ def shell_scan(system, search_bound):
     if points:
         return Witness(points[0]), points
     return (Infeasible() if bounded else BoundExceeded(search_bound)), []
+
+
+def signature(key, degrees):
+    """The sign signature of the degree ``key`` for the degree shifts
+    ``degrees``: with m coordinates, bit t*m + k is set when
+    key_k + degrees[t][k] <= -1."""
+    m = len(key)
+    return sum(
+        1 << (t * m + k) for t, d in enumerate(degrees) for k in range(m) if key[k] + d[k] <= -1
+    )

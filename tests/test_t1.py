@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from search_oracles import signature
 from toric_oracles import class_of_cox_polynomial
 from torrigid import lattice, localcoh, t1, toric
 from torrigid.cli import load_fan, load_polynomial
@@ -135,10 +136,10 @@ class TestHomQH3:
         sources = [(0,) * 5] * cox.free_rank
         targets = [tuple(int(k == j) for k in range(5)) for j in range(5)]
         chamber = (-1, -1, -1, -1, 0)
-        records = _all_records(b)
-        assert _kernels(3, records, sources, targets, coef)(chamber) == 1
+        kernel = _kernels(3, _all_records(b), coef)
+        assert kernel(signature(chamber, sources + targets)) == 1
         shifted = targets[1:] + targets[:1]  # a_ij paired with p + e_(j+1)
-        assert _kernels(3, records, sources, shifted, coef)(chamber) == 0
+        assert kernel(signature(chamber, sources + shifted)) == 0
 
 
 class TestConeLeavingOutARay:
@@ -1106,6 +1107,50 @@ def test_chamber_fixes_sign_patterns(case):
     assert len(patterns) == 1
 
 
+@given(chamber_points(count=3))
+def test_walk_signature_is_the_or_of_interval_bits(case):
+    # the walk over every sign pattern of the rays e_k, where x = u, asks a
+    # recording kernel once per chamber, at the signature that
+    # search_oracles.signature gives its key, and the drawn x and y of one
+    # chamber have one signature.  lattice_points is replaced by the key of
+    # the chamber it is given (the upper end of each interval, or its lower
+    # end 0), so every chamber, bounded or not, names the signature it got
+    key, x, y, degrees = case
+    m = len(key)
+    rays = [tuple(int(j == k) for j in range(m)) for k in range(m)]
+    patterns = [frozenset(k for k in range(m) if mask >> k & 1) for mask in range(1 << m)]
+    asked = []
+
+    def kernel(signature):
+        asked.append(signature)
+        return 1 + signature
+
+    def chamber_key(system):
+        ends = {}
+        for v, c in system.equalities:
+            ends[v.index(1)] = c
+        for v, c in system.inequalities:
+            k = next(j for j, a in enumerate(v) if a)
+            ends[k] = -c if v[k] < 0 else ends.get(k, c)
+        return [tuple(ends[k] for k in range(m))]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(t1, "lattice_points", chamber_key)
+        _, found = t1._chamber_characters(rays, degrees, patterns, kernel)
+    intervals = [_intervals([d[k] for d in degrees]) for k in range(m)]
+    keys = sorted(itertools.product(*[[c for c, _, _ in ivs] for ivs in intervals]))
+    assert [u for u, _ in found] == keys
+    assert found == [(u, 1 + signature(u, degrees)) for u in keys]
+    assert sorted(asked) == sorted(ker - 1 for _, ker in found)
+    # x and y lie in one chamber of the walk, which was asked for their signature
+    walk_key = tuple(
+        next(c for c, lo, hi in ivs if (lo is None or lo <= x_k) and (hi is None or x_k <= hi))
+        for x_k, ivs in zip(x, intervals)
+    )
+    assert signature(x, degrees) == signature(y, degrees) == signature(walk_key, degrees)
+    assert (walk_key, 1 + signature(x, degrees)) in found
+
+
 @settings(max_examples=300)
 @given(chamber_points(count=5), st.integers(1, 4))
 def test_sign_signature_packs_every_degree(case, sources):
@@ -1128,12 +1173,12 @@ def test_sign_signature_packs_every_degree(case, sources):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(t1, "_restriction", restriction)
-        kernel = _kernels(2, records, src, tgt, [[1] * len(src)] * len(tgt))
-        kernel(tuple(key))
+        kernel = _kernels(2, records, [[1] * len(src)] * len(tgt))
+        kernel(signature(key, shifts))
         degree = [[negative([a + d for a, d in zip(key, s)]) for s in side] for side in (src, tgt)]
         assert blocks == [(p, q) for q in degree[1] for p in degree[0]]
-        kernel(tuple(x))
-        kernel(tuple(y))
+        kernel(signature(x, shifts))
+        kernel(signature(y, shifts))
     assert len(blocks) == len(src) * len(tgt)
 
 
@@ -1226,15 +1271,21 @@ def test_one_record_lookup_per_distinct_source_shift(monkeypatch):
 # was cut to the sign patterns that can carry a kernel
 
 
-def product_chambers(rays, shifts, kernel):
+def coordinate_shifts(degrees, m):
+    """The shifts of each of the m coordinates in the degree shifts."""
+    return [[d[k] for d in degrees] for k in range(m)]
+
+
+def product_chambers(rays, degrees, kernel):
     """The chamber walk of ``_chamber_characters`` over the whole interval
-    product, kept as an oracle for its sign-pattern filter and for its
-    equalities: every chamber is asked for its kernel, and its system has
+    product, kept as an oracle for its sign-pattern filter, its equalities
+    and its signatures: every chamber is asked for its kernel at the
+    signature of its key (``search_oracles.signature``), and its system has
     inequalities only."""
     n = len(rays[0])
     found = []
-    for chamber in itertools.product(*map(_intervals, shifts)):
-        ker = kernel(tuple(key for key, _, _ in chamber))
+    for chamber in itertools.product(*map(_intervals, coordinate_shifts(degrees, len(rays)))):
+        ker = kernel(signature([key for key, _, _ in chamber], degrees))
         if not ker:
             continue
         rows = [(v, lo) for v, (_, lo, _) in zip(rays, chamber) if lo is not None]
@@ -1279,19 +1330,19 @@ def test_pattern_walk_matches_product_walk(monkeypatch, n, m, radius, count):
     asked = {"patterns": 0, "product": 0}
 
     def counted(name, kernel):
-        def counting(key):
+        def counting(signature):
             asked[name] += 1
-            return kernel(key)
+            return kernel(signature)
 
         return counting
 
     walk = t1._chamber_characters
     walks = {
-        "patterns": lambda rays, shifts, patterns, kernel, **gates: walk(
-            rays, shifts, patterns, counted("patterns", kernel), **gates
+        "patterns": lambda rays, degrees, patterns, kernel, **gates: walk(
+            rays, degrees, patterns, counted("patterns", kernel), **gates
         ),
-        "product": lambda rays, shifts, patterns, kernel, **gates: product_chambers(
-            rays, shifts, counted("product", kernel)
+        "product": lambda rays, degrees, patterns, kernel, **gates: product_chambers(
+            rays, degrees, counted("product", kernel)
         ),
     }
     parts, nonzero = [], 0
@@ -1392,16 +1443,18 @@ def test_pinned_examples(case, outcomes):
 @example(OUTSIDE)
 @example(PARALLEL)
 def test_pinned_gate_matches_lattice_points(case):
-    # a kernel that is nonzero on every key, and every sign pattern, so every
-    # chamber of the product is counted: the gated walk gives what
+    # a kernel that is nonzero on every signature, and every sign pattern,
+    # so every chamber of the product is counted: the gated walk gives what
     # lattice_points gives on every chamber (``product_chambers``), and calls
-    # it only on the chambers that are not pinned
+    # it only on the chambers that are not pinned.  Each shift s of ray k is
+    # the degree s e_k, so coordinate k has the intervals of its shifts
     rays, shifts = case
     m, n = len(rays), len(rays[0])
     patterns = [frozenset(k for k in range(m) if mask >> k & 1) for mask in range(1 << m)]
+    degrees = [tuple(s if j == k else 0 for j in range(m)) for k, ks in enumerate(shifts) for s in ks]
 
-    def kernel(key):
-        return 1 + sum(x * x for x in key) % 3
+    def kernel(signature):
+        return 1 + signature % 3
 
     calls = []
 
@@ -1411,8 +1464,8 @@ def test_pinned_gate_matches_lattice_points(case):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(t1, "lattice_points", counting)
-        got = t1._chamber_characters(rays, shifts, patterns, kernel)
-    assert got == product_chambers(rays, shifts, kernel)
+        got = t1._chamber_characters(rays, degrees, patterns, kernel)
+    assert got == product_chambers(rays, degrees, kernel)
     unpinned = sum(
         int_rank([v for v, _ in chamber_system(rays, chamber).equalities] or [(0,) * n]) < n
         for chamber in itertools.product(*map(_intervals, shifts))
@@ -1458,30 +1511,31 @@ POLYGON_CONES = [
 def test_gale_bound_matches_ungated_kernel(cones):
     # hom_q_h3's kernel at a key lies in K_E (x) H(N), dim K_E = |E| - rank of
     # the rays at the -1 coordinates E: wherever that is 0 the ungated
-    # kernel of _kernels is 0, on every key of the product, walked or not
+    # kernel of _kernels is 0, on the signature of every key of the
+    # product, walked or not
     gated = nonzero = 0
     for rays in cones:
         walks = []
         walk = t1._chamber_characters
 
-        def capture(rays, shifts, patterns, kernel, **gates):
-            walks.append((kernel, gates))
-            return walk(rays, shifts, patterns, kernel, **gates)
+        def capture(rays, degrees, patterns, kernel, **gates):
+            walks.append((degrees, kernel, gates))
+            return walk(rays, degrees, patterns, kernel, **gates)
 
         cone = affine_cone([tuple(v) for v in rays])
         t1._non_rigid_face(cone)  # walks the faces' chambers first
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(t1, "_chamber_characters", capture)
             hom_q_h3(cone)
-        [(kernel, gates)] = walks
+        [(degrees, kernel, gates)] = walks
         assert gates == {"gale": True}
         for key in itertools.product((0, -1, -2), repeat=len(rays)):
             pinned = [v for v, x in zip(cone.ray_vectors, key) if x == -1]
             if len(pinned) == (int_rank(pinned) if pinned else 0):
-                assert kernel(key) == 0, (rays, key)
+                assert kernel(signature(key, degrees)) == 0, (rays, key)
                 gated += 1
             else:
-                nonzero += kernel(key) > 0
+                nonzero += kernel(signature(key, degrees)) > 0
     assert gated and nonzero
 
 
@@ -1603,7 +1657,7 @@ def test_parts_refuse_a_non_rigid_face_after_t1_affine():
 # from the faces
 
 
-def searched_chambers(rays, shifts, kernel, bound):
+def searched_chambers(rays, degrees, kernel, bound):
     """The chamber walk of ``_chamber_characters`` before T^1 was decided from
     the faces, kept as an oracle for that decision: (total, found, outcome).
 
@@ -1621,8 +1675,8 @@ def searched_chambers(rays, shifts, kernel, bound):
         return AffineSystem(num_vars=n, inequalities=tuple(rows))
 
     found, outcome = [], "guaranteed"
-    for chamber in itertools.product(*map(_intervals, shifts)):
-        ker = kernel(tuple(key for key, _, _ in chamber))
+    for chamber in itertools.product(*map(_intervals, coordinate_shifts(degrees, len(rays)))):
+        ker = kernel(signature([key for key, _, _ in chamber], degrees))
         if not ker:
             continue
         try:
@@ -1649,9 +1703,9 @@ def searched_t1(cone):
     bound = 2 * max(abs(c) for v in cone.ray_vectors for c in v)
     outcomes = []
 
-    def walk(rays, shifts, patterns, kernel, **gates):
+    def walk(rays, degrees, patterns, kernel, **gates):
         # every chamber of the product, whatever the patterns and gates
-        total, found, outcome = searched_chambers(rays, shifts, kernel, bound)
+        total, found, outcome = searched_chambers(rays, degrees, kernel, bound)
         outcomes.append(outcome)
         return total or 0, found
 
