@@ -19,9 +19,13 @@ so every pattern of an ideal value has one record.  The record also keeps
 its cohomology bases by cochain degree (``_basis``) and its restriction maps
 by cochain degree and target pattern (``_restriction``).  A sweep that asks for
 every piece of one degree in turn computes its mask once:
-``local_coh_piece`` and ``cech_piece`` test ``_last`` themselves, so every
-other lookup of the degree is one identity test and one tuple comparison,
-with no further call.  The chamber walks of ``t1``, which revisit many
+``local_coh_piece`` and ``cech_piece`` test ``_last`` themselves, on the
+degree as passed and before any conversion, so every other lookup of the
+degree is two identity tests and an index check when the caller passes the
+same tuple again, and a tuple comparison on top when it passes an equal
+tuple, with no further call.  The memo keeps the tuple its miss made, so a
+degree that is not a tuple (a list, an ``array``) always takes the miss
+path.  The chamber walks of ``t1``, which revisit many
 degrees, look up no degree here: they read their records off the table by
 mask.
 
@@ -70,23 +74,27 @@ _last: tuple = (None, None, None, None)
 def _degree(b: SquarefreeMonomialIdeal, p: tuple[int, ...]) -> _SignPattern:
     """The record of a degree's sign pattern, remembered in ``_last``: the
     miss path of the one-slot memo that ``local_coh_piece`` and
-    ``cech_piece`` test themselves (the same ideal object, an equal degree).
-    The record is read off the ideal's table by the degree's sign mask, and
-    a missing one is built by ``_pattern``; the table comes from ``_last``
-    when the ideal is the same object, else from ``_records``, so an equal
-    ideal that is another object gets the same record.  ``negative`` runs
-    only when the record is built.  The degree is
-    checked here; a bad degree or a degenerate ideal is never remembered, so
-    it raises on every call."""
+    ``cech_piece`` test themselves (the same ideal object, and the stored
+    degree tuple itself or a tuple equal to it).  ``p`` is the tuple that
+    the caller made of the degree; it is stored, never the caller's object.
+    The record is read off the ideal's table by the degree's sign mask,
+    built with a running bit (one add per coordinate), and a missing one is
+    built by ``_pattern``; the table comes from ``_last`` when the ideal is
+    the same object, else from ``_records``, so an equal ideal that is
+    another object gets the same record.  ``negative`` runs only when the
+    record is built.  The degree is checked here; a bad degree or a
+    degenerate ideal is never remembered, so it raises on every call."""
     global _last
     if len(p) != b.num_vars:
         _check_proper(b)  # a degenerate ideal takes precedence
         raise ValueError(f"degree has length {len(p)}, expected {b.num_vars}")
     table = _last[3] if _last[0] is b else _records(b)
     mask = 0
-    for k, x in enumerate(p):
+    bit = 1
+    for x in p:
         if x <= -1:  # as in negative
-            mask |= 1 << k
+            mask |= bit
+        bit += bit
     record = table.get(mask) or _pattern(b, negative(p))
     _last = (b, p, record, table)
     return record
@@ -310,11 +318,13 @@ def local_coh_piece(
     """The degree-p piece of the i-th local cohomology of the polynomial ring
     supported at the ideal: reduced cohomology of the sign-pattern complex in
     degree i - 2."""
-    if i < 0:
-        _reject_index(b)
-    p = tuple(p)
     last = _last
-    record = last[2] if last[0] is b and last[1] == p else _degree(b, p)
+    if last[0] is b and (last[1] is p or type(p) is tuple and last[1] == p) and i >= 0:
+        record = last[2]
+    else:
+        if i < 0:
+            _reject_index(b)
+        record = _degree(b, tuple(p))
     pieces = record.pieces
     return pieces[i] if i < len(pieces) else record.zero
 
@@ -381,8 +391,9 @@ def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> Mu
         raise ValueError("variable index out of range")
     if i < 0:
         _reject_index(b)
-    src = _degree(b, tuple(p))
-    tgt = _pattern(b, src.pattern - {j}) if p[j] == -1 else src
+    q = tuple(p)
+    src = _degree(b, q)
+    tgt = _pattern(b, src.pattern - {j}) if q[j] == -1 else src
     matrix = _restriction(i - 2, src, tgt)
     return MultMap(
         source_dimension=src.dims.get(i - 2, 0),
@@ -397,43 +408,42 @@ def mult_map(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int], j: int) -> Mu
 
 def _cech_strand(b: SquarefreeMonomialIdeal, pattern: frozenset[int]) -> dict:
     """Cohomology dimensions of the fine strand of the Cech complex on the
-    generators, for the sign pattern of negative coordinates."""
-    supports = b.generators
-    s = len(supports)
-    alive: dict[int, list[frozenset[int]]] = {}
-    for t in range(s + 1):
-        alive[t] = []
-        for combo in itertools.combinations(range(s), t):
-            key = frozenset(combo)
-            u = frozenset().union(*(supports[j] for j in combo)) if combo else frozenset()
-            if pattern <= u:
-                alive[t].append(key)
-    ranks = {}
+    generators, for the sign pattern of negative coordinates.
+
+    Generators, subsets of generators and the pattern are bitmasks.  A
+    subset's support is the support of the subset without its lowest
+    generator, joined with that generator's, and the subset is alive when
+    its support covers the pattern; a superset of an alive subset is alive,
+    so every coboundary lands on alive subsets."""
+    gens = [sum(1 << v for v in g) for g in b.generators]
+    need = sum(1 << v for v in pattern)
+    s = len(gens)
+    alive: list[list[int]] = [[] for _ in range(s + 1)]
+    union = [0]
+    for key in range(1 << s):
+        if key:
+            low = key & -key
+            union.append(union[key ^ low] | gens[low.bit_length() - 1])
+        if not need & ~union[key]:
+            alive[key.bit_count()].append(key)
+    bits = [1 << j for j in range(s)]
+    ranks = [0] * (s + 1)  # ranks[t]: rank of the map C^t -> C^(t+1)
     for t in range(s):
         src = alive[t]
         tgt = alive[t + 1]
         if not src or not tgt:
-            ranks[t] = 0
             continue
-        tgt_index = {k: idx for idx, k in enumerate(tgt)}
+        tgt_index = {key: idx for idx, key in enumerate(tgt)}
         rows = []
         for key in src:
             row = [0] * len(tgt)
-            members = sorted(key)
-            for l in range(s):
-                if l in key:
-                    continue
-                bigger = key | {l}
-                if bigger in tgt_index:
-                    sign = (-1) ** sum(1 for j in members if j < l)
-                    row[tgt_index[bigger]] = sign
+            for bit in bits:
+                if not key & bit:
+                    # the sign counts the members of key below the new one
+                    row[tgt_index[key | bit]] = -1 if (key & (bit - 1)).bit_count() & 1 else 1
             rows.append(row)
-        # rows currently describe the map from C^t; transpose for rank
         ranks[t] = int_rank(rows)
-    dims = {}
-    for t in range(s + 1):
-        dims[t] = len(alive[t]) - ranks.get(t, 0) - ranks.get(t - 1, 0)
-    return dims
+    return {t: len(alive[t]) - ranks[t] - (ranks[t - 1] if t else 0) for t in range(s + 1)}
 
 
 def cech_piece(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> int:
@@ -441,11 +451,13 @@ def cech_piece(b: SquarefreeMonomialIdeal, i: int, p: Sequence[int]) -> int:
     Cech complex on the generators; independent of the simplicial route and
     must agree with it everywhere.  The strand is kept in the pattern's
     record but computed here, on first use, from the generators alone."""
-    if i < 0:
-        _reject_index(b)
-    p = tuple(p)
     last = _last
-    record = last[2] if last[0] is b and last[1] == p else _degree(b, p)
+    if last[0] is b and (last[1] is p or type(p) is tuple and last[1] == p) and i >= 0:
+        record = last[2]
+    else:
+        if i < 0:
+            _reject_index(b)
+        record = _degree(b, tuple(p))
     strand = record.strand
     if strand is None:
         strand = record.strand = _cech_strand(b, record.pattern)

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from localcoh_oracles import cech_strand
 from toric_oracles import clique_complex, codim2_ideal, proper_faces_fan
 from torrigid import localcoh
 from torrigid.ideals import SquarefreeMonomialIdeal
@@ -360,6 +361,27 @@ class TestCechOracle:
                     ), (b, i, p)
 
 
+    @given(st.integers(1, 6).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=5),
+        )
+    ))
+    @settings(max_examples=100)
+    # the mixed supports of a strand_sweep ideal: generators of one, two and
+    # three variables, two of them sharing one
+    @example((6, [frozenset({0}), frozenset({2, 3}), frozenset({1, 3, 4})]))
+    def test_bitmask_strand_matches_frozenset_oracle(self, case):
+        m, gens = case
+        b = SquarefreeMonomialIdeal(m, tuple(gens))
+        for r in range(m + 1):
+            for pattern in map(frozenset, itertools.combinations(range(m), r)):
+                strand = localcoh._cech_strand(b, pattern)
+                expected = cech_strand(b, pattern)
+                assert strand == expected, (b, pattern)
+                assert list(strand) == list(expected) == list(range(len(b.generators) + 1))
+
+
 class TestGraphFormulas:
     def test_codim2_square(self, square_cone):
         fan = proper_faces_fan(square_cone)
@@ -543,6 +565,108 @@ def test_one_lookup_per_degree_and_pattern(monkeypatch, cold_localcoh):
     assert _records.cache_info().misses == 1
     assert len(_records(b)) == 2**4
     assert len(strands) == len(set(strands)) == 2**4
+
+
+def _count_misses(monkeypatch):
+    """The degrees that ``_degree`` is called with, from here on."""
+    misses = []
+    degree = localcoh._degree
+
+    def missed(b, p):
+        misses.append(p)
+        return degree(b, p)
+
+    monkeypatch.setattr(localcoh, "_degree", missed)
+    return misses
+
+
+def _piece_of(b, i, degree):
+    record = _pattern(b, negative(degree))
+    return record.pieces[i] if i < len(record.pieces) else record.zero
+
+
+def test_equal_tuple_degree_hits_the_memo(monkeypatch, cold_localcoh):
+    # the memo is tested on the degree as passed: an equal tuple that is
+    # another object hits, with no further _degree call
+    b = ideal(3, {0, 1}, {1, 2})
+    misses = _count_misses(monkeypatch)
+    p = (-1, 0, -2)
+    local_coh_piece(b, 0, p)
+    for i in range(5):
+        q = tuple(list(p))
+        assert q == p and q is not p
+        assert local_coh_piece(b, i, q) is _piece_of(b, i, p)
+        assert cech_piece(b, i, q) == cech_strand(b, negative(p)).get(i, 0)
+    assert misses == [p]
+
+
+@pytest.mark.parametrize("kind", [list, lambda d: array("b", d)], ids=["list", "array"])
+def test_non_tuple_degree_misses_on_every_call(monkeypatch, cold_localcoh, kind):
+    # the memo keeps the tuple its miss made: a list or array, here rewritten
+    # in place, is never that tuple and never equals it, so every call looks
+    # its current values up
+    b = ideal(3, {0, 1}, {1, 2})
+    misses = _count_misses(monkeypatch)
+    p = kind([0, 0, 0])
+    degrees = [(-1, 0, -2), (-1, 0, -2), (0, 1, -1), (-1, 0, -2)]
+    for degree in degrees:
+        p[:] = kind(degree)
+        for i in range(5):
+            assert local_coh_piece(b, i, p) is _piece_of(b, i, degree)
+            assert cech_piece(b, i, p) == cech_strand(b, negative(degree)).get(i, 0)
+    assert misses == [degree for degree in degrees for _ in range(10)]
+    assert all(type(q) is tuple for q in misses)
+
+
+class Elementwise(list):
+    """A degree that compares elementwise, as a numpy array does: its
+    comparison with a tuple has no truth value."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        raise TypeError("an elementwise comparison has no truth value")
+
+
+def test_non_tuple_degree_is_never_compared(cold_localcoh):
+    b = ideal(3, {0, 1}, {1, 2})
+    p = (-1, 0, -2)
+    local_coh_piece(b, 2, p)
+    for i in range(5):
+        assert local_coh_piece(b, i, Elementwise(p)) is _piece_of(b, i, p)
+        assert cech_piece(b, i, Elementwise(p)) == cech_strand(b, negative(p)).get(i, 0)
+
+
+@pytest.mark.parametrize("call", [local_coh_piece, cech_piece], ids=["local_coh_piece", "cech_piece"])
+def test_negative_index_raises_right_after_a_hit(call, cold_localcoh):
+    # the hit test reads the index last: a negative index never hits, so it
+    # is rejected with the memo pointing at the same ideal and degree, and a
+    # degenerate ideal still takes precedence
+    b = ideal(3, {0, 1}, {1, 2})
+    p = (-1, 0, -2)
+    call(b, 2, p)
+    call(b, 3, p)
+    assert localcoh._last[:2] == (b, p)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cohomological index"):
+            call(b, -1, p)
+        with pytest.raises(ValueError, match="cohomological index"):
+            call(b, -1, tuple(list(p)))
+    for degenerate in (ideal(3), ideal(3, set())):
+        for _ in range(2):
+            with pytest.raises(DegenerateIdealError):
+                call(degenerate, -1, p)
+    assert localcoh._last[:2] == (b, p)
+
+
+def test_mult_map_takes_a_one_pass_iterator():
+    # the degree is read once, into a tuple, before both the record lookup
+    # and the test of its j-th entry
+    b = ideal(3, {0}, {1, 2})
+    p = (-1, -1, 0)
+    assert mult_map(b, 2, iter(p), 0) == mult_map(b, 2, p, 0)
+    assert mult_map(b, 2, iter(p), 0).source_dimension == 1
+    assert local_coh_piece(b, 2, iter(p)).dimension == cech_piece(b, 2, iter(p)) == 1
 
 
 @st.composite
